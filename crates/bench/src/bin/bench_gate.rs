@@ -10,8 +10,6 @@
 //! deterministic counts, never absolute wall-clock throughput, so the gate
 //! holds on any runner:
 //!
-//! * `sim_speedup`       — bytecode vs. interpreter cycles/s ratio
-//! * `netlist_speedup`   — netlist backend vs. bytecode VM cycles/s ratio
 //! * `min_speedup_64b`   — packed vs. per-bit vector-op speedup floor
 //! * `min_speedup_wide`  — packed vs. per-bit floor over >64-bit vectors
 //! * `hit_rate`          — dedup-cache hit rate over the repeated sweep
@@ -121,14 +119,6 @@ fn main() -> ExitCode {
 
     // (label, fresh artifact, baseline artifact, key, parallel-only)
     let mut gates: Vec<(&str, &str, &str, &str, bool)> = vec![
-        ("sim_speedup", &fresh_sim, &base_sim, "sim_speedup", false),
-        (
-            "netlist_speedup",
-            &fresh_sim,
-            &base_sim,
-            "netlist_speedup",
-            false,
-        ),
         (
             "min_speedup_64b",
             &fresh_sim,

@@ -13,9 +13,8 @@
 //!    gate (wide words are where the word-parallel fast paths land).
 //! 2. **Cycle-heavy simulation** — a clocked counter-bank testbench (eight
 //!    processes, each chaining eight 64-bit accumulators per posedge) run
-//!    through the full event loop on both the interpreter and the bytecode
-//!    VM, reported as simulated cycles and steps per second; the bytecode
-//!    backend must clear 5× the interpreter's cycles/s.
+//!    through the full event loop, reported as simulated cycles and steps
+//!    per second.
 //! 3. **Dedup cache** — a quick evaluation sweep with the completion-dedup
 //!    cache on vs off: hit rate and wall-clock both ways, with the runs
 //!    compared for equality (the cache must never change results).
@@ -33,7 +32,7 @@ use vgen_core::{run_engine_sweep_stats, EvalConfig, SweepOptions, SweepStats};
 use vgen_corpus::CorpusSource;
 use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_problems::PromptLevel;
-use vgen_sim::{SimBackend, SimConfig};
+use vgen_sim::SimConfig;
 use vgen_verilog::value::LogicVec;
 
 /// The pre-rewrite representation, kept here as the baseline under test:
@@ -216,10 +215,8 @@ const BANK: usize = 8;
 
 /// The counter-bank testbench: exercises edge detection, the future-event
 /// queue, and — at `PROCS * BANK` writes per cycle — the per-write wake
-/// machinery, which is where the backends differ architecturally (the
-/// interpreter re-scans every parked process per write; the bytecode VM
-/// consults compiled watch tables). `acc0_0` counts clock cycles, so the
-/// result is still checkable as a counter.
+/// machinery, which re-scans every parked process per write. `acc0_0`
+/// counts clock cycles, so the result is still checkable as a counter.
 fn counter_testbench(cycles: u64) -> String {
     let mut src = String::from("module tb;\nreg clk;\n");
     for p in 0..PROCS {
@@ -251,7 +248,6 @@ fn counter_testbench(cycles: u64) -> String {
 }
 
 struct SimSample {
-    backend: SimBackend,
     cycles: u64,
     seconds: f64,
     steps: u64,
@@ -259,49 +255,28 @@ struct SimSample {
     steps_per_sec: f64,
 }
 
-fn run_counter(quick: bool, backend: SimBackend) -> SimSample {
+fn measure_sim(quick: bool) -> SimSample {
     let cycles: u64 = if quick { 10_000 } else { 100_000 };
     let src = counter_testbench(cycles);
     let config = SimConfig::default()
         .with_max_time(cycles * 10 + 100)
-        .with_max_steps(u64::MAX)
-        .with_backend(backend);
+        .with_max_steps(u64::MAX);
     let start = Instant::now();
     let out = vgen_sim::simulate(&src, Some("tb"), config).expect("counter testbench simulates");
     let seconds = start.elapsed().as_secs_f64();
     let expected = format!("count={:>20}", cycles);
     assert!(
         out.stdout.trim_end().ends_with(expected.trim()),
-        "counter miscounted on {}: {:?}",
-        backend.as_str(),
+        "counter miscounted: {:?}",
         out.stdout
     );
     SimSample {
-        backend,
         cycles,
         seconds,
         steps: out.steps,
         cycles_per_sec: cycles as f64 / seconds,
         steps_per_sec: out.steps as f64 / seconds,
     }
-}
-
-/// Runs the counter testbench through the interpreter, the bytecode VM and
-/// the netlist backend, asserting all three agree on output and step count
-/// before comparing speed.
-fn measure_sim(quick: bool) -> (SimSample, SimSample, SimSample) {
-    let interp = run_counter(quick, SimBackend::Interp);
-    let bytecode = run_counter(quick, SimBackend::Bytecode);
-    let netlist = run_counter(quick, SimBackend::Netlist);
-    assert_eq!(
-        interp.steps, bytecode.steps,
-        "backends disagree on step count"
-    );
-    assert_eq!(
-        interp.steps, netlist.steps,
-        "netlist backend disagrees on step count"
-    );
-    (interp, bytecode, netlist)
 }
 
 struct DedupSample {
@@ -380,21 +355,14 @@ fn main() {
         .map(|s| s.speedup)
         .fold(f64::INFINITY, f64::min);
 
-    let (sim_interp, sim_bc, sim_net) = measure_sim(quick);
-    for sim in [&sim_interp, &sim_bc, &sim_net] {
-        println!(
-            "  simulation[{}]: {} cycles in {:.3}s = {:.0} cycles/s ({:.2} Msteps/s)",
-            sim.backend.as_str(),
-            sim.cycles,
-            sim.seconds,
-            sim.cycles_per_sec,
-            sim.steps_per_sec / 1e6
-        );
-    }
-    let sim_speedup = sim_bc.cycles_per_sec / sim_interp.cycles_per_sec;
-    println!("  bytecode vs interpreter: {sim_speedup:.2}x cycles/s");
-    let netlist_speedup = sim_net.cycles_per_sec / sim_bc.cycles_per_sec;
-    println!("  netlist vs bytecode: {netlist_speedup:.2}x cycles/s");
+    let sim = measure_sim(quick);
+    println!(
+        "  simulation: {} cycles in {:.3}s = {:.0} cycles/s ({:.2} Msteps/s)",
+        sim.cycles,
+        sim.seconds,
+        sim.cycles_per_sec,
+        sim.steps_per_sec / 1e6
+    );
 
     let dedup = measure_dedup(quick);
     println!(
@@ -406,18 +374,7 @@ fn main() {
         dedup.seconds_cache_off
     );
 
-    let json = render_json(
-        quick,
-        &ops,
-        min_speedup_64,
-        min_speedup_wide,
-        &sim_interp,
-        &sim_bc,
-        &sim_net,
-        sim_speedup,
-        netlist_speedup,
-        &dedup,
-    );
+    let json = render_json(quick, &ops, min_speedup_64, min_speedup_wide, &sim, &dedup);
     write_artifact("BENCH_sim.json", &json);
     if let Some(path) = out_path {
         match std::fs::write(&path, &json) {
@@ -439,35 +396,16 @@ fn main() {
     println!(
         "  wide (>64-bit) packed speedup floor: {min_speedup_wide:.1}x (tracked, no hard gate)"
     );
-    if sim_speedup < 5.0 {
-        eprintln!(
-            "FAIL: bytecode backend only {sim_speedup:.2}x the interpreter on cycles/s (need 5x)"
-        );
-        std::process::exit(1);
-    }
-    println!("  bytecode speedup floor: {sim_speedup:.1}x (>= 5x required)");
-    if netlist_speedup < 3.0 {
-        eprintln!(
-            "FAIL: netlist backend only {netlist_speedup:.2}x the bytecode VM on cycles/s (need 3x)"
-        );
-        std::process::exit(1);
-    }
-    println!("  netlist speedup floor: {netlist_speedup:.1}x (>= 3x required)");
 }
 
 /// Hand-rolled JSON (no serde in this environment): a stable, diffable
 /// shape for the throughput trajectory.
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     quick: bool,
     ops: &[OpSample],
     min_speedup_64: f64,
     min_speedup_wide: f64,
-    sim_interp: &SimSample,
-    sim_bc: &SimSample,
-    sim_net: &SimSample,
-    sim_speedup: f64,
-    netlist_speedup: f64,
+    sim: &SimSample,
     dedup: &DedupSample,
 ) -> String {
     let mut out = String::from("{\n");
@@ -491,23 +429,10 @@ fn render_json(
     out.push_str("  ],\n");
     out.push_str(&format!("  \"min_speedup_64b\": {min_speedup_64:.2},\n"));
     out.push_str(&format!("  \"min_speedup_wide\": {min_speedup_wide:.2},\n"));
-    let sim_obj = |s: &SimSample| {
-        format!(
-            "{{\"cycles\": {}, \"seconds\": {:.6}, \"steps\": {}, \"cycles_per_sec\": {:.1}, \"steps_per_sec\": {:.1}}}",
-            s.cycles, s.seconds, s.steps, s.cycles_per_sec, s.steps_per_sec
-        )
-    };
-    out.push_str(&format!("  \"simulation\": {},\n", sim_obj(sim_interp)));
     out.push_str(&format!(
-        "  \"simulation_bytecode\": {},\n",
-        sim_obj(sim_bc)
+        "  \"simulation\": {{\"cycles\": {}, \"seconds\": {:.6}, \"steps\": {}, \"cycles_per_sec\": {:.1}, \"steps_per_sec\": {:.1}}},\n",
+        sim.cycles, sim.seconds, sim.steps, sim.cycles_per_sec, sim.steps_per_sec
     ));
-    out.push_str(&format!(
-        "  \"simulation_netlist\": {},\n",
-        sim_obj(sim_net)
-    ));
-    out.push_str(&format!("  \"sim_speedup\": {sim_speedup:.2},\n"));
-    out.push_str(&format!("  \"netlist_speedup\": {netlist_speedup:.2},\n"));
     out.push_str(&format!(
         "  \"dedup_cache\": {{\"checks_run\": {}, \"cache_hits\": {}, \"hit_rate\": {:.4}, \"seconds_cache_on\": {:.6}, \"seconds_cache_off\": {:.6}}}\n",
         dedup.stats.checks_run,

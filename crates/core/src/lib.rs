@@ -49,5 +49,5 @@ pub use sweep::{
     config_fingerprint, journal_header, read_journal, read_journal_recovering, run_engine,
     run_engine_journaled, run_engine_parallel, run_engine_sweep, run_engine_sweep_sharded,
     run_engine_sweep_stats, EvalConfig, EvalRun, FsyncPolicy, Record, RecordObserver,
-    RecoveryReport, ShardSpec, SweepHooks, SweepOptions, SweepStats,
+    RecoveryReport, ShardSpec, SweepHooks, SweepOptions, SweepStats, UnsupportedJournalVersion,
 };

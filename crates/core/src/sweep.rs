@@ -124,22 +124,19 @@ pub struct Record {
     /// rates.
     pub fault: bool,
     /// Classification of the no-verdict cause when `fault` is set, `None`
-    /// for ordinary records. Records resumed from pre-v3 journals carry
-    /// [`FaultKind::Panic`] for their fault records — panics were the only
-    /// fault those formats could represent.
+    /// for ordinary records.
     pub fault_kind: Option<FaultKind>,
     /// Simulated inference latency.
     pub latency_s: f64,
     /// Lint tallies for the candidate ([`crate::check::CheckResult::lint`]).
-    /// `None` when the candidate never parsed, when the harness faulted, or
-    /// when the record was resumed from a pre-lint (v1) journal.
+    /// `None` when the candidate never parsed or when the harness faulted.
     pub lint: Option<LintCounts>,
 }
 
 impl Record {
-    /// Serialises the record as one v3 journal line: the ten v2 fields
-    /// (nine legacy fields plus lint, `-` when absent), the fault-kind tag
-    /// (`-` for records carrying a real verdict), and a lowercase-hex
+    /// Serialises the record as one v3 journal line: nine verdict fields,
+    /// the lint tallies (`-` when absent), the fault-kind tag (`-` for
+    /// records carrying a real verdict), and a lowercase-hex
     /// FNV-1a checksum of everything before it. The checksum is what lets
     /// recovery distinguish "line the dead process wrote whole" from "line
     /// torn or bit-rotted after the fact" without trusting field counts.
@@ -167,93 +164,44 @@ impl Record {
         format!("{prefix},{:08x}", fnv1a(prefix.as_bytes()) & 0xffff_ffff)
     }
 
-    /// Parses a journal line produced by [`Record::to_journal_line`], in
-    /// any supported format: a 12-field v3 line (checksum-verified), a
-    /// 10-field v2 line, or a 9-field legacy v1 line (both yielding
-    /// `lint: None` / best-effort `fault_kind`). Returns `None` on any
-    /// malformed field, a checksum mismatch, or a line truncated by a kill
-    /// mid-write.
+    /// Parses a journal line produced by [`Record::to_journal_line`].
+    /// Returns `None` on any malformed field, a checksum mismatch, or a line
+    /// truncated by a kill mid-write.
     pub fn from_journal_line(line: &str) -> Option<Record> {
-        parse_journal_line(line).map(|(rec, _)| rec)
-    }
-}
-
-/// The journal format a record line was written under, decided by its
-/// field count (and, for v3, its checksum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LineVersion {
-    /// Nine fields, pre-lint.
-    V1,
-    /// Ten fields: v1 plus the lint tallies.
-    V2,
-    /// Twelve fields: v2 plus the fault-kind tag and a checksum.
-    V3,
-}
-
-impl LineVersion {
-    fn number(self) -> u8 {
-        match self {
-            LineVersion::V1 => 1,
-            LineVersion::V2 => 2,
-            LineVersion::V3 => 3,
+        let line = line.trim_end();
+        let mut it = line.split(',');
+        let mut rec = Record {
+            problem_id: it.next()?.parse().ok()?,
+            difficulty: parse_difficulty_tag(it.next()?)?,
+            level: parse_level_tag(it.next()?)?,
+            temperature: it.next()?.parse().ok()?,
+            n: it.next()?.parse().ok()?,
+            compiled: parse_flag(it.next()?)?,
+            passed: parse_flag(it.next()?)?,
+            fault: parse_flag(it.next()?)?,
+            latency_s: it.next()?.parse().ok()?,
+            fault_kind: None,
+            lint: None,
+        };
+        let lint_field = it.next()?;
+        if lint_field != "-" {
+            rec.lint = Some(LintCounts::from_journal_field(lint_field)?);
         }
-    }
-}
-
-/// Parses a journal record line, reporting which format version it was.
-/// [`read_journal`] rejects lines whose version disagrees with the header:
-/// a v3 line torn after its tenth comma masquerades as well-formed v2 (and
-/// after its ninth as v1), and only the version check stops it from
-/// resurfacing as a record with fields silently dropped.
-fn parse_journal_line(line: &str) -> Option<(Record, LineVersion)> {
-    let line = line.trim_end();
-    let mut it = line.split(',');
-    let mut rec = Record {
-        problem_id: it.next()?.parse().ok()?,
-        difficulty: parse_difficulty_tag(it.next()?)?,
-        level: parse_level_tag(it.next()?)?,
-        temperature: it.next()?.parse().ok()?,
-        n: it.next()?.parse().ok()?,
-        compiled: parse_flag(it.next()?)?,
-        passed: parse_flag(it.next()?)?,
-        fault: parse_flag(it.next()?)?,
-        latency_s: it.next()?.parse().ok()?,
-        fault_kind: None,
-        lint: None,
-    };
-    let version = match it.next() {
-        None => LineVersion::V1, // legacy 9-field line
-        Some(lint_field) => {
-            if lint_field != "-" {
-                rec.lint = Some(LintCounts::from_journal_field(lint_field)?);
-            }
-            match it.next() {
-                None => LineVersion::V2,
-                Some(kind_field) => {
-                    rec.fault_kind = FaultKind::from_journal_tag(kind_field)?;
-                    let sum = it.next()?;
-                    if it.next().is_some() {
-                        return None; // trailing fields: not ours
-                    }
-                    // The checksum covers every byte before its own comma.
-                    let prefix = &line[..line.len() - sum.len() - 1];
-                    if sum != format!("{:08x}", fnv1a(prefix.as_bytes()) & 0xffff_ffff) {
-                        return None;
-                    }
-                    if rec.fault != rec.fault_kind.is_some() {
-                        return None; // flag and kind must agree
-                    }
-                    LineVersion::V3
-                }
-            }
+        rec.fault_kind = FaultKind::from_journal_tag(it.next()?)?;
+        let sum = it.next()?;
+        if it.next().is_some() {
+            return None; // trailing fields: not ours
         }
-    };
-    if version != LineVersion::V3 && rec.fault {
-        // Pre-v3 journals could only record panic faults; resumed fault
-        // records keep that classification rather than an unknowable one.
-        rec.fault_kind = Some(FaultKind::Panic);
+        // The checksum covers every byte before its own comma.
+        let prefix = &line[..line.len() - sum.len() - 1];
+        if sum != format!("{:08x}", fnv1a(prefix.as_bytes()) & 0xffff_ffff) {
+            return None;
+        }
+        if rec.fault != rec.fault_kind.is_some() {
+            return None; // flag and kind must agree
+        }
+        Some(rec)
     }
-    Some((rec, version))
 }
 
 fn difficulty_tag(d: Difficulty) -> &'static str {
@@ -785,20 +733,35 @@ pub fn run_engine_parallel(
     run_engine_sweep(engine, config, None, &SweepOptions::parallel(jobs))
 }
 
-/// Journal format marker (first token of the header line) for journals
-/// written by this version: record lines carry twelve fields — the ten v2
-/// fields plus a fault-kind tag and a per-record checksum.
+/// Journal format marker (first token of the header line), the only
+/// format this build reads or writes: record lines carry twelve fields —
+/// nine verdict fields, lint tallies, a fault-kind tag and a per-record
+/// checksum.
 const JOURNAL_MAGIC: &str = "vgen-journal-v3";
 
-/// The pre-fault-kind journal format: ten-field record lines, no checksum.
-/// Still accepted on read/resume; a resumed journal is rewritten in v3
-/// form.
-const JOURNAL_MAGIC_V2: &str = "vgen-journal-v2";
+/// A journal whose header declares a format other than v3: an older one
+/// (v1/v2, from builds before lint tallies and per-record checksums) or a
+/// newer one. Returned inside an [`io::Error`] of kind
+/// [`io::ErrorKind::InvalidData`]; `err.get_ref()` downcasts to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnsupportedJournalVersion {
+    /// The version digits the header declared (`"1"`, `"2"`, `"9"`, …).
+    pub version: String,
+}
 
-/// The pre-lint journal format: nine-field record lines. Still accepted on
-/// read/resume (records come back with `lint: None`); a resumed journal is
-/// rewritten in v3 form.
-const JOURNAL_MAGIC_V1: &str = "vgen-journal-v1";
+impl std::fmt::Display for UnsupportedJournalVersion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ver = &self.version;
+        write!(
+            f,
+            "journal declares format v{ver}, but this build reads v3 only; sweeps are \
+             deterministic, so delete the journal and re-run without --resume to \
+             regenerate it"
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedJournalVersion {}
 
 /// FNV-1a, used for the config fingerprint in journal headers.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -851,8 +814,6 @@ pub fn journal_header(fp: u64, engine: &str, shard: Option<(u32, u32)>) -> Strin
 /// What [`read_journal_recovering`] had to do to make sense of a journal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Journal format version the header declared (1, 2 or 3).
-    pub version: u8,
     /// Well-formed records kept — the longest valid prefix.
     pub kept: usize,
     /// Lines dropped after the valid prefix: the first torn/corrupt line
@@ -883,8 +844,8 @@ pub fn read_journal(path: &Path) -> io::Result<(String, u64, Vec<Record>)> {
 /// # Errors
 ///
 /// I/O errors, or [`io::ErrorKind::InvalidData`] if the header is missing,
-/// malformed, or declares a journal format version this build does not
-/// read (the error message says which version and what to do).
+/// malformed, or declares a journal format other than v3 (wrapping an
+/// [`UnsupportedJournalVersion`]).
 pub fn read_journal_recovering(
     path: &Path,
 ) -> io::Result<(String, u64, Vec<Record>, RecoveryReport)> {
@@ -907,32 +868,22 @@ pub fn read_journal_recovering(
         .next()
         .and_then(|h| std::str::from_utf8(h).ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "not a vgen journal"))?;
-    let (rest, version) =
-        if let Some(r) = header.strip_prefix(&format!("# {JOURNAL_MAGIC} fingerprint=")) {
-            (r, LineVersion::V3)
-        } else if let Some(r) = header.strip_prefix(&format!("# {JOURNAL_MAGIC_V2} fingerprint=")) {
-            (r, LineVersion::V2)
-        } else if let Some(r) = header.strip_prefix(&format!("# {JOURNAL_MAGIC_V1} fingerprint=")) {
-            (r, LineVersion::V1)
-        } else if let Some(r) = header.strip_prefix("# vgen-journal-v") {
-            // A well-formed header from a future format: refuse loudly rather
-            // than misparse its records as torn lines and silently re-run the
-            // whole grid over them.
-            let ver: String = r.chars().take_while(char::is_ascii_digit).collect();
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal declares unsupported format v{ver} (this build reads v1-v3); \
-                 use a vgen build that writes v{ver}, or start fresh by deleting the \
-                 journal file or dropping --resume"
-                ),
-            ));
-        } else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a vgen journal",
-            ));
-        };
+    let rest = if let Some(r) = header.strip_prefix(&format!("# {JOURNAL_MAGIC} fingerprint=")) {
+        r
+    } else if let Some(r) = header.strip_prefix("# vgen-journal-v") {
+        // Any other format: refuse loudly rather than misparse its records
+        // as torn lines and silently re-run the whole grid over them.
+        let version = r.chars().take_while(char::is_ascii_digit).collect();
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            UnsupportedJournalVersion { version },
+        ));
+    } else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not a vgen journal",
+        ));
+    };
     let (fp_and_shard, engine) = rest
         .split_once(" engine=")
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed journal header"))?;
@@ -957,12 +908,6 @@ pub fn read_journal_recovering(
         }
         None => (fp_and_shard, None),
     };
-    if shard.is_some() && version != LineVersion::V3 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "shard journals require the v3 journal format",
-        ));
-    }
     let fp = u64::from_str_radix(fp_hex, 16)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "malformed journal fingerprint"))?;
     let mut records = Vec::new();
@@ -972,24 +917,22 @@ pub fn read_journal_recovering(
         if valid_prefix {
             // A line that is not UTF-8 is corrupt by definition; one that
             // is gets the full field/checksum validation.
-            match std::str::from_utf8(raw).ok().and_then(parse_journal_line) {
-                // The line's version must match the header's: in a v3
-                // journal a ten-field line is a torn write (a v3 line cut
-                // after its tenth comma masquerades as well-formed v2),
-                // and in a v1 journal a longer line is foreign.
-                Some((r, v)) if v == version => {
+            match std::str::from_utf8(raw)
+                .ok()
+                .and_then(Record::from_journal_line)
+            {
+                Some(r) => {
                     records.push(r);
                     continue;
                 }
                 // A torn final line is expected after a kill; everything
                 // from here on is untrusted and only counted.
-                _ => valid_prefix = false,
+                None => valid_prefix = false,
             }
         }
         dropped += 1;
     }
     let report = RecoveryReport {
-        version: version.number(),
         kept: records.len(),
         dropped_lines: dropped,
         shard,
@@ -1279,8 +1222,7 @@ pub fn run_engine_sweep_sharded(
             prior = recs;
         }
         // (Re)write header + surviving records; on resume this also
-        // truncates any torn trailing suffix left by a kill (and upgrades
-        // pre-v3 records to the current line format).
+        // truncates any torn trailing suffix left by a kill.
         let mut f = std::fs::File::create(path)?;
         writeln!(f, "{}", journal_header(fp, &name, shard_tag))?;
         for r in &prior {
@@ -1319,10 +1261,8 @@ pub fn run_engine_sweep_sharded(
     let mut progress = Progress::new(opts.progress, total, done_prior);
     let mut records = prior;
     let jobs = opts.effective_jobs();
-    // The dedup cache is never seeded from resumed (prior) records: v1
-    // journals carry no lint field, and replaying their `lint: None` into
-    // fresh duplicates would make a resumed run differ from a fresh one.
-    // Duplicates of prior completions simply get checked again.
+    // The dedup cache is never seeded from resumed (prior) records:
+    // duplicates of prior completions simply get checked again.
     let use_cache = opts.dedup;
     let mut interrupted = false;
 
@@ -1882,22 +1822,26 @@ mod tests {
     }
 
     #[test]
-    fn legacy_nine_field_line_parses_with_no_lint() {
-        let line = "7,I,H,0.3,25,1,0,0,1.625";
-        let rec = Record::from_journal_line(line).expect("v1 line parses");
-        assert_eq!(rec.lint, None);
-        assert_eq!(rec.fault_kind, None);
-        assert_eq!(rec.problem_id, 7);
-        // Re-serialising upgrades it to the twelve-field v3 form.
-        let upgraded = rec.to_journal_line();
-        assert!(upgraded.starts_with(&format!("{line},-,-,")), "{upgraded}");
-        assert_eq!(Record::from_journal_line(&upgraded), Some(rec));
-        // A v1 *fault* line resumes as a panic fault (the only kind v1
-        // could record).
-        let fault_line = "7,I,H,0.3,25,0,0,1,1.625";
-        let fault = Record::from_journal_line(fault_line).expect("v1 fault line parses");
-        assert!(fault.fault);
-        assert_eq!(fault.fault_kind, Some(FaultKind::Panic));
+    fn pre_v3_record_lines_are_rejected() {
+        let line = Record {
+            problem_id: 7,
+            difficulty: Difficulty::Intermediate,
+            level: PromptLevel::High,
+            temperature: 0.3,
+            n: 25,
+            compiled: true,
+            passed: false,
+            fault: false,
+            fault_kind: None,
+            latency_s: 1.625,
+            lint: None,
+        }
+        .to_journal_line();
+        // The nine-field v1 and ten-field v2 shapes are what a v3 line
+        // torn after its ninth or tenth comma looks like.
+        assert_eq!(Record::from_journal_line(&strip_fields(&line, 3)), None);
+        assert_eq!(Record::from_journal_line(&strip_fields(&line, 2)), None);
+        assert!(Record::from_journal_line(&line).is_some());
     }
 
     #[test]
@@ -2045,108 +1989,58 @@ mod tests {
     }
 
     #[test]
-    fn pre_lint_v1_journal_resumes_cleanly() {
-        let path = temp_journal("v1-compat");
+    fn pre_v3_journal_resume_fails_fast_with_a_rerun_hint() {
+        let path = temp_journal("pre-v3");
         let cfg = small_cfg();
-        let full =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
-        // Downgrade the on-disk journal to the pre-lint v1 format: v1 magic
-        // in the header, the first 11 records with the lint, fault-kind and
-        // checksum fields stripped, everything after dropped (as if the
-        // run was also killed).
+        run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
         let text = std::fs::read_to_string(&path).expect("journal text");
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .expect("header")
-            .replace("vgen-journal-v3", "vgen-journal-v1");
-        let mut kept = vec![header];
-        for line in lines.take(11) {
-            kept.push(strip_fields(line, 3));
+        for (version, stripped) in [("1", 3), ("2", 2)] {
+            // Downgrade the on-disk journal: old magic in the header, record
+            // lines in that version's shorter field layout.
+            let mut lines = text.lines();
+            let header = lines
+                .next()
+                .expect("header")
+                .replace("vgen-journal-v3", &format!("vgen-journal-v{version}"));
+            let mut old = vec![header];
+            old.extend(lines.take(11).map(|l| strip_fields(l, stripped)));
+            std::fs::write(&path, old.join("\n")).expect("write old journal");
+            let err = run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true)
+                .expect_err("old journals must not resume");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let typed = err
+                .get_ref()
+                .and_then(|e| e.downcast_ref::<UnsupportedJournalVersion>())
+                .expect("typed version error");
+            assert_eq!(typed.version, version);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("v{version}")) && msg.contains("without --resume"),
+                "error must name the version and say to re-run: {msg}"
+            );
+            // Failing fast leaves the old journal untouched.
+            assert_eq!(
+                std::fs::read_to_string(&path).expect("old journal"),
+                old.join("\n")
+            );
         }
-        std::fs::write(&path, kept.join("\n")).expect("rewrite as v1");
-        // The v1 journal reads back: 11 records, no lint tallies.
-        let (name, fp, recs) = read_journal(&path).expect("read v1 journal");
-        assert_eq!(name, full.engine);
-        assert_eq!(fp, config_fingerprint(&cfg));
-        assert_eq!(recs.len(), 11);
-        assert!(recs.iter().all(|r| r.lint.is_none()));
-        // Resume against it: reused records keep `lint: None`, freshly
-        // checked ones carry tallies, and the pass/compile aggregates match
-        // the uninterrupted run exactly.
-        let resumed =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true).expect("resume from v1");
-        assert_eq!(resumed.records.len(), full.records.len());
-        assert!(resumed.records[..11].iter().all(|r| r.lint.is_none()));
-        assert_eq!(&resumed.records[11..], &full.records[11..]);
-        assert_eq!(
-            resumed.tally(|_| true).functional_rate(),
-            full.tally(|_| true).functional_rate()
-        );
-        assert_eq!(
-            resumed.tally(|_| true).compile_rate(),
-            full.tally(|_| true).compile_rate()
-        );
-        // The resumed journal is rewritten in v3 form.
-        let text = std::fs::read_to_string(&path).expect("rewritten journal");
-        assert!(text.starts_with("# vgen-journal-v3 "), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn pre_checksum_v2_journal_resumes_cleanly() {
-        let path = temp_journal("v2-compat");
-        let cfg = small_cfg();
-        let full =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
-        // Downgrade to v2: strip the fault-kind and checksum fields.
-        let text = std::fs::read_to_string(&path).expect("journal text");
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .expect("header")
-            .replace("vgen-journal-v3", "vgen-journal-v2");
-        let mut kept = vec![header];
-        for line in lines.take(11) {
-            kept.push(strip_fields(line, 2));
-        }
-        std::fs::write(&path, kept.join("\n")).expect("rewrite as v2");
-        // v2 lines keep their lint tallies, unlike v1.
-        let (name, _, recs) = read_journal(&path).expect("read v2 journal");
-        assert_eq!(name, full.engine);
-        assert_eq!(recs.len(), 11);
-        assert_eq!(&recs[..], &full.records[..11]);
-        let resumed =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true).expect("resume from v2");
-        assert_eq!(resumed, full);
-        let text = std::fs::read_to_string(&path).expect("rewritten journal");
-        assert!(text.starts_with("# vgen-journal-v3 "), "{text}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_v3_line_is_not_mistaken_for_an_older_record() {
+    fn torn_record_line_is_dropped_on_recovery() {
         let path = temp_journal("torn-v3");
         let cfg = small_cfg();
         let full =
             run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
         let text = std::fs::read_to_string(&path).expect("journal text");
         let lines: Vec<&str> = text.lines().collect();
-        // Tear a record line before its last two fields: the surviving
-        // prefix is a well-formed *v2* line, so only the header-version
-        // check keeps it from resurfacing as a record with its fault kind
-        // silently dropped.
-        let torn = strip_fields(lines[5], 2);
-        assert!(
-            Record::from_journal_line(&torn).is_some(),
-            "the torn prefix must look like a valid v2 line for this test"
-        );
+        // Tear a record line before its last two fields.
         let mut kept: Vec<String> = lines[..5].iter().map(|s| s.to_string()).collect();
-        kept.push(torn);
+        kept.push(strip_fields(lines[5], 2));
         std::fs::write(&path, kept.join("\n")).expect("truncate");
         let (_, _, recs, report) = read_journal_recovering(&path).expect("read torn journal");
         assert_eq!(recs.len(), 4, "torn line and everything after dropped");
-        assert_eq!(report.version, 3);
         assert_eq!(report.kept, 4);
         assert_eq!(report.dropped_lines, 1);
         let resumed =

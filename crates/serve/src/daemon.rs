@@ -18,7 +18,7 @@
 //! byte-identical to an unserved one.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -446,9 +446,16 @@ fn run_request<W: Write + Send + 'static>(
     }
 }
 
+/// Longest request line the daemon reads, newline excluded. Real requests
+/// are at most a few KiB (an eval spec, or one completion's source text);
+/// the cap bounds what a client that never sends a newline can make the
+/// daemon buffer.
+const MAX_REQUEST_LINE: usize = 4 << 20;
+
 /// Serves one connection: reads request lines, dispatches long-running
 /// requests to worker threads (keeping the reader free so `cancel` works
-/// on the same connection), until EOF or shutdown.
+/// on the same connection), until EOF, shutdown, or a line longer than
+/// [`MAX_REQUEST_LINE`] (answered with one `line_too_long` error).
 fn serve_connection<R, W>(
     reader: R,
     writer: Arc<LineWriter<W>>,
@@ -461,16 +468,38 @@ fn serve_connection<R, W>(
 {
     let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
     let mut workers = Vec::new();
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Reading one byte past the cap is enough to tell an overlong line
+        // from a maximal one without buffering the rest of it.
+        match (&mut reader)
+            .take(MAX_REQUEST_LINE as u64 + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_LINE {
+            let message = format!(
+                "line_too_long: request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"
+            );
+            respond(&writer, 0, &Event::Error { message });
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
         };
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Ok(envelope) => {
                 let heavy = matches!(
                     envelope.body,
@@ -593,4 +622,60 @@ pub fn serve_stdio() {
     let shutdown = Arc::new(AtomicBool::new(false));
     serve_connection(io::stdin(), writer, shutdown, LiveState::default(), 0);
     let _ = vgen_obs::collect();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn overlong_request_line_is_refused_and_closes_the_connection() {
+        let writer = Arc::new(LineWriter {
+            inner: Mutex::new(Vec::new()),
+        });
+        // A newline-less stream one byte over the cap, followed by a valid
+        // request that must never be read.
+        let flood = io::repeat(b'x').take(MAX_REQUEST_LINE as u64 + 1);
+        let reader = flood.chain(&b"\n{\"id\":1,\"cmd\":\"ping\"}\n"[..]);
+        serve_connection(
+            reader,
+            Arc::clone(&writer),
+            Arc::new(AtomicBool::new(false)),
+            LiveState::default(),
+            0,
+        );
+        let out = writer.inner.lock().expect("writer lock").clone();
+        let out = String::from_utf8(out).expect("utf-8 events");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 1, "exactly one event: {out}");
+        let event = Json::parse(lines[0]).expect("event is JSON");
+        assert_eq!(event.get("event").and_then(Json::as_str), Some("error"));
+        let message = event
+            .get("message")
+            .and_then(Json::as_str)
+            .expect("message");
+        assert!(message.starts_with("line_too_long"), "{message}");
+    }
+
+    #[test]
+    fn request_line_at_the_cap_is_read() {
+        let writer = Arc::new(LineWriter {
+            inner: Mutex::new(Vec::new()),
+        });
+        // A ping padded with trailing spaces to exactly the cap.
+        let mut line = br#"{"id":3,"cmd":"ping"}"#.to_vec();
+        line.resize(MAX_REQUEST_LINE, b' ');
+        line.push(b'\n');
+        serve_connection(
+            &line[..],
+            Arc::clone(&writer),
+            Arc::new(AtomicBool::new(false)),
+            LiveState::default(),
+            0,
+        );
+        let out = writer.inner.lock().expect("writer lock").clone();
+        let out = String::from_utf8(out).expect("utf-8 events");
+        assert!(!out.contains("line_too_long"), "{out}");
+        assert!(out.contains("\"id\":3"), "{out}");
+    }
 }

@@ -70,8 +70,6 @@ pub struct EvalRequest {
     /// Shard count for the check phase; `1` = unsharded.
     pub shards: u32,
     pub dedup: bool,
-    /// `interp` or `bytecode`.
-    pub sim_backend: String,
     /// Per-check wall-clock timeout in seconds.
     pub check_timeout: Option<f64>,
     pub retries: u32,
@@ -106,7 +104,6 @@ impl Default for EvalRequest {
             jobs: 1,
             shards: 1,
             dedup: true,
-            sim_backend: "interp".to_string(),
             check_timeout: None,
             retries: 0,
             chaos: None,
@@ -132,7 +129,6 @@ pub struct CheckRequest {
     pub level: String,
     pub source: String,
     pub check_timeout: Option<f64>,
-    pub sim_backend: String,
 }
 
 /// Parameters of a `lint` request.
@@ -149,7 +145,6 @@ pub struct SimRequest {
     pub source: String,
     pub top: Option<String>,
     pub max_time: Option<u64>,
-    pub sim_backend: String,
 }
 
 /// Every event the service emits.
@@ -360,7 +355,6 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, String> {
                 jobs: uint_field(&v, "jobs", d.jobs as u64)? as usize,
                 shards: uint_field(&v, "shards", u64::from(d.shards))? as u32,
                 dedup: bool_field(&v, "dedup", d.dedup)?,
-                sim_backend: str_field(&v, "sim_backend", &d.sim_backend)?,
                 check_timeout,
                 retries: uint_field(&v, "retries", u64::from(d.retries))? as u32,
                 chaos,
@@ -388,7 +382,6 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, String> {
                 None | Some(Json::Null) => None,
                 Some(x) => Some(x.as_f64().ok_or("`check_timeout` must be a number")?),
             },
-            sim_backend: str_field(&v, "sim_backend", "interp")?,
         }),
         "lint" => Request::Lint(LintRequest {
             source: v
@@ -412,7 +405,6 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, String> {
                 None | Some(Json::Null) => None,
                 Some(x) => Some(x.as_u64().ok_or("`max_time` must be an integer")?),
             },
-            sim_backend: str_field(&v, "sim_backend", "interp")?,
         }),
         other => return Err(format!("unknown cmd `{other}`")),
     };
@@ -436,7 +428,7 @@ mod tests {
 
         let env = parse_request(
             r#"{"id":9,"cmd":"eval","journal":"j","shards":4,"jobs":2,"resume":true,
-                "model":"CodeGen-2B","tuning":"pt","sim_backend":"bytecode","dedup":false,
+                "model":"CodeGen-2B","tuning":"pt","dedup":false,
                 "problems":[1,2,6],"temperatures":[0.1,0.7],"ns":[5],"levels":"LM",
                 "check_timeout":2.5,"retries":1,"chaos":"check.delay:0.5:20","chaos_seed":7,
                 "metrics":true,"seed":13,"progress_every":10}"#,

@@ -27,7 +27,7 @@ use vgen_corpus::CorpusSource;
 use vgen_lm::{CompletionEngine, FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_obs::CancelToken;
 use vgen_problems::PromptLevel;
-use vgen_sim::{SimBackend, SimConfig};
+use vgen_sim::SimConfig;
 
 use crate::json::Json;
 use crate::proto::{CheckRequest, EvalRequest, Event, LintRequest, SimRequest};
@@ -89,10 +89,6 @@ impl EngineParams {
     }
 }
 
-fn parse_backend(s: &str) -> Result<SimBackend, String> {
-    s.parse()
-}
-
 fn parse_levels(tags: &str) -> Result<Vec<PromptLevel>, String> {
     let mut levels = Vec::new();
     for c in tags.chars() {
@@ -151,7 +147,6 @@ fn resolve_eval(req: &EvalRequest) -> Result<(EngineParams, EvalConfig, SweepOpt
     } else {
         EvalConfig::quick()
     };
-    config.sim.backend = parse_backend(&req.sim_backend)?;
     if let Some(ids) = &req.problems {
         if ids.is_empty() {
             return Err("`problems` must not be empty".to_string());
@@ -598,11 +593,8 @@ impl Service {
             }
             policy.timeout = Some(Duration::from_secs_f64(secs));
         }
-        let sim = SimConfig {
-            backend: parse_backend(&req.sim_backend)?,
-            ..SimConfig::default()
-        };
-        let result = supervised_check_completion(problem, level, &req.source, sim, &policy);
+        let result =
+            supervised_check_completion(problem, level, &req.source, SimConfig::default(), &policy);
         let (outcome, detail) = match &result.outcome {
             CheckOutcome::Pass => ("pass", None),
             CheckOutcome::FunctionalFail => ("functional_fail", None),
@@ -663,10 +655,7 @@ impl Service {
     ///
     /// Parse/elaboration failures, as a rendered message.
     pub fn sim(&self, req: &SimRequest, cancel: &CancelToken) -> Result<Json, String> {
-        let mut config = SimConfig {
-            backend: parse_backend(&req.sim_backend)?,
-            ..SimConfig::default()
-        };
+        let mut config = SimConfig::default();
         if let Some(t) = req.max_time {
             config.max_time = t;
         }

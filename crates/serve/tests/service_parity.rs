@@ -1,6 +1,6 @@
 //! The service invariant, end to end: an eval routed through
-//! [`vgen_serve::Service`] — at any shard count, any jobs count, either
-//! simulation backend — produces reports and journals byte-identical to
+//! [`vgen_serve::Service`] — at any shard count and any jobs count —
+//! produces reports and journals byte-identical to
 //! the single-shard path, a killed/cancelled run resumes to the same
 //! bytes (even across a shard-count change), and a wedged request
 //! degrades to timeout records instead of an error.
@@ -48,42 +48,38 @@ fn sink_null() -> Arc<dyn EventSink> {
     Arc::new(NullSink)
 }
 
-/// Reports (modulo the embedded journal path) across shard/jobs/backend
+/// Reports (modulo the embedded journal path) across shard/jobs
 /// combinations, and journal bytes, must all match the baseline.
 #[test]
 fn sharded_service_runs_are_byte_identical_to_single_shard() {
     let dir = tempdir("parity");
-    for backend in ["interp", "bytecode"] {
-        let base_journal = dir.join(format!("base-{backend}.log"));
-        let mut base_req = small_req(&base_journal);
-        base_req.sim_backend = backend.to_string();
-        base_req.jobs = 1;
-        let (base_report, base_bytes) = run(&base_req);
-        let base_report = base_report.replace(&base_req.journal, "J");
-        for (shards, jobs) in [(1u32, 2usize), (2, 1), (2, 2), (4, 1), (4, 3)] {
-            let journal = dir.join(format!("s{shards}j{jobs}-{backend}.log"));
-            let mut req = small_req(&journal);
-            req.sim_backend = backend.to_string();
-            req.shards = shards;
-            req.jobs = jobs;
-            let (report, bytes) = run(&req);
-            assert_eq!(
-                report.replace(&req.journal, "J"),
-                base_report,
-                "report diverged at shards={shards} jobs={jobs} backend={backend}"
-            );
-            assert_eq!(
-                bytes, base_bytes,
-                "journal diverged at shards={shards} jobs={jobs} backend={backend}"
-            );
-            // Complete runs fold everything into the main journal.
-            assert!(
-                vgen_serve::discover_shard_files(&journal)
-                    .expect("discover")
-                    .is_empty(),
-                "shard files must be cleaned up after a complete run"
-            );
-        }
+    let base_journal = dir.join("base.log");
+    let mut base_req = small_req(&base_journal);
+    base_req.jobs = 1;
+    let (base_report, base_bytes) = run(&base_req);
+    let base_report = base_report.replace(&base_req.journal, "J");
+    for (shards, jobs) in [(1u32, 2usize), (2, 1), (2, 2), (4, 1), (4, 3)] {
+        let journal = dir.join(format!("s{shards}j{jobs}.log"));
+        let mut req = small_req(&journal);
+        req.shards = shards;
+        req.jobs = jobs;
+        let (report, bytes) = run(&req);
+        assert_eq!(
+            report.replace(&req.journal, "J"),
+            base_report,
+            "report diverged at shards={shards} jobs={jobs}"
+        );
+        assert_eq!(
+            bytes, base_bytes,
+            "journal diverged at shards={shards} jobs={jobs}"
+        );
+        // Complete runs fold everything into the main journal.
+        assert!(
+            vgen_serve::discover_shard_files(&journal)
+                .expect("discover")
+                .is_empty(),
+            "shard files must be cleaned up after a complete run"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

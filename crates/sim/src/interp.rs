@@ -304,7 +304,7 @@ const FUNCTION_STEP_BUDGET: usize = 200_000;
 /// Returns [`RuntimeError`] on recursion, wrong arity, a body instruction
 /// that is not allowed in functions (guaranteed absent by elaboration), or
 /// budget exhaustion.
-pub fn exec_function(
+fn exec_function(
     design: &Design,
     state: &mut State,
     func: u32,
@@ -411,7 +411,7 @@ pub fn exec_function(
 
 /// Computes the declared bit indices touched by `[start +: width]` /
 /// `[start -: width]`, MSB-last (LSB first, matching storage order).
-pub(crate) fn indexed_range(start: i64, width: usize, ascending: bool) -> Vec<i64> {
+fn indexed_range(start: i64, width: usize, ascending: bool) -> Vec<i64> {
     if ascending {
         (0..width as i64).map(|k| start + k).collect()
     } else {
@@ -616,6 +616,34 @@ pub fn apply_write(
             }
         }
         ResolvedLValue::NoOp { .. } => {}
+    }
+}
+
+/// Writes an owned value to a whole-signal target without the extra clone
+/// [`apply_write`] pays for borrowed values; other targets defer to the
+/// shared path.
+pub(crate) fn apply_write_owned(
+    design: &Design,
+    state: &mut State,
+    lv: &ResolvedLValue,
+    value: LogicVec,
+    changes: &mut Changes,
+) {
+    if let ResolvedLValue::Signal(id) = lv {
+        let sig = design.signal(*id);
+        let new = if value.width() == sig.width {
+            value
+        } else {
+            value.resize(sig.width)
+        }
+        .with_signed(sig.signed);
+        let old = &state.signals[id.0 as usize];
+        if *old != new {
+            let prev = std::mem::replace(&mut state.signals[id.0 as usize], new);
+            changes.signals.push((*id, prev));
+        }
+    } else {
+        apply_write(design, state, lv, &value, changes);
     }
 }
 

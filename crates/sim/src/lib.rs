@@ -37,24 +37,18 @@
 
 #![warn(missing_docs)]
 
-pub mod bytecode;
-pub mod compile;
 pub mod design;
 pub mod elab;
 pub mod interp;
-pub mod netlist;
 pub mod ops;
 pub mod sched;
 pub mod systasks;
 pub mod vcd;
 
-pub use bytecode::BcProgram;
-pub use compile::{compile, CompileError};
 pub use design::Design;
 pub use elab::ElabError;
 pub use interp::{RuntimeError, State};
-pub use netlist::{compile_netlist, NetProgram};
-pub use sched::{SimBackend, SimConfig, SimOutput, SimStats, Simulator, StopReason};
+pub use sched::{SimConfig, SimOutput, Simulator, StopReason};
 
 /// An error from the parse or elaborate stages of [`simulate`].
 #[derive(Debug, Clone, PartialEq)]

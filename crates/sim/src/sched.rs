@@ -15,62 +15,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use vgen_verilog::value::{Logic, LogicVec};
+use vgen_verilog::value::LogicVec;
 
-use crate::bytecode::{
-    apply_write_owned, exec_frag, resolve_bc, src_ref, BcInstr, BcLValue, BcProc, BcProgram, Frag,
-};
 use crate::design::*;
 use crate::interp::*;
-use crate::ops::{apply_binary, apply_unary};
 use crate::systasks::{format_display, FormatValue};
-
-/// Which execution engine runs process bodies.
-///
-/// All backends share the scheduler, event queue, system tasks, wake
-/// checks and write paths, so `sim.steps`, stop reasons, output and VCD
-/// waves are identical by construction; the bytecode backend only replaces
-/// per-instruction expression evaluation, and the netlist backend
-/// additionally collapses eligible synchronous `always` wakes into one
-/// levelized cone sweep (falling back to the bytecode VM per process and
-/// per wake outside the subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimBackend {
-    /// Tree-walking AST interpreter (the differential oracle).
-    #[default]
-    Interp,
-    /// Flat register-based bytecode VM (compiled once per design).
-    Bytecode,
-    /// Levelized cycle-based netlist sweeps for eligible `always`
-    /// processes, bytecode VM for everything else.
-    Netlist,
-}
-
-impl SimBackend {
-    /// Stable lowercase name (CLI/CI spelling).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SimBackend::Interp => "interp",
-            SimBackend::Bytecode => "bytecode",
-            SimBackend::Netlist => "netlist",
-        }
-    }
-}
-
-impl std::str::FromStr for SimBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" | "interpreter" => Ok(SimBackend::Interp),
-            "bytecode" | "bc" => Ok(SimBackend::Bytecode),
-            "netlist" => Ok(SimBackend::Netlist),
-            other => Err(format!(
-                "unknown sim backend `{other}` (expected `interp`, `bytecode` or `netlist`)"
-            )),
-        }
-    }
-}
 
 /// Simulation limits: wall-clock-free safety nets against runaway designs
 /// (LLM-generated code regularly contains unintentional infinite loops).
@@ -92,8 +41,6 @@ pub struct SimConfig {
     /// Byte cap on `$display`/`$write`/`$monitor` output; a flood degrades
     /// to [`StopReason::RuntimeError`] instead of unbounded allocation.
     pub max_output_bytes: usize,
-    /// Execution engine for process bodies.
-    pub backend: SimBackend,
 }
 
 impl Default for SimConfig {
@@ -102,7 +49,6 @@ impl Default for SimConfig {
             max_time: 1_000_000,
             max_steps: 5_000_000,
             max_output_bytes: 1 << 20,
-            backend: SimBackend::Interp,
         }
     }
 }
@@ -123,12 +69,6 @@ impl SimConfig {
     /// Returns the config with `max_output_bytes` replaced.
     pub fn with_max_output_bytes(mut self, max_output_bytes: usize) -> Self {
         self.max_output_bytes = max_output_bytes;
-        self
-    }
-
-    /// Returns the config with the execution `backend` replaced.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -186,34 +126,12 @@ pub struct SimOutput {
     pub vcd: Option<String>,
 }
 
-/// Backend-attribution statistics from a completed run.
-///
-/// All fields are zero unless the run used [`SimBackend::Netlist`]. The
-/// backend-parity fuzzer uses these to assert that generated designs
-/// actually exercise the netlist path rather than silently falling back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SimStats {
-    /// Processes lowered to levelized cones (the rest run on the VM).
-    pub netlist_procs: u64,
-    /// Wakes evaluated as netlist sweeps.
-    pub netlist_sweeps: u64,
-    /// Wakes of lowered processes that ran on the bytecode VM instead
-    /// (t=0 activation, VCD active, or a step window that could hit the
-    /// budget or a cancellation poll mid-wake).
-    pub netlist_fallback_wakes: u64,
-    /// Scheduler steps accounted to sweeps instead of VM dispatch.
-    pub netlist_swept_steps: u64,
-}
-
 #[derive(Debug, Clone)]
 enum Status {
     /// Queued somewhere; will resume at `pc`.
     Idle,
     /// Parked on an event list. `last` caches each term's previous value.
     Waiting { last: Vec<LogicVec> },
-    /// Parked on a table-compiled event list (bytecode backend only): the
-    /// wake condition lives in [`BcProgram::watches`], nothing is cached.
-    WaitingSig,
     /// Parked on a level-sensitive `wait (cond)`.
     WaitingCond,
     /// Finished.
@@ -383,10 +301,9 @@ pub struct Simulator {
     active: VecDeque<ProcessId>,
     inactive: Vec<ProcessId>,
     nba: Vec<(ResolvedLValue, LogicVec)>,
-    /// Pending *fused* non-blocking writes (bytecode backend): whole-signal
-    /// targets only, committed after `nba`. Lowering guarantees a program
-    /// never uses both queues, so relative order between them is moot.
-    bc_nba: Vec<(SignalId, LogicVec)>,
+    /// Reusable change buffer for NBA commits (recycles its capacity
+    /// across time slots).
+    nba_changes: Changes,
     future: FutureQueue,
     stdout: String,
     monitor: Option<MonitorSpec>,
@@ -394,43 +311,6 @@ pub struct Simulator {
     steps: u64,
     stop: Option<StopReason>,
     cancel: vgen_obs::CancelToken,
-    /// Compiled program; `Some` iff the backend is [`SimBackend::Bytecode`].
-    program: Option<Arc<BcProgram>>,
-    /// Shared virtual register file for the bytecode VM.
-    bc_regs: Vec<LogicVec>,
-    /// Reusable change buffer for bytecode assignments (the interpreter
-    /// path allocates fresh ones; the VM recycles capacity).
-    bc_changes: Changes,
-    /// Scratch list of processes woken by the current write or propagate
-    /// batch; sorted ascending before queueing so wake order matches the
-    /// interpreter's linear process scan.
-    bc_woken: Vec<u32>,
-    /// Processes parked on `wait (cond)` under the bytecode backend — the
-    /// table-driven propagate has no linear scan to rediscover them.
-    cond_waiters: Vec<u32>,
-    /// Per-signal generation stamps for first-occurrence detection in
-    /// batched propagates; `sig_stamp[s] == stamp_gen` ⇔ signal `s` was
-    /// already seen in the current batch.
-    sig_stamp: Vec<u32>,
-    stamp_gen: u32,
-    /// Bytecode instructions dispatched (reported as `sim.dispatch.instrs`).
-    dispatch_instrs: u64,
-    /// Bytecode ops executed (reported as `sim.dispatch.ops`).
-    dispatch_ops: u64,
-    /// Compiled netlist cones; `Some` iff the backend is
-    /// [`SimBackend::Netlist`].
-    netprog: Option<Arc<crate::netlist::NetProgram>>,
-    /// Reusable evaluation arenas for netlist sweeps.
-    net_scratch: crate::netlist::NetScratch,
-    /// Wakes evaluated as netlist sweeps.
-    net_sweeps: u64,
-    /// Wakes of lowered processes that ran on the bytecode VM instead
-    /// (t=0 activation, VCD active, or a step window that could hit the
-    /// budget or a cancellation poll mid-wake).
-    net_fallback_wakes: u64,
-    /// Scheduler steps covered by sweeps (they never reached the VM's
-    /// instruction dispatch).
-    net_swept_steps: u64,
     /// High-water mark of the future-event heap, emitted once at the end of
     /// the run instead of per `schedule_at` call.
     queue_depth_max: u64,
@@ -443,12 +323,6 @@ impl Simulator {
     }
 
     /// Creates a simulator with explicit limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bytecode backend is selected and lowering produces a
-    /// program that fails verification — a compiler bug, not a property of
-    /// the design (lowering is total over elaborated designs).
     pub fn with_config(design: Design, config: SimConfig) -> Self {
         let state = State::new(&design);
         let procs = design
@@ -459,26 +333,6 @@ impl Simulator {
                 status: Status::Idle,
             })
             .collect();
-        let program = match config.backend {
-            SimBackend::Interp => None,
-            SimBackend::Bytecode | SimBackend::Netlist => Some(Arc::new(
-                crate::compile::compile(&design).expect("bytecode lowering is total"),
-            )),
-        };
-        let bc_regs = match &program {
-            Some(p) => vec![LogicVec::from_bool(false); p.max_regs],
-            None => Vec::new(),
-        };
-        let netprog = match (config.backend, &program) {
-            (SimBackend::Netlist, Some(p)) => {
-                Some(Arc::new(crate::netlist::compile_netlist(&design, p)))
-            }
-            _ => None,
-        };
-        let net_scratch = match &netprog {
-            Some(np) => crate::netlist::NetScratch::for_program(np),
-            None => crate::netlist::NetScratch::default(),
-        };
         Simulator {
             state,
             config,
@@ -486,7 +340,7 @@ impl Simulator {
             active: VecDeque::new(),
             inactive: Vec::new(),
             nba: Vec::new(),
-            bc_nba: Vec::new(),
+            nba_changes: Changes::default(),
             future: FutureQueue::new(),
             stdout: String::new(),
             monitor: None,
@@ -494,20 +348,6 @@ impl Simulator {
             steps: 0,
             stop: None,
             cancel: vgen_obs::CancelToken::unlimited(),
-            program,
-            bc_regs,
-            bc_changes: Changes::default(),
-            bc_woken: Vec::new(),
-            cond_waiters: Vec::new(),
-            sig_stamp: Vec::new(),
-            stamp_gen: 0,
-            dispatch_instrs: 0,
-            dispatch_ops: 0,
-            netprog,
-            net_scratch,
-            net_sweeps: 0,
-            net_fallback_wakes: 0,
-            net_swept_steps: 0,
             queue_depth_max: 0,
             design: Arc::new(design),
         }
@@ -540,29 +380,11 @@ impl Simulator {
     }
 
     /// Runs to completion and returns the output.
-    pub fn run(self) -> SimOutput {
-        self.run_with_state().0
-    }
-
-    /// Runs to completion and returns the output plus the final state
-    /// (signal values and memory contents), for differential testing.
-    pub fn run_with_state(self) -> (SimOutput, State) {
-        let (output, state, _) = self.run_with_state_stats();
-        (output, state)
-    }
-
-    /// [`run_with_state`](Self::run_with_state), additionally reporting
-    /// which backend path each wake took (used by the backend-parity
-    /// fuzzer to prove its netlist cases are not vacuous).
-    pub fn run_with_state_stats(mut self) -> (SimOutput, State, SimStats) {
+    pub fn run(mut self) -> SimOutput {
         let _span = vgen_obs::span("simulate");
-        // One refcount bump for the whole run: the dispatch loop resumes
-        // processes millions of times per second, so the design and program
-        // are passed down by reference instead of per-resume `Arc` clones
-        // (which showed up as ~30% of bytecode runtime in profiles).
+        // One refcount bump for the whole run: NBA commits borrow the
+        // design while `&mut self` applies the writes.
         let design = Arc::clone(&self.design);
-        let program = self.program.take();
-        let netprog = self.netprog.take();
         // Time 0: every process starts.
         for i in 0..self.procs.len() {
             self.active.push_back(ProcessId(i as u32));
@@ -574,19 +396,13 @@ impl Simulator {
                     break;
                 }
                 if let Some(pid) = self.active.pop_front() {
-                    match &program {
-                        Some(p) => match &netprog {
-                            Some(np) => self.run_process_netlist(pid, &design, p, np),
-                            None => self.run_process_bc(pid, &design, p),
-                        },
-                        None => self.run_process_interp(pid),
-                    }
+                    self.run_process(pid);
                 } else if !self.inactive.is_empty() {
                     for pid in std::mem::take(&mut self.inactive) {
                         self.active.push_back(pid);
                     }
-                } else if !self.nba.is_empty() || !self.bc_nba.is_empty() {
-                    self.commit_nba(&design, program.as_deref());
+                } else if !self.nba.is_empty() {
+                    self.commit_nba(&design);
                 } else {
                     break;
                 }
@@ -612,101 +428,21 @@ impl Simulator {
                 }
             }
         }
-        self.program = program;
-        self.netprog = netprog;
-        if self.program.is_some() {
-            // Every counted step dispatched exactly one bytecode instruction,
-            // except steps accounted to netlist sweeps (which never reach the
-            // VM) and a cancelled run's final step, which stopped at the poll
-            // before reaching dispatch.
-            self.dispatch_instrs = self.steps
-                - self.net_swept_steps
-                - u64::from(matches!(self.stop, Some(StopReason::Cancelled)));
-        }
         vgen_obs::counter_add("sim.steps", self.steps);
         vgen_obs::counter_add("sim.future_events", self.future.seq);
         if self.future.seq > 0 {
             vgen_obs::gauge_max("sim.queue_depth", self.queue_depth_max);
         }
-        if self.program.is_some() {
-            vgen_obs::counter_add("sim.dispatch.instrs", self.dispatch_instrs);
-            vgen_obs::counter_add("sim.dispatch.ops", self.dispatch_ops);
-        }
-        let stats = match &self.netprog {
-            Some(np) => {
-                let procs = np.procs.iter().filter(|p| p.is_some()).count() as u64;
-                vgen_obs::counter_add("sim.netlist.procs", procs);
-                vgen_obs::counter_add("sim.netlist.fast_procs", np.fast_procs as u64);
-                vgen_obs::counter_add("sim.netlist.sweeps", self.net_sweeps);
-                vgen_obs::counter_add("sim.netlist.fallback_wakes", self.net_fallback_wakes);
-                vgen_obs::counter_add("sim.netlist.swept_steps", self.net_swept_steps);
-                vgen_obs::gauge_max("sim.netlist.depth", np.max_depth as u64);
-                SimStats {
-                    netlist_procs: procs,
-                    netlist_sweeps: self.net_sweeps,
-                    netlist_fallback_wakes: self.net_fallback_wakes,
-                    netlist_swept_steps: self.net_swept_steps,
-                }
-            }
-            None => SimStats::default(),
-        };
-        let output = SimOutput {
+        SimOutput {
             vcd: self.vcd.take().map(|r| r.render(&self.design)),
             stdout: self.stdout,
             time: self.state.time,
             reason: self.stop.unwrap_or(StopReason::Quiescent),
             steps: self.steps,
-        };
-        (output, self.state, stats)
+        }
     }
 
-    /// Resumes `pid` on the netlist backend: an eligible, parked `always`
-    /// process woken by a watched-signal change is evaluated as one dense
-    /// in-rank-order sweep of its levelized cone; everything else — and any
-    /// wake whose worst-case step window could hit the step budget or a
-    /// cancellation poll mid-process — falls back to the bytecode VM, which
-    /// is exact by construction.
-    fn run_process_netlist(
-        &mut self,
-        pid: ProcessId,
-        design: &Design,
-        program: &BcProgram,
-        netprog: &crate::netlist::NetProgram,
-    ) {
-        let idx = pid.0 as usize;
-        let Some(np) = &netprog.procs[idx] else {
-            return self.run_process_bc(pid, design, program);
-        };
-        if matches!(self.procs[idx].status, Status::Done) {
-            return;
-        }
-        // `pc == 1` means "parked at the wait-event re-arm point": the only
-        // way an eligible process re-enters the active queue at pc 1 is a
-        // watched-signal wake. pc 0 is the one-time t=0 activation, which
-        // runs on the VM (it executes the same cone once and parks at 1).
-        let fits_budget = self.steps + np.max_cost <= self.config.max_steps;
-        let next_poll = (self.steps / CANCEL_POLL_STEPS + 1) * CANCEL_POLL_STEPS;
-        let crosses_poll = next_poll <= self.steps + np.max_cost;
-        if self.procs[idx].pc != 1 || self.vcd.is_some() || !fits_budget || crosses_poll {
-            self.net_fallback_wakes += 1;
-            return self.run_process_bc(pid, design, program);
-        }
-        let cost = np.sweep(
-            design,
-            &mut self.state,
-            &mut self.net_scratch,
-            &mut self.nba,
-            &mut self.bc_nba,
-        );
-        self.steps += cost;
-        self.net_swept_steps += cost;
-        self.net_sweeps += 1;
-        // Re-park exactly as the VM's WaitEventTable handler would: the
-        // wake check (`bc_wake_sig`) matches `WaitingSig` at wait-pc + 1.
-        self.procs[idx].status = Status::WaitingSig;
-    }
-
-    fn run_process_interp(&mut self, pid: ProcessId) {
+    fn run_process(&mut self, pid: ProcessId) {
         let idx = pid.0 as usize;
         if matches!(self.procs[idx].status, Status::Done) {
             return;
@@ -880,342 +616,6 @@ impl Simulator {
         }
     }
 
-    /// The bytecode twin of [`run_process_interp`](Self::run_process_interp):
-    /// the budget check, step accounting, cancellation poll, pc updates and
-    /// suspension points mirror the interpreter loop exactly, so both
-    /// backends stop at the same step with the same reason.
-    fn run_process_bc(&mut self, pid: ProcessId, design: &Design, program: &BcProgram) {
-        let idx = pid.0 as usize;
-        if matches!(self.procs[idx].status, Status::Done) {
-            return;
-        }
-        self.procs[idx].status = Status::Idle;
-        let proc = &program.procs[idx];
-        // The pc lives in a local while the process runs; `flush_pc!` writes
-        // it back on every exit path so a parked or stopped process resumes
-        // exactly where the interpreter would.
-        let mut pc = self.procs[idx].pc;
-        // Steps live in a local too; the budget / cancel-poll checks run on a
-        // countdown so the hot path pays one decrement-and-test instead of the
-        // full compare + modulo sequence every instruction. `free` counts
-        // iterations guaranteed to neither exhaust the budget nor land on a
-        // poll boundary.
-        let mut steps = self.steps;
-        let mut free: u64 = 0;
-        macro_rules! flush_pc {
-            () => {
-                self.procs[idx].pc = pc;
-                self.steps = steps;
-            };
-        }
-        loop {
-            if free == 0 {
-                // Slow path: replicate the interpreter's exact check order —
-                // budget pre-check, increment, poll at multiples.
-                if steps >= self.config.max_steps {
-                    self.stop = Some(StopReason::StepBudget);
-                    flush_pc!();
-                    return;
-                }
-                steps += 1;
-                if steps.is_multiple_of(CANCEL_POLL_STEPS) && self.cancel.poll() {
-                    self.stop = Some(StopReason::Cancelled);
-                    flush_pc!();
-                    return;
-                }
-                free = (self.config.max_steps - steps)
-                    .min(CANCEL_POLL_STEPS - 1 - (steps % CANCEL_POLL_STEPS));
-            } else {
-                free -= 1;
-                steps += 1;
-            }
-            let Some(instr) = proc.code.get(pc) else {
-                self.procs[idx].status = Status::Done;
-                flush_pc!();
-                return;
-            };
-            match instr {
-                BcInstr::AssignSig {
-                    dst,
-                    width,
-                    signed,
-                    src,
-                } => {
-                    let v = src_ref(&self.state, proc, src).clone();
-                    pc += 1;
-                    self.bc_write_sig(program, *dst, *width as usize, *signed, v);
-                }
-                BcInstr::AssignUnary {
-                    dst,
-                    width,
-                    signed,
-                    op,
-                    src,
-                } => {
-                    let v = apply_unary(*op, src_ref(&self.state, proc, src));
-                    pc += 1;
-                    self.bc_write_sig(program, *dst, *width as usize, *signed, v);
-                }
-                BcInstr::AssignBinary {
-                    dst,
-                    width,
-                    signed,
-                    op,
-                    lhs,
-                    rhs,
-                } => {
-                    let v = apply_binary(
-                        *op,
-                        src_ref(&self.state, proc, lhs),
-                        src_ref(&self.state, proc, rhs),
-                    );
-                    pc += 1;
-                    self.bc_write_sig(program, *dst, *width as usize, *signed, v);
-                }
-                BcInstr::NbaSig { dst, src } => {
-                    let v = src_ref(&self.state, proc, src).clone();
-                    self.bc_nba.push((*dst, v));
-                    pc += 1;
-                }
-                BcInstr::NbaUnary { dst, op, src } => {
-                    let v = apply_unary(*op, src_ref(&self.state, proc, src));
-                    self.bc_nba.push((*dst, v));
-                    pc += 1;
-                }
-                BcInstr::NbaBinary { dst, op, lhs, rhs } => {
-                    let v = apply_binary(
-                        *op,
-                        src_ref(&self.state, proc, lhs),
-                        src_ref(&self.state, proc, rhs),
-                    );
-                    self.bc_nba.push((*dst, v));
-                    pc += 1;
-                }
-                BcInstr::Assign { lv, rhs } => {
-                    let result = self.bc_eval(design, proc, *rhs).and_then(|value| {
-                        let resolved = self.bc_resolve(design, proc, lv)?;
-                        Ok((resolved, value))
-                    });
-                    match result {
-                        Ok((resolved, value)) => {
-                            let mut changes = std::mem::take(&mut self.bc_changes);
-                            apply_write_owned(
-                                design,
-                                &mut self.state,
-                                &resolved,
-                                value,
-                                &mut changes,
-                            );
-                            pc += 1;
-                            self.bc_propagate(program, &changes);
-                            changes.signals.clear();
-                            changes.mems.clear();
-                            self.bc_changes = changes;
-                        }
-                        Err(e) => {
-                            flush_pc!();
-                            self.abort(e);
-                            return;
-                        }
-                    }
-                }
-                BcInstr::AssignNba { lv, rhs } => {
-                    let result = self.bc_eval(design, proc, *rhs).and_then(|value| {
-                        let resolved = self.bc_resolve(design, proc, lv)?;
-                        Ok((resolved, value))
-                    });
-                    match result {
-                        Ok((resolved, value)) => {
-                            self.nba.push((resolved, value));
-                            pc += 1;
-                        }
-                        Err(e) => {
-                            flush_pc!();
-                            self.abort(e);
-                            return;
-                        }
-                    }
-                }
-                BcInstr::Jump(t) => {
-                    pc = *t;
-                }
-                BcInstr::JumpIfFalse { cond, target } => match self.bc_eval(design, proc, *cond) {
-                    Ok(v) => {
-                        pc = if v.truthiness() == Some(true) {
-                            pc + 1
-                        } else {
-                            *target
-                        };
-                    }
-                    Err(e) => {
-                        flush_pc!();
-                        self.abort(e);
-                        return;
-                    }
-                },
-                BcInstr::JumpIfNoMatch {
-                    kind,
-                    sel,
-                    label,
-                    target,
-                } => {
-                    let matched = self.bc_eval(design, proc, *sel).and_then(|s| {
-                        let l = self.bc_eval(design, proc, *label)?;
-                        Ok(match kind {
-                            vgen_verilog::ast::CaseKind::Exact => s.case_eq(&l).to_u64() == Some(1),
-                            vgen_verilog::ast::CaseKind::Z => s.case_matches(&l, false),
-                            vgen_verilog::ast::CaseKind::X => s.case_matches(&l, true),
-                        })
-                    });
-                    match matched {
-                        Ok(true) => pc += 1,
-                        Ok(false) => pc = *target,
-                        Err(e) => {
-                            flush_pc!();
-                            self.abort(e);
-                            return;
-                        }
-                    }
-                }
-                BcInstr::DelayConst(amt) => {
-                    let amt = *amt;
-                    pc += 1;
-                    flush_pc!();
-                    if amt == 0 {
-                        self.inactive.push(pid);
-                    } else {
-                        self.schedule_at(self.state.time + amt, pid);
-                    }
-                    return;
-                }
-                BcInstr::Delay(amount) => {
-                    let amt = match self.bc_eval(design, proc, *amount) {
-                        Ok(v) => v.to_u64().unwrap_or(0),
-                        Err(e) => {
-                            flush_pc!();
-                            self.abort(e);
-                            return;
-                        }
-                    };
-                    pc += 1;
-                    flush_pc!();
-                    if amt == 0 {
-                        self.inactive.push(pid);
-                    } else {
-                        self.schedule_at(self.state.time + amt, pid);
-                    }
-                    return;
-                }
-                BcInstr::WaitEventTable => {
-                    // The wake condition is compiled into the program's
-                    // watch tables; the process just parks.
-                    pc += 1;
-                    flush_pc!();
-                    self.procs[idx].status = Status::WaitingSig;
-                    return;
-                }
-                BcInstr::WaitEvent { terms, never_wakes } => {
-                    if *never_wakes {
-                        // Nothing can ever wake this process.
-                        self.procs[idx].status = Status::Done;
-                        flush_pc!();
-                        return;
-                    }
-                    let mut last = Vec::with_capacity(terms.len());
-                    for term in terms.iter() {
-                        match self.bc_eval(design, proc, *term) {
-                            Ok(v) => last.push(v),
-                            Err(e) => {
-                                flush_pc!();
-                                self.abort(e);
-                                return;
-                            }
-                        }
-                    }
-                    pc += 1;
-                    flush_pc!();
-                    self.procs[idx].status = Status::Waiting { last };
-                    return;
-                }
-                BcInstr::WaitCond(cond) => match self.bc_eval(design, proc, *cond) {
-                    Ok(v) => {
-                        if v.truthiness() == Some(true) {
-                            pc += 1;
-                        } else {
-                            // pc stays on the WaitCond; re-checked on wake.
-                            flush_pc!();
-                            self.procs[idx].status = Status::WaitingCond;
-                            self.cond_waiters.push(idx as u32);
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        flush_pc!();
-                        self.abort(e);
-                        return;
-                    }
-                },
-                BcInstr::SysCall => {
-                    // Arguments live in the design instruction at the same
-                    // pc; $display formatting and $monitor registration are
-                    // shared with the interpreter.
-                    let Instr::SysCall { name, args } = &design.processes[idx].code[pc] else {
-                        flush_pc!();
-                        self.abort(RuntimeError::new("bytecode/design instruction mismatch"));
-                        return;
-                    };
-                    if let Err(e) = self.sys_task(idx, name, args) {
-                        flush_pc!();
-                        self.abort(e);
-                        return;
-                    }
-                    pc += 1;
-                    if self.stop.is_some() {
-                        flush_pc!();
-                        return;
-                    }
-                }
-                BcInstr::End => {
-                    self.procs[idx].status = Status::Done;
-                    flush_pc!();
-                    return;
-                }
-            }
-        }
-    }
-
-    fn bc_eval(
-        &mut self,
-        design: &Design,
-        proc: &BcProc,
-        frag: Frag,
-    ) -> Result<LogicVec, RuntimeError> {
-        exec_frag(
-            design,
-            &mut self.state,
-            proc,
-            frag,
-            &mut self.bc_regs,
-            &mut self.dispatch_ops,
-        )
-    }
-
-    fn bc_resolve(
-        &mut self,
-        design: &Design,
-        proc: &BcProc,
-        lv: &BcLValue,
-    ) -> Result<ResolvedLValue, RuntimeError> {
-        resolve_bc(
-            design,
-            &mut self.state,
-            proc,
-            lv,
-            &mut self.bc_regs,
-            &mut self.dispatch_ops,
-        )
-    }
-
     fn eval(&mut self, e: &EExpr) -> Result<LogicVec, RuntimeError> {
         eval(&self.design, &mut self.state, e)
     }
@@ -1245,44 +645,18 @@ impl Simulator {
         self.stdout.push_str(text);
     }
 
-    fn commit_nba(&mut self, design: &Design, program: Option<&BcProgram>) {
-        let mut changes = std::mem::take(&mut self.bc_changes);
-        if !self.nba.is_empty() {
-            let mut pending = std::mem::take(&mut self.nba);
-            for (lv, value) in pending.drain(..) {
-                apply_write_owned(design, &mut self.state, &lv, value, &mut changes);
-            }
-            // Hand the drained queue's capacity back for the next slot.
-            self.nba = pending;
+    fn commit_nba(&mut self, design: &Design) {
+        let mut changes = std::mem::take(&mut self.nba_changes);
+        let mut pending = std::mem::take(&mut self.nba);
+        for (lv, value) in pending.drain(..) {
+            apply_write_owned(design, &mut self.state, &lv, value, &mut changes);
         }
-        if !self.bc_nba.is_empty() {
-            // Fused queue: whole-signal writes with the same transform and
-            // change capture as `apply_write_owned`'s Signal arm, minus the
-            // lvalue dispatch.
-            let mut pending = std::mem::take(&mut self.bc_nba);
-            for (id, value) in pending.drain(..) {
-                let sig = design.signal(id);
-                let new = if value.width() == sig.width {
-                    value
-                } else {
-                    value.resize(sig.width)
-                }
-                .with_signed(sig.signed);
-                let slot = &mut self.state.signals[id.0 as usize];
-                if *slot != new {
-                    let prev = std::mem::replace(slot, new);
-                    changes.signals.push((id, prev));
-                }
-            }
-            self.bc_nba = pending;
-        }
-        match program {
-            Some(program) => self.bc_propagate(program, &changes),
-            None => self.propagate(&changes),
-        }
+        // Hand the drained queue's capacity back for the next slot.
+        self.nba = pending;
+        self.propagate(&changes);
         changes.signals.clear();
         changes.mems.clear();
-        self.bc_changes = changes;
+        self.nba_changes = changes;
     }
 
     /// Wakes processes sensitive to any of `changes`.
@@ -1371,177 +745,6 @@ impl Simulator {
             last[i] = now;
         }
         woke
-    }
-
-    /// Fused whole-signal write for the bytecode backend: applies the
-    /// compile-time width/signedness transform, detects the change in place
-    /// and wakes watchers through the compiled tables — no `Changes`
-    /// buffer, no register file, no per-write allocation.
-    fn bc_write_sig(
-        &mut self,
-        program: &BcProgram,
-        sig: SignalId,
-        width: usize,
-        signed: bool,
-        value: LogicVec,
-    ) {
-        let value = if value.width() == width {
-            value
-        } else {
-            value.resize(width)
-        }
-        .with_signed(signed);
-        let slot = &mut self.state.signals[sig.0 as usize];
-        if *slot == value {
-            return;
-        }
-        // Edge bits are only needed when somebody actually watches this
-        // signal; unwatched writes (the common case in dataflow-heavy
-        // blocks) skip straight to the store.
-        let watched = !program.watches[sig.0 as usize].is_empty();
-        let (old_b0, new_b0) = if watched {
-            (slot.bit(0), value.bit(0))
-        } else {
-            (Logic::Zero, Logic::Zero)
-        };
-        *slot = value;
-        if let Some(vcd) = &mut self.vcd {
-            vcd.record(
-                self.state.time,
-                sig,
-                self.state.signals[sig.0 as usize].clone(),
-            );
-        }
-        if watched {
-            self.bc_wake_sig(program, sig, old_b0, new_b0);
-        }
-        if program.any_generic_waits {
-            self.bc_generic_scan(&Changes::default());
-        }
-        self.bc_finish_wakes();
-    }
-
-    /// Table-driven twin of [`propagate`](Self::propagate) for batched
-    /// writes (the NBA commit and non-fused assigns). Watch-table lookups
-    /// replace the linear process scan; the generic cache-based scan only
-    /// runs when the program has non-table waits.
-    fn bc_propagate(&mut self, program: &BcProgram, changes: &Changes) {
-        if changes.is_empty() {
-            return;
-        }
-        if let Some(vcd) = &mut self.vcd {
-            for (sig, _) in &changes.signals {
-                vcd.record(
-                    self.state.time,
-                    *sig,
-                    self.state.signals[sig.0 as usize].clone(),
-                );
-            }
-        }
-        // A batch can write one signal twice; only the first entry holds
-        // the pre-batch value, and only a net change across the whole
-        // batch wakes watchers (matching the interpreter's last-value
-        // comparison). First-occurrence detection uses a per-signal
-        // generation stamp — O(1) per entry instead of a prefix scan that
-        // goes quadratic on wide NBA batches.
-        if self.sig_stamp.len() < self.state.signals.len() {
-            self.sig_stamp.resize(self.state.signals.len(), 0);
-        }
-        self.stamp_gen = self.stamp_gen.wrapping_add(1);
-        if self.stamp_gen == 0 {
-            // Wrapped: stale stamps could collide, so reset them all.
-            self.sig_stamp.fill(0);
-            self.stamp_gen = 1;
-        }
-        for k in 0..changes.signals.len() {
-            let (sig, ref old) = changes.signals[k];
-            if self.sig_stamp[sig.0 as usize] == self.stamp_gen {
-                continue;
-            }
-            self.sig_stamp[sig.0 as usize] = self.stamp_gen;
-            let now = &self.state.signals[sig.0 as usize];
-            if now == old {
-                continue;
-            }
-            let old_b0 = old.bit(0);
-            let new_b0 = now.bit(0);
-            self.bc_wake_sig(program, sig, old_b0, new_b0);
-        }
-        for m in &changes.mems {
-            self.bc_wake_mem(program, *m);
-        }
-        if program.any_generic_waits {
-            self.bc_generic_scan(changes);
-        }
-        self.bc_finish_wakes();
-    }
-
-    /// Wakes table-parked watchers of `sig` for a `old_b0 → new_b0`
-    /// transition. The pc guard skips entries belonging to *other*
-    /// `WaitEventTable` sites of the same process.
-    fn bc_wake_sig(&mut self, program: &BcProgram, sig: SignalId, old_b0: Logic, new_b0: Logic) {
-        for w in &program.watches[sig.0 as usize] {
-            if let Some(edge) = w.edge {
-                if !is_edge(old_b0, new_b0, edge) {
-                    continue;
-                }
-            }
-            let p = &mut self.procs[w.proc as usize];
-            if matches!(p.status, Status::WaitingSig) && p.pc == w.wait_pc as usize + 1 {
-                p.status = Status::Idle;
-                self.bc_woken.push(w.proc);
-            }
-        }
-    }
-
-    /// Wakes table-parked watchers of memory `mem` (any word change).
-    fn bc_wake_mem(&mut self, program: &BcProgram, mem: MemoryId) {
-        for w in &program.mem_watches[mem.0 as usize] {
-            let p = &mut self.procs[w.proc as usize];
-            if matches!(p.status, Status::WaitingSig) && p.pc == w.wait_pc as usize + 1 {
-                p.status = Status::Idle;
-                self.bc_woken.push(w.proc);
-            }
-        }
-    }
-
-    /// Fallback scan for processes parked on non-table (generic) event
-    /// lists — same cache-refreshing wake check the interpreter uses.
-    fn bc_generic_scan(&mut self, changes: &Changes) {
-        for i in 0..self.procs.len() {
-            if matches!(self.procs[i].status, Status::Waiting { .. }) {
-                let pid = ProcessId(i as u32);
-                if self.check_wake(pid, changes) {
-                    self.procs[i].status = Status::Idle;
-                    self.bc_woken.push(i as u32);
-                }
-            }
-        }
-    }
-
-    /// Drains level-sensitive `wait (cond)` waiters, then queues every
-    /// woken process in ascending index order — the order the
-    /// interpreter's linear propagate scan produces.
-    fn bc_finish_wakes(&mut self) {
-        if !self.cond_waiters.is_empty() {
-            let mut waiters = std::mem::take(&mut self.cond_waiters);
-            for idx in waiters.drain(..) {
-                let p = &mut self.procs[idx as usize];
-                if matches!(p.status, Status::WaitingCond) {
-                    p.status = Status::Idle;
-                    self.bc_woken.push(idx);
-                }
-            }
-            self.cond_waiters = waiters;
-        }
-        if self.bc_woken.is_empty() {
-            return;
-        }
-        self.bc_woken.sort_unstable();
-        for i in 0..self.bc_woken.len() {
-            self.active.push_back(ProcessId(self.bc_woken[i]));
-        }
-        self.bc_woken.clear();
     }
 
     fn flush_monitor(&mut self) {
@@ -1651,65 +854,7 @@ mod tests {
     fn run(src: &str) -> SimOutput {
         let f = parse(src).expect("parse");
         let d = elaborate_first(&f).expect("elab");
-        let interp = Simulator::new(d.clone()).run();
-        // Every scheduler test doubles as a differential test: the bytecode
-        // and netlist backends must produce the identical observable output.
-        for backend in [SimBackend::Bytecode, SimBackend::Netlist] {
-            let config = SimConfig {
-                backend,
-                ..SimConfig::default()
-            };
-            let out = Simulator::with_config(d.clone(), config).run();
-            let name = backend.as_str();
-            assert_eq!(out.stdout, interp.stdout, "{name} stdout divergence");
-            assert_eq!(out.reason, interp.reason, "{name} stop-reason divergence");
-            assert_eq!(out.time, interp.time, "{name} time divergence");
-            assert_eq!(out.steps, interp.steps, "{name} step-count divergence");
-        }
-        interp
-    }
-
-    #[test]
-    fn netlist_backend_sweeps_synchronous_always() {
-        let src = "module t;\nreg clk;\nreg [7:0] q;\n\
-             always @(posedge clk) q <= q + 8'd1;\n\
-             initial begin\nclk = 0; q = 0;\nrepeat (20) #5 clk = ~clk;\n\
-             $display(\"q=%0d\", q);\n$finish;\nend\nendmodule";
-        let f = parse(src).expect("parse");
-        let d = elaborate_first(&f).expect("elab");
-        let config = SimConfig {
-            backend: SimBackend::Netlist,
-            ..SimConfig::default()
-        };
-        let (out, _, stats) = Simulator::with_config(d, config).run_with_state_stats();
-        assert_eq!(out.stdout, "q=10\n");
-        assert_eq!(stats.netlist_procs, 1, "always block should lower");
-        // 10 posedges, each evaluated as a sweep (the t=0 activation runs
-        // on the VM to reach the park point and is not a posedge wake).
-        assert_eq!(stats.netlist_sweeps, 10, "stats: {stats:?}");
-        assert!(stats.netlist_swept_steps > 0);
-    }
-
-    #[test]
-    fn netlist_backend_sweeps_match_vm_step_accounting() {
-        // A multi-always synchronous design with cross-register reads:
-        // blocking temp, if/else, case. The shared `run` helper has
-        // already proven byte equality; this pins the sweep path on.
-        let src = "module t;\nreg clk;\nreg [7:0] a, b;\nreg [3:0] s;\n\
-             always @(posedge clk) begin\nif (s[0]) a <= a + b;\nelse a <= a - 8'd1;\nend\n\
-             always @(posedge clk) begin\ncase (s)\n4'd0: b <= 8'd7;\ndefault: b <= b ^ a;\nendcase\nend\n\
-             always @(posedge clk) s <= s + 4'd1;\n\
-             initial begin\nclk = 0; a = 0; b = 1; s = 0;\nrepeat (40) #5 clk = ~clk;\n\
-             $display(\"%0d %0d %0d\", a, b, s);\n$finish;\nend\nendmodule";
-        let f = parse(src).expect("parse");
-        let d = elaborate_first(&f).expect("elab");
-        let config = SimConfig {
-            backend: SimBackend::Netlist,
-            ..SimConfig::default()
-        };
-        let (_, _, stats) = Simulator::with_config(d, config).run_with_state_stats();
-        assert_eq!(stats.netlist_procs, 3);
-        assert_eq!(stats.netlist_sweeps, 60, "stats: {stats:?}");
+        Simulator::new(d).run()
     }
 
     #[test]

@@ -408,38 +408,6 @@ impl LogicVec {
         Self::from_u64(b as u64, 1)
     }
 
-    /// The value as a single fully-known word, when the vector is at most
-    /// 64 bits wide and carries no `x`/`z` bits. Unlike [`to_u64`] this
-    /// never inspects wide planes — it is a constant-time accessor for
-    /// word-lane hot paths.
-    ///
-    /// [`to_u64`]: LogicVec::to_u64
-    #[inline]
-    pub fn known_word(&self) -> Option<u64> {
-        match self.planes {
-            Planes::Word { aval, bval } => (bval == 0).then_some(aval),
-            Planes::Wide { .. } => None,
-        }
-    }
-
-    /// In-place store of a fully-known word value and signedness, masking
-    /// `v` to the existing width. Word-sized vectors (≤ 64 bits) update
-    /// their planes without touching the heap; wide vectors fall back to a
-    /// rebuild. The width is unchanged.
-    #[inline]
-    pub fn set_known_word(&mut self, v: u64, signed: bool) {
-        self.signed = signed;
-        match &mut self.planes {
-            Planes::Word { aval, bval } => {
-                *aval = v & top_mask(self.width);
-                *bval = 0;
-            }
-            Planes::Wide { .. } => {
-                *self = Self::from_u64(v, self.width).with_signed(signed);
-            }
-        }
-    }
-
     /// Number of bits.
     #[inline]
     pub fn width(&self) -> usize {

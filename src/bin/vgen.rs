@@ -60,7 +60,7 @@ USAGE:
                                           error-severity findings
   vgen lint --problems [--json]           lint every benchmark reference
                                           solution and testbench
-  vgen sim <file.v> [--top M] [--vcd F] [--max-time N] [--sim-backend interp|bytecode|netlist]
+  vgen sim <file.v> [--top M] [--vcd F] [--max-time N]
   vgen synth <file.v>                     synthesize, print netlist summary
   vgen problems                           list the benchmark problems
   vgen prompt <id> [--level L|M|H]        print a problem prompt
@@ -84,7 +84,6 @@ USAGE:
                                           until ^C)
   vgen eval --journal <path> [--resume] [--model NAME] [--tuning ft|pt] [--full]
             [--jobs N] [--shards N] [--no-dedup] [--trace FILE] [--metrics]
-            [--sim-backend interp|bytecode|netlist]
             [--progress auto|always|never]
             [--check-timeout SECS] [--retries N] [--fsync never|every|interval:N]
             [--chaos SPEC] [--chaos-seed N]
@@ -128,15 +127,6 @@ USAGE:
                                           --progress controls the stderr
                                           progress line (default: auto,
                                           shown only on a TTY);
-                                          --sim-backend selects the process
-                                          execution engine (default:
-                                          interp); `bytecode` runs the
-                                          compiled VM and `netlist` adds
-                                          levelized cycle-based sweeps for
-                                          eligible synchronous always
-                                          blocks (falling back to the VM
-                                          elsewhere) — CI holds both
-                                          byte-identical to the interpreter;
                                           --shards N splits the check phase
                                           across N per-shard journals merged
                                           deterministically — reports and
@@ -290,15 +280,6 @@ fn lint_reports_json(linted: &[LintedFile]) -> String {
     }
 }
 
-/// Parses `--sim-backend interp|bytecode|netlist` (defaulting to the
-/// interpreter), shared by every command that runs simulations.
-fn parse_sim_backend(rest: &[&String]) -> Result<vgen::sim::SimBackend, String> {
-    match flag_value(rest, "--sim-backend") {
-        None => Ok(vgen::sim::SimBackend::default()),
-        Some(s) => s.parse(),
-    }
-}
-
 fn cmd_sim(rest: &[&String]) -> Result<(), String> {
     let pos = positional(rest);
     let path = pos.first().ok_or("usage: vgen sim <file.v> [--top M]")?;
@@ -310,7 +291,6 @@ fn cmd_sim(rest: &[&String]) -> Result<(), String> {
         .unwrap_or(1_000_000);
     let config = vgen::sim::SimConfig {
         max_time,
-        backend: parse_sim_backend(rest)?,
         ..Default::default()
     };
     let out = vgen::sim::simulate(&src, top, config).map_err(|e| e.to_string())?;
@@ -421,11 +401,7 @@ fn cmd_eval(rest: &[&String]) -> Result<(), String> {
         },
         Err(_) => full.clone(),
     };
-    let sim_config = vgen::sim::SimConfig {
-        backend: parse_sim_backend(rest)?,
-        ..Default::default()
-    };
-    let outcome = vgen::core::check::check_source(p, &src, sim_config);
+    let outcome = vgen::core::check::check_source(p, &src, vgen::sim::SimConfig::default());
     use vgen::core::check::CheckOutcome::*;
     let (compiled, synth, functional) = match &outcome {
         Pass => (true, vgen::synth::synthesize_source(&src).is_ok(), true),
@@ -512,9 +488,6 @@ fn cmd_eval_grid(rest: &[&String], journal: &str) -> Result<(), String> {
         jobs: parse_jobs(flag_value(rest, "--jobs"))?,
         shards,
         dedup: !has_flag(rest, "--no-dedup"),
-        sim_backend: flag_value(rest, "--sim-backend")
-            .unwrap_or("interp")
-            .to_string(),
         check_timeout,
         retries,
         chaos: flag_value(rest, "--chaos").map(str::to_string),
