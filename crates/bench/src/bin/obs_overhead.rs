@@ -53,16 +53,12 @@ fn engine() -> FamilyEngine {
     )
 }
 
+/// The swept grid. After the warm-up the mutant banks come from the memo,
+/// so a sweep is sampling and checks only; the quick grid is sized so that
+/// one still takes ≈100 ms, long enough for scheduler jitter to stay well
+/// inside the overhead budget.
 fn config(quick: bool) -> EvalConfig {
     if quick {
-        EvalConfig {
-            temperatures: vec![0.1],
-            ns: vec![4],
-            levels: vec![PromptLevel::Low],
-            problem_ids: (1..=17).collect(),
-            sim: SimConfig::default(),
-        }
-    } else {
         EvalConfig {
             temperatures: vec![0.1, 0.5],
             ns: vec![10],
@@ -70,6 +66,8 @@ fn config(quick: bool) -> EvalConfig {
             problem_ids: (1..=17).collect(),
             sim: SimConfig::default(),
         }
+    } else {
+        EvalConfig::paper_n10()
     }
 }
 
@@ -128,8 +126,9 @@ fn main() {
     let reps = if quick { 5 } else { 3 };
     let cfg = config(quick);
 
-    // Warm-up: fault in code pages and the problem/corpus statics so the
-    // first measured rep isn't paying one-time costs.
+    // Warm-up: fault in code pages and the problem/corpus statics, and fill
+    // the mutant-bank memo, so the first measured rep isn't paying one-time
+    // costs.
     let (baseline_run, _, _) = run_once(&cfg, false);
 
     // Interleave plain/traced reps so clock drift and thermal effects hit

@@ -306,6 +306,9 @@ fn measure_dedup(quick: bool) -> DedupSample {
         dedup: false,
         ..SweepOptions::default()
     };
+    // Warm-up: builds the mutant banks both timed sweeps then take from the
+    // memo, so the cache-on sweep does not pay for them alone.
+    run_engine_sweep_stats(&mut sweep_engine(), &cfg, None, &on).expect("warm-up sweep");
     let start = Instant::now();
     let (run_on, stats) =
         run_engine_sweep_stats(&mut sweep_engine(), &cfg, None, &on).expect("cached sweep");

@@ -88,6 +88,10 @@ fn main() {
     }
 
     println!("sweep_scaling: {} available core(s), reps={reps}", avail);
+    // Warm-up: the first sweep in a process builds the mutant banks, which
+    // every later sweep takes from the memo. Untimed, so the serial point
+    // does not pay for them alone.
+    run_engine_parallel(&mut engine(), &cfg, 1).expect("warm-up sweep");
     let (baseline_run, baseline_secs) = measure(&cfg, 1, reps);
     let total_checks = baseline_run.records.len();
     let mut samples = Vec::new();

@@ -22,8 +22,9 @@
 //! does not trust.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,6 +193,10 @@ pub struct MutantBank {
 /// testbench; corrupted texts only if they fail the parser. An empty-body
 /// candidate (outputs left `x`) guarantees the functional pool is never
 /// empty, and a torn-off header guarantees the syntax pool is never empty.
+///
+/// A pure function of its inputs, and never memoized itself: engines share
+/// banks through a process-wide memo of its results, and callers that time
+/// a build get a real one.
 pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
     let reference = problem.reference_source();
     let mut functional_fail = vec![problem.assemble("endmodule\n")];
@@ -206,20 +211,65 @@ pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
             functional_fail.push(mutant);
         }
     }
+    // Every syntax mutant already failed the parser.
     let mut syntax_fail = vec![problem.assemble("always @( begin\n")];
     for (mutant, _) in syntax_mutants(&reference, seed ^ 0xBAD, per_pool) {
         if syntax_fail.len() >= per_pool {
             break;
         }
-        if !compiles(&mutant) {
-            syntax_fail.push(mutant);
-        }
+        syntax_fail.push(mutant);
     }
     MutantBank {
         correct: problem.all_solutions(),
         functional_fail,
         syntax_fail,
     }
+}
+
+/// Banks the process-wide memo holds: the 25-problem catalog at two seeds,
+/// plus slack. Past it, the oldest bank is evicted.
+const BANK_MEMO_CAPACITY: usize = 64;
+
+/// Every input of [`build_bank`]: problem id, bank seed, pool size.
+type BankKey = (u8, u64, usize);
+
+/// One memo entry. Callers that race on a key share the slot, so they wait
+/// for one build instead of each building the bank.
+type BankSlot = Arc<OnceLock<Arc<MutantBank>>>;
+
+/// The process-wide bank memo, oldest entry first.
+static BANK_MEMO: Mutex<VecDeque<(BankKey, BankSlot)>> = Mutex::new(VecDeque::new());
+
+/// The bank [`build_bank`] returns for these inputs, built at most once per
+/// process while it stays in the memo, and whether this call built it.
+///
+/// Keyed by `problem.id`: problems are entries of the static catalog, whose
+/// ids are unique. A bank is a pure function of its key, so a shared bank
+/// is byte-identical to a fresh one.
+fn shared_bank(problem: &Problem, seed: u64, per_pool: usize) -> (Arc<MutantBank>, bool) {
+    let key = (problem.id, seed, per_pool);
+    let slot = {
+        // Each update (a push or an eviction) leaves the memo valid, so a
+        // poisoned lock is safe to recover.
+        let mut memo = BANK_MEMO.lock().unwrap_or_else(|e| e.into_inner());
+        match memo.iter().find(|(k, _)| *k == key) {
+            Some((_, slot)) => Arc::clone(slot),
+            None => {
+                if memo.len() >= BANK_MEMO_CAPACITY {
+                    memo.pop_front();
+                }
+                let slot = BankSlot::default();
+                memo.push_back((key, Arc::clone(&slot)));
+                slot
+            }
+        }
+    };
+    let mut built = false;
+    let bank = slot.get_or_init(|| {
+        built = true;
+        Arc::new(build_bank(problem, seed, per_pool))
+    });
+    (Arc::clone(bank), built)
 }
 
 /// The harness-level compile check: parse plus elaboration of the DUT.
@@ -246,7 +296,7 @@ pub struct FamilyEngine {
     seed: u64,
     bank_size: usize,
     engineered_prompts: bool,
-    banks: HashMap<u8, MutantBank>,
+    banks: HashMap<u8, Arc<MutantBank>>,
 }
 
 impl FamilyEngine {
@@ -303,12 +353,21 @@ impl FamilyEngine {
             .min(self.p_compile(problem.difficulty, t))
     }
 
-    fn bank_for(&mut self, problem: &Problem) -> &MutantBank {
-        let seed = self.seed;
-        let size = self.bank_size;
-        self.banks
-            .entry(problem.id)
-            .or_insert_with(|| build_bank(problem, seed ^ problem.id as u64, size))
+    /// The problem's bank, from the process-wide memo on first use. The
+    /// model is not a bank input, so every engine at one seed shares it.
+    fn bank_for(&mut self, problem: &Problem) -> Arc<MutantBank> {
+        if let Some(bank) = self.banks.get(&problem.id) {
+            return Arc::clone(bank);
+        }
+        let (bank, built) = shared_bank(problem, self.seed ^ problem.id as u64, self.bank_size);
+        let counter = if built {
+            "lm.bank_build"
+        } else {
+            "lm.bank_hit"
+        };
+        vgen_obs::counter_add(counter, 1);
+        self.banks.insert(problem.id, Arc::clone(&bank));
+        bank
     }
 
     fn request_rng(&self, problem: &Problem, level: PromptLevel, t: f64, n: usize) -> StdRng {
@@ -340,7 +399,7 @@ impl CompletionEngine for FamilyEngine {
         let p_functional = self.p_functional(problem, level, temperature, n);
         let model = self.model;
         let mut rng = self.request_rng(problem, level, temperature, n);
-        let bank = self.bank_for(problem).clone();
+        let bank = self.bank_for(problem);
         (0..n)
             .map(|_| {
                 let text = if !rng.gen_bool(p_compile) {
@@ -431,6 +490,176 @@ mod tests {
         for s in &bank.syntax_fail {
             assert!(!compiles(s));
         }
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// FNV-1a over every text of every pool, NUL after each text and 0xFF
+    /// after each pool.
+    fn bank_digest(bank: &MutantBank) -> u64 {
+        let mut bytes = Vec::new();
+        for pool in [&bank.correct, &bank.functional_fail, &bank.syntax_fail] {
+            for text in pool {
+                bytes.extend_from_slice(text.as_bytes());
+                bytes.push(0);
+            }
+            bytes.push(0xFF);
+        }
+        fnv1a(&bytes)
+    }
+
+    /// `bank_digest(&build_bank(p, seed ^ id, 10))` for problems 1–25 at
+    /// seeds 42 and 7, as the engine seeds its banks. Any drift in the
+    /// mutation or verification streams changes a digest, and with it the
+    /// paper tables.
+    const BANK_DIGESTS: [(u64, [u64; 25]); 2] = [
+        (
+            42,
+            [
+                0xc506c68f592ce400,
+                0xa0f6e795d06f3810,
+                0xd79d468c234671c3,
+                0xaec4de602cb24adc,
+                0xeab8e0284d129c74,
+                0xfa975a3fe7247de1,
+                0x10c69f07bc0ba891,
+                0x17aa48a4bf1936ee,
+                0xec0dcd88fc056bdd,
+                0xa21f97e2a54e0425,
+                0xad7318327a9d6d59,
+                0xe1f71d8d77dcba95,
+                0x047fd83ae4652080,
+                0x2139fa277ddc60e0,
+                0x4f73c6bb704fb794,
+                0xd5a5f4422996de6e,
+                0x7f64b95e7c3e6edc,
+                0x5db07e10c2566fae,
+                0x9a0b4049ec8d3475,
+                0x7ca184b106e92b6d,
+                0xd8e9a0f96cbcf3a8,
+                0x4e267e26b47c49a5,
+                0x4ac87e187012e7a3,
+                0x4da6e4f75f6c895b,
+                0x19827f1df3cfb862,
+            ],
+        ),
+        (
+            7,
+            [
+                0x96fa2b84112fde85,
+                0x3dfbbffff7702d45,
+                0x074309987fa1e56b,
+                0xa79dd04e6bbb179b,
+                0xc0675c3777eb18ed,
+                0x9b9f3ec412e02886,
+                0xe3737071a9349ff2,
+                0xa2ad28dcf3dd311c,
+                0xf7444d4b2db37f58,
+                0xef8b06ed45b6348f,
+                0xfe713dc8786bd478,
+                0x7c81a9caa6d04b97,
+                0x041e623571a4479e,
+                0x12dcca951fdbb3b2,
+                0x1a618c2d54aa23aa,
+                0xebb37c0e8257bac3,
+                0x07efebedac0ff07f,
+                0xe2bc72d0a794251c,
+                0x32f1f71f3eef70c6,
+                0x1e7e62176ff66617,
+                0x3ddaca5f71e60ec7,
+                0x1d66ad5519303fdb,
+                0x5e2b850e769c7f06,
+                0x7e44d26cbac2f700,
+                0x6d196b929fee21b4,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn bank_contents_are_pinned() {
+        for (seed, digests) in BANK_DIGESTS {
+            for (id, want) in (1..=25u8).zip(digests) {
+                let p = vgen_problems::problem(id).expect("catalog id");
+                let got = bank_digest(&build_bank(p, seed ^ u64::from(id), 10));
+                assert_eq!(
+                    got, want,
+                    "bank of problem {id} at seed {seed}: {got:#018x}"
+                );
+            }
+        }
+    }
+
+    /// Serializes the memo tests that need their entries to survive: the
+    /// capacity test evicts everything.
+    static MEMO_TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    fn memo_test_lock() -> std::sync::MutexGuard<'static, ()> {
+        MEMO_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn memo_bank_equals_a_fresh_build() {
+        let _lock = memo_test_lock();
+        let p = &problems()[5];
+        let (shared, _) = shared_bank(p, 0x3E30_0001, 10);
+        assert_eq!(
+            bank_digest(&shared),
+            bank_digest(&build_bank(p, 0x3E30_0001, 10))
+        );
+    }
+
+    #[test]
+    fn engines_of_different_models_share_banks() {
+        let _lock = memo_test_lock();
+        let p = &problems()[2];
+        let meg_pt = ModelId::new(ModelFamily::Megatron355M, Tuning::Pretrained);
+        let mut a = FamilyEngine::new(cg16_ft(), CorpusSource::GithubOnly, 0x3E30_0002);
+        let mut b = FamilyEngine::new(meg_pt, CorpusSource::GithubAndBooks, 0x3E30_0002);
+        assert!(Arc::ptr_eq(&a.bank_for(p), &b.bank_for(p)));
+        // A different seed is a different bank.
+        let mut c = FamilyEngine::new(cg16_ft(), CorpusSource::GithubOnly, 0x3E30_0003);
+        assert!(!Arc::ptr_eq(&a.bank_for(p), &c.bank_for(p)));
+    }
+
+    #[test]
+    fn racing_threads_build_a_bank_once() {
+        let _lock = memo_test_lock();
+        let p = &problems()[5];
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<(Arc<MutantBank>, bool)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        shared_bank(p, 0x3E30_0004, 10)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(results.iter().filter(|(_, built)| *built).count(), 1);
+        assert!(results.iter().all(|(b, _)| Arc::ptr_eq(b, &results[0].0)));
+    }
+
+    #[test]
+    fn memo_stays_within_capacity() {
+        let _lock = memo_test_lock();
+        let p = &problems()[1];
+        // One-candidate pools keep each build cheap.
+        for i in 0..BANK_MEMO_CAPACITY as u64 + 8 {
+            shared_bank(p, 0x3E30_1000 + i, 1);
+            assert!(BANK_MEMO.lock().unwrap().len() <= BANK_MEMO_CAPACITY);
+        }
+        // The oldest entries went first: the newest is still a hit.
+        let newest = 0x3E30_1000 + BANK_MEMO_CAPACITY as u64 + 7;
+        assert!(!shared_bank(p, newest, 1).1);
     }
 
     #[test]

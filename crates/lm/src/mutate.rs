@@ -46,6 +46,11 @@ impl SemanticOp {
 /// applicable site.
 pub fn semantic_mutate(src: &str, rng: &mut StdRng) -> Option<(String, SemanticOp)> {
     let file = vgen_verilog::parse(src).ok()?;
+    mutate_file(&file, rng)
+}
+
+/// [`semantic_mutate`] on an already-parsed file, which it leaves intact.
+fn mutate_file(file: &SourceFile, rng: &mut StdRng) -> Option<(String, SemanticOp)> {
     // Try ops in random order until one has a site.
     let mut ops = SemanticOp::ALL.to_vec();
     for i in (1..ops.len()).rev() {
@@ -53,7 +58,7 @@ pub fn semantic_mutate(src: &str, rng: &mut StdRng) -> Option<(String, SemanticO
     }
     for op in ops {
         let mut mutated = file.clone();
-        let sites = count_sites(&mutated, op);
+        let sites = count_sites(&mut mutated, op);
         if sites == 0 {
             continue;
         }
@@ -72,17 +77,22 @@ pub fn semantic_mutate(src: &str, rng: &mut StdRng) -> Option<(String, SemanticO
     None
 }
 
-/// Generates up to `count` distinct semantic mutants of `src`.
+/// Generates up to `count` distinct semantic mutants of `src`, or none if
+/// `src` does not parse. `src` is parsed once; parsing draws nothing from
+/// the RNG, so the stream equals repeated [`semantic_mutate`] calls.
 pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut out: Vec<(String, SemanticOp)> = Vec::new();
+    let Ok(file) = vgen_verilog::parse(src) else {
+        return out;
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut seen = std::collections::HashSet::new();
     seen.insert(src.to_string());
     for _ in 0..count * 8 {
         if out.len() >= count {
             break;
         }
-        if let Some((m, op)) = semantic_mutate(src, &mut rng) {
+        if let Some((m, op)) = mutate_file(&file, &mut rng) {
             if seen.insert(m.clone()) {
                 out.push((m, op));
             }
@@ -630,10 +640,10 @@ pub fn slow_corpus() -> Vec<(SlowOp, String)> {
 
 // ------------------------------------------------------- site enumeration
 
-fn count_sites(file: &SourceFile, op: SemanticOp) -> usize {
-    let mut cloned = file.clone();
+/// Sites of `op` in `file`. The walk needs `&mut` but changes nothing.
+fn count_sites(file: &mut SourceFile, op: SemanticOp) -> usize {
     let mut n = 0usize;
-    for m in &mut cloned.modules {
+    for m in &mut file.modules {
         for item in &mut m.items {
             visit_item(item, &mut |loc| {
                 if loc_matches(&loc, op) {
