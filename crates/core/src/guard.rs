@@ -23,8 +23,9 @@
 //!      thread's result. Cooperative exit lands here.
 //!   4. **detach** — no result inside the grace period means the checker is
 //!      hard-hung (stuck outside any poll site). The thread is detached —
-//!      abandoned, never joined — and the outcome is a *hard timeout*. The
-//!      calling worker continues immediately; the pool never loses a
+//!      abandoned, never joined, and retired from the checker pool so no
+//!      later check is handed to it — and the outcome is a *hard timeout*.
+//!      The calling worker continues immediately; the pool never loses a
 //!      worker to a hang.
 //!   5. **retry** — timeouts are transient by nature (machine load, cache
 //!      state), so the policy may retry them with exponential backoff
@@ -37,8 +38,8 @@
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Once;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Mutex, MutexGuard, Once};
 use std::time::Duration;
 
 use vgen_obs::CancelToken;
@@ -89,7 +90,7 @@ pub fn catch_harness_fault<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// Stack size for the dedicated checker thread. The parser's recursion
+/// Stack size of every pooled checker thread. The parser's recursion
 /// guard ([`vgen_verilog::parser::MAX_NEST_DEPTH`]) is sized so the worst
 /// legal nesting fits in a fraction of this even in unoptimised builds.
 const CHECK_STACK_BYTES: usize = 8 * 1024 * 1024;
@@ -150,7 +151,7 @@ impl CheckPolicy {
 
 /// [`check_completion`](crate::check::check_completion) with fault
 /// isolation and the default (deadline-less) [`CheckPolicy`]: the check
-/// runs on a dedicated thread with a known [8 MiB
+/// runs on a pooled checker thread with a known [8 MiB
 /// stack](CHECK_STACK_BYTES) — so classification never depends on how much
 /// stack the *caller* happens to have left — and a panic anywhere in the
 /// assemble/parse/elaborate/simulate stack yields
@@ -179,6 +180,11 @@ pub fn guarded_check_completion(
 /// the module docs), bounded retry for timeouts, and deterministic fault
 /// injection.
 ///
+/// Checker threads are long-lived and shared process-wide: a check takes
+/// an idle one (spawning one only when none is free) and hands it back
+/// once it has answered, panic or not. A hard-hung checker is never
+/// handed back.
+///
 /// `problem` is `&'static` because on a hard hang the checker thread is
 /// detached and may touch its inputs long after this call returns —
 /// borrowed data must therefore live forever (problems do: they come from
@@ -193,7 +199,9 @@ pub fn supervised_check_completion(
 ) -> CheckResult {
     let mut attempt: u32 = 0;
     loop {
-        let result = attempt_check(problem, level, completion, config, policy, attempt);
+        let result = attempt_check(
+            &CHECKERS, problem, level, completion, config, policy, attempt,
+        );
         if matches!(result.outcome, CheckOutcome::Timeout(_)) {
             vgen_obs::counter_add("guard.timeout", 1);
             if attempt < policy.retries {
@@ -210,9 +218,148 @@ pub fn supervised_check_completion(
     }
 }
 
-/// One supervised attempt: spawn a detachable checker thread, wait for its
-/// result up to deadline + grace, classify.
+/// What a checker sends back for one job: the check's result, or the
+/// message of a panic caught inside it.
+type Caught = Result<CheckResult, String>;
+
+/// One check for a pooled checker. Everything it needs is owned (or
+/// `'static`), because a hard-hung checker outlives the call that sent it.
+struct Job {
+    problem: &'static Problem,
+    level: PromptLevel,
+    completion: String,
+    config: SimConfig,
+    cancel: CancelToken,
+    chaos: ChaosSpec,
+    /// The caller's obs lane: a pooled checker records onto the lane of
+    /// whichever worker sent the job, so a sweep's trace shows one
+    /// timeline per worker rather than one per checker.
+    lane: u32,
+}
+
+impl Job {
+    /// Runs on the checker thread. Panics stay inside
+    /// [`catch_harness_fault`], so the thread survives them.
+    fn run(self) -> Caught {
+        vgen_obs::adopt_lane(self.lane);
+        let caught = catch_harness_fault(|| {
+            if self
+                .chaos
+                .fires(ChaosSite::CheckPanic, self.completion.as_bytes())
+                .is_some()
+            {
+                panic!("chaos: injected checker panic");
+            }
+            if let Some(ms) = self
+                .chaos
+                .fires(ChaosSite::CheckDelayMs, self.completion.as_bytes())
+            {
+                // A real, uncancellable stall — exercises the hard-
+                // timeout detach path.
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+            check_completion_cancellable(
+                self.problem,
+                self.level,
+                &self.completion,
+                self.config,
+                &self.cancel,
+            )
+        });
+        // Drain this thread's obs buffers after every job: the thread is
+        // long-lived, so nothing else would drain them until it exits, and
+        // after a hard timeout the caller has already moved on — flushing
+        // at the cancel point keeps the partial stage spans a
+        // hard-timed-out check did complete.
+        vgen_obs::flush();
+        caught
+    }
+}
+
+/// A long-lived `vgen-check` thread with a known
+/// [8 MiB stack](CHECK_STACK_BYTES), reached through its two channels.
+/// Dropping the handle closes the job channel, so the thread exits once
+/// the job it is running (if any) returns.
+struct Checker {
+    jobs: mpsc::Sender<Job>,
+    results: mpsc::Receiver<Caught>,
+}
+
+impl Checker {
+    fn spawn() -> std::io::Result<Checker> {
+        let (jobs, job_rx) = mpsc::channel::<Job>();
+        let (result_tx, results) = mpsc::channel();
+        // The join handle is dropped: a checker is never joined, since a
+        // hard-hung one may not return for a long time, and one that dies
+        // shows up as a closed result channel.
+        std::thread::Builder::new()
+            .name("vgen-check".into())
+            .stack_size(CHECK_STACK_BYTES)
+            .spawn(move || {
+                for job in job_rx {
+                    if result_tx.send(job.run()).is_err() {
+                        // Detached after a hard timeout: nobody is waiting.
+                        break;
+                    }
+                }
+            })?;
+        Ok(Checker { jobs, results })
+    }
+}
+
+/// Most idle checkers the pool keeps — about the most checks a process
+/// runs at once (one per sweep worker). A burst wider than this spawns
+/// extra checkers, which exit when they come back to a full list.
+const IDLE_CHECKERS: usize = 8;
+
+/// Idle checker threads, shared by every caller in the process.
+struct CheckerPool {
+    idle: Mutex<Vec<Checker>>,
+    /// Checkers this pool has spawned (what `guard.checker_spawn` counts).
+    spawned: AtomicU64,
+}
+
+/// The process-wide pool behind [`supervised_check_completion`].
+static CHECKERS: CheckerPool = CheckerPool::new();
+
+impl CheckerPool {
+    const fn new() -> Self {
+        CheckerPool {
+            idle: Mutex::new(Vec::new()),
+            spawned: AtomicU64::new(0),
+        }
+    }
+
+    fn idle(&self) -> MutexGuard<'_, Vec<Checker>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// An idle checker, or a freshly spawned one if none is free.
+    fn take(&self) -> std::io::Result<Checker> {
+        if let Some(checker) = self.idle().pop() {
+            return Ok(checker);
+        }
+        let checker = Checker::spawn()?;
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        vgen_obs::counter_add("guard.checker_spawn", 1);
+        Ok(checker)
+    }
+
+    /// Returns a checker that has answered its job. Only such checkers
+    /// come back: a hard-hung or dead one is dropped, never reused.
+    fn give_back(&self, checker: Checker) {
+        let mut idle = self.idle();
+        if idle.len() < IDLE_CHECKERS {
+            idle.push(checker);
+        }
+    }
+}
+
+/// One supervised attempt on a pooled checker thread with a known 8 MiB
+/// stack: send the job, wait for its result up to deadline + grace,
+/// classify.
 fn attempt_check(
+    pool: &CheckerPool,
     problem: &'static Problem,
     level: PromptLevel,
     completion: &str,
@@ -235,44 +382,8 @@ fn attempt_check(
         Some(t) => CancelToken::with_deadline(t),
         None => CancelToken::unlimited(),
     };
-
-    // The ephemeral checker thread records onto the spawning worker's obs
-    // lane, so a sweep's trace shows one timeline per worker rather than
-    // one per check.
-    let lane = vgen_obs::current_lane();
-    let chaos = policy.chaos.clone();
-    let owned = completion.to_string();
-    let thread_cancel = cancel.clone();
-    let (tx, rx) = mpsc::channel();
-    let spawned = std::thread::Builder::new()
-        .name("vgen-check".into())
-        .stack_size(CHECK_STACK_BYTES)
-        .spawn(move || {
-            vgen_obs::adopt_lane(lane);
-            let caught = catch_harness_fault(|| {
-                if chaos
-                    .fires(ChaosSite::CheckPanic, owned.as_bytes())
-                    .is_some()
-                {
-                    panic!("chaos: injected checker panic");
-                }
-                if let Some(ms) = chaos.fires(ChaosSite::CheckDelayMs, owned.as_bytes()) {
-                    // A real, uncancellable stall — exercises the hard-
-                    // timeout detach path.
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                check_completion_cancellable(problem, level, &owned, config, &thread_cancel)
-            });
-            // Flush this thread's obs buffers *now*, not at thread exit:
-            // after a hard timeout the supervisor has already detached us,
-            // and exit may come after the session's collect() — flushing
-            // at the cancel point keeps the partial stage spans a
-            // hard-timed-out check did complete.
-            vgen_obs::flush();
-            let _ = tx.send(caught);
-        });
-    let handle = match spawned {
-        Ok(h) => h,
+    let checker = match pool.take() {
+        Ok(c) => c,
         Err(e) => {
             vgen_obs::counter_add("guard.fault", 1);
             return no_verdict(CheckOutcome::HarnessFault(format!(
@@ -280,36 +391,56 @@ fn attempt_check(
             )));
         }
     };
-
-    let caught = match policy.timeout {
-        // Unsupervised: block until the check finishes (as before PR 6).
-        None => rx.recv().map_err(|_| "checker thread died".to_string()),
-        Some(t) => match rx.recv_timeout(t + policy.grace) {
-            Ok(c) => Ok(c),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Hard hang: the deadline armed the token at `t`, the
-                // grace period passed, and the checker never reached a
-                // poll site. Detach the thread (drop its handle without
-                // joining) and abandon it; the worker moves on.
-                cancel.cancel();
-                vgen_obs::counter_add("guard.hard_timeout", 1);
-                // Make the verdict visible to live snapshots before the
-                // worker moves on — the detached thread may hold its lane
-                // hostage for a long time.
-                vgen_obs::flush();
-                drop(handle);
-                return no_verdict(CheckOutcome::Timeout(TimeoutKind::Hard));
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err("checker thread died".to_string()),
-        },
+    let job = Job {
+        problem,
+        level,
+        completion: completion.to_string(),
+        config,
+        cancel: cancel.clone(),
+        chaos: policy.chaos.clone(),
+        lane: vgen_obs::current_lane(),
     };
-    // The result is in hand, so the thread is exiting; reap it.
-    let _ = handle.join();
-    match caught {
-        Ok(Ok(r)) => r,
-        Ok(Err(msg)) | Err(msg) => {
+    let answer = match policy.timeout {
+        // The checker is alive while idle, so this only fires if it died.
+        _ if checker.jobs.send(job).is_err() => Err(mpsc::RecvTimeoutError::Disconnected),
+        // Unsupervised: block until the check finishes.
+        None => checker
+            .results
+            .recv()
+            .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+        Some(t) => checker.results.recv_timeout(t + policy.grace),
+    };
+    match answer {
+        Ok(Ok(r)) => {
+            pool.give_back(checker);
+            r
+        }
+        // A caught panic: the checker survived it and is reusable.
+        Ok(Err(msg)) => {
+            pool.give_back(checker);
             vgen_obs::counter_add("guard.fault", 1);
             no_verdict(CheckOutcome::HarnessFault(msg))
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            // Hard hang: the deadline armed the token at `t`, the grace
+            // period passed, and the checker never reached a poll site.
+            // Detach it: drop the handle without joining, so it leaves the
+            // pool for good and exits whenever its job returns; the worker
+            // moves on.
+            cancel.cancel();
+            vgen_obs::counter_add("guard.hard_timeout", 1);
+            // Make the verdict visible to live snapshots before the worker
+            // moves on — the detached thread may hold its lane hostage for
+            // a long time.
+            vgen_obs::flush();
+            drop(checker);
+            no_verdict(CheckOutcome::Timeout(TimeoutKind::Hard))
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            vgen_obs::counter_add("guard.fault", 1);
+            no_verdict(CheckOutcome::HarnessFault(
+                "checker thread died".to_string(),
+            ))
         }
     }
 }
@@ -529,5 +660,100 @@ mod tests {
             SimConfig::default(),
         );
         assert!(r.outcome.passed());
+    }
+
+    const GOOD: &str = "assign y = a & b;\nendmodule";
+
+    /// One attempt on a private pool, so the spawn counts below are
+    /// exact even while other tests use the process-wide pool.
+    fn check_on(pool: &CheckerPool, policy: &CheckPolicy) -> CheckResult {
+        attempt_check(
+            pool,
+            p(),
+            PromptLevel::Low,
+            GOOD,
+            SimConfig::default(),
+            policy,
+            0,
+        )
+    }
+
+    fn spawned(pool: &CheckerPool) -> u64 {
+        pool.spawned.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn sequential_checks_reuse_one_checker() {
+        let pool = CheckerPool::new();
+        for _ in 0..5 {
+            assert!(check_on(&pool, &CheckPolicy::default()).outcome.passed());
+        }
+        assert_eq!(spawned(&pool), 1);
+        assert_eq!(pool.idle().len(), 1);
+    }
+
+    #[test]
+    fn a_checker_survives_a_caught_panic() {
+        let pool = CheckerPool::new();
+        let panicky =
+            CheckPolicy::default().with_chaos(ChaosSpec::parse("check.panic%1", 0).unwrap());
+        assert_eq!(
+            check_on(&pool, &panicky).outcome,
+            CheckOutcome::HarnessFault("chaos: injected checker panic".into())
+        );
+        assert_eq!(pool.idle().len(), 1, "the panicked checker is back");
+        let r = check_on(&pool, &CheckPolicy::default());
+        assert_eq!(r.outcome, CheckOutcome::Pass);
+        assert_eq!(spawned(&pool), 1, "the same checker ran both checks");
+    }
+
+    #[test]
+    fn a_hard_hung_checker_is_never_reused() {
+        let pool = CheckerPool::new();
+        let hang = CheckPolicy {
+            timeout: Some(Duration::from_millis(50)),
+            grace: Duration::from_millis(100),
+            ..CheckPolicy::default()
+        }
+        .with_chaos(ChaosSpec::parse("check.delay:2000%1", 0).unwrap());
+        let start = std::time::Instant::now();
+        assert_eq!(
+            check_on(&pool, &hang).outcome,
+            CheckOutcome::Timeout(TimeoutKind::Hard)
+        );
+        assert_eq!(pool.idle().len(), 0, "the hung checker left the pool");
+        let r = check_on(&pool, &CheckPolicy::default());
+        assert_eq!(r.outcome, CheckOutcome::Pass);
+        assert!(
+            start.elapsed() < Duration::from_millis(1500),
+            "the next check must not wait for the hung checker"
+        );
+        assert_eq!(spawned(&pool), 2, "the next check spawned a fresh checker");
+        assert_eq!(pool.idle().len(), 1);
+    }
+
+    #[test]
+    fn racing_callers_spawn_at_most_one_checker_each() {
+        let pool = CheckerPool::new();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        assert!(check_on(&pool, &CheckPolicy::default()).outcome.passed());
+                    }
+                });
+            }
+        });
+        assert!(spawned(&pool) <= 8, "spawned {}", spawned(&pool));
+        assert_eq!(pool.idle().len() as u64, spawned(&pool));
+    }
+
+    #[test]
+    fn idle_list_never_grows_past_its_cap() {
+        let pool = CheckerPool::new();
+        for _ in 0..IDLE_CHECKERS + 4 {
+            pool.give_back(Checker::spawn().expect("spawn a checker"));
+        }
+        assert_eq!(pool.idle().len(), IDLE_CHECKERS);
     }
 }

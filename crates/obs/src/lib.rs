@@ -14,9 +14,10 @@
 //!   (cache hits, scheduler steps, steals); [`gauge_max`] tracks a
 //!   high-water mark (scheduler queue depth).
 //! * **Lanes** — every recording thread gets a *lane* (a `tid` in the
-//!   Chrome trace). Ephemeral helper threads (the per-check guard thread)
-//!   [adopt](adopt_lane) their parent's lane so a worker's checks render
-//!   as one coherent timeline instead of thousands of one-shot rows.
+//!   Chrome trace). Helper threads (the guard's pooled checker threads)
+//!   [adopt](adopt_lane) the lane of the worker whose job they run, so a
+//!   worker's checks render as one coherent timeline instead of one row
+//!   per checker.
 //!
 //! ## Recording architecture
 //!
@@ -547,19 +548,34 @@ pub fn current_lane() -> u32 {
 }
 
 /// Makes the current thread record onto `lane` instead of a fresh lane —
-/// used by short-lived helper threads (the per-check guard thread) so
-/// their spans land on the spawning worker's timeline.
+/// used by helper threads (the guard's pooled checker threads) so the
+/// spans of each job land on the timeline of the worker that sent it.
 ///
-/// Must be called before the thread's first instrumentation hit; once a
-/// recorder exists its lane is fixed.
+/// Call at the start of every job, before its first instrumentation hit.
+/// A thread that already has a recorder is re-stamped to `lane`: anything
+/// it still buffers is drained onto its old lane first, so busy time stays
+/// with the lane that earned it. A recorder left over from an earlier
+/// session is replaced, and its buffers are discarded, not drained.
 pub fn adopt_lane(lane: u32) {
     if !is_enabled() {
         return;
     }
     let _ = RECORDER.try_with(|cell| {
         let mut slot = cell.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(ThreadRecorder::new(lane));
+        match slot.as_mut() {
+            Some(rec) if rec.session == SESSION.load(Ordering::Relaxed) => {
+                if rec.lane != lane {
+                    // Span events carry their lane already; only the busy
+                    // totals are attributed to `rec.lane` when drained.
+                    if rec.busy_ns > 0 {
+                        lock_unpoisoned(accumulator()).absorb(rec);
+                    }
+                    rec.lane = lane;
+                }
+            }
+            // Replacing a stale recorder drops it, and its Drop discards
+            // it (wrong session).
+            _ => *slot = Some(ThreadRecorder::new(lane)),
         }
     });
 }
@@ -754,5 +770,91 @@ mod tests {
         // session (with_recorder replaces stale ones), so it must survive.
         assert_eq!(report.counters["fresh.count"], 1);
         assert!(report.events.iter().all(|e| e.name != "stale-span"));
+    }
+
+    #[test]
+    fn adopt_lane_restamps_a_reused_thread() {
+        let _g = serial();
+        enable();
+        // One long-lived helper thread runs every job, as a pooled checker
+        // does, and acknowledges each one.
+        type Job = Box<dyn FnOnce() + Send>;
+        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            for job in job_rx {
+                job();
+                ack_tx.send(()).unwrap();
+            }
+        });
+        let run = |job: Job| {
+            job_tx.send(job).unwrap();
+            ack_rx.recv().unwrap();
+        };
+        let lane_a = current_lane();
+        let lane_b = std::thread::spawn(current_lane).join().unwrap();
+        assert_ne!(lane_a, lane_b);
+
+        // Job 1 leaves its busy time buffered: re-stamping must drain it
+        // onto lane A before the thread moves to lane B.
+        run(Box::new(move || {
+            adopt_lane(lane_a);
+            let _s = span("job-a");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }));
+        run(Box::new(move || {
+            adopt_lane(lane_b);
+            {
+                let _s = span("job-b");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            flush();
+        }));
+        // Job 3 buffers data and is still holding it when the session
+        // restarts below.
+        run(Box::new(move || {
+            adopt_lane(lane_a);
+            let _s = span("stale-span");
+            drop(_s);
+            counter_add("stale.count", 1);
+        }));
+        let first = collect();
+        let event = |report: &ObsReport, name: &str| {
+            report
+                .events
+                .iter()
+                .find(|e| e.name == name)
+                .cloned()
+                .unwrap_or_else(|| panic!("{name} missing: {:?}", report.events))
+        };
+        let a = event(&first, "job-a");
+        let b = event(&first, "job-b");
+        assert_eq!(a.lane, lane_a, "job 1's span is on lane A");
+        assert_eq!(b.lane, lane_b, "job 2's span is on lane B");
+        assert_eq!(first.lane_busy[&lane_a].busy_ns, a.dur_ns);
+        assert_eq!(first.lane_busy[&lane_b].busy_ns, b.dur_ns);
+
+        enable();
+        let lane_c = current_lane();
+        run(Box::new(move || {
+            adopt_lane(lane_c);
+            {
+                let _s = span("fresh-span");
+            }
+            flush();
+        }));
+        drop(job_tx);
+        helper.join().unwrap();
+        let second = collect();
+        assert!(
+            !second.counters.contains_key("stale.count"),
+            "stale recorder was drained into the new session: {:?}",
+            second.counters
+        );
+        assert!(second.events.iter().all(|e| e.name != "stale-span"));
+        let fresh = event(&second, "fresh-span");
+        assert_eq!(fresh.lane, lane_c);
+        assert_eq!(second.lane_busy.len(), 1, "{:?}", second.lane_busy);
+        assert_eq!(second.lane_busy[&lane_c].busy_ns, fresh.dur_ns);
     }
 }

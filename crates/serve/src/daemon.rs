@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -67,6 +67,30 @@ struct WireSink<W: Write + Send> {
 impl<W: Write + Send> EventSink for WireSink<W> {
     fn event(&self, event: &Event) {
         self.writer.send(&render_event(self.id, event));
+    }
+}
+
+/// The daemon-wide shutdown latch. The unix daemon's accept loop blocks in
+/// `accept`, so [`Shutdown::request`] also connects once to the daemon's
+/// own socket: that returns `accept`, and the loop sees the flag.
+#[derive(Default)]
+struct Shutdown {
+    flag: AtomicBool,
+    /// The listening socket to wake; `None` for the stdio session.
+    wake: Option<PathBuf>,
+}
+
+impl Shutdown {
+    fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        if let Some(socket) = &self.wake {
+            // The accept loop drops this connection unserved.
+            let _ = UnixStream::connect(socket);
+        }
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
     }
 }
 
@@ -234,7 +258,7 @@ fn run_request<W: Write + Send + 'static>(
     envelope: RequestEnvelope,
     writer: &Arc<LineWriter<W>>,
     registry: &Registry,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     live: &LiveState,
     conn: u64,
 ) {
@@ -250,7 +274,7 @@ fn run_request<W: Write + Send + 'static>(
             );
         }
         Request::Shutdown => {
-            shutdown.store(true, Ordering::SeqCst);
+            shutdown.request();
             respond(
                 writer,
                 id,
@@ -308,7 +332,7 @@ fn run_request<W: Write + Send + 'static>(
                 // daemon shutdown cut the stream promptly.
                 let mut slept = Duration::ZERO;
                 while slept < interval {
-                    if cancel.poll() || shutdown.load(Ordering::SeqCst) {
+                    if cancel.poll() || shutdown.is_set() {
                         break 'stream true;
                     }
                     let chunk = (interval - slept).min(Duration::from_millis(50));
@@ -459,7 +483,7 @@ const MAX_REQUEST_LINE: usize = 4 << 20;
 fn serve_connection<R, W>(
     reader: R,
     writer: Arc<LineWriter<W>>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     live: LiveState,
     conn: u64,
 ) where
@@ -519,7 +543,7 @@ fn serve_connection<R, W>(
                     }));
                 } else {
                     run_request(envelope, &writer, &registry, &shutdown, &live, conn);
-                    if shutdown.load(Ordering::SeqCst) {
+                    if shutdown.is_set() {
                         break;
                     }
                 }
@@ -556,48 +580,42 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
         Err(e) => return Err(e),
     }
     let listener = UnixListener::bind(socket)?;
-    listener.set_nonblocking(true)?;
     // Daemon-lifetime recording session: the live metrics plane drains it
     // via snapshots; nothing collects it until shutdown.
     vgen_obs::enable();
     let live = LiveState::default();
     let next_conn = AtomicU64::new(1);
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let shutdown = Arc::new(Shutdown {
+        flag: AtomicBool::new(false),
+        wake: Some(socket.to_path_buf()),
+    });
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     if opts.verbose {
         eprintln!("[serve] listening on {}", socket.display());
     }
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        let (stream, _) = listener.accept()?;
+        // A `shutdown` request sets the flag, then connects here to wake
+        // this loop.
+        if shutdown.is_set() {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if opts.verbose {
-                    eprintln!("[serve] connection accepted");
-                }
-                let shutdown = Arc::clone(&shutdown);
-                let live = live.clone();
-                let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-                conns.push(std::thread::spawn(move || {
-                    // Blocking I/O per connection; the listener alone is
-                    // non-blocking.
-                    let _ = stream.set_nonblocking(false);
-                    let write_half: UnixStream = match stream.try_clone() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    let writer = Arc::new(LineWriter {
-                        inner: Mutex::new(write_half),
-                    });
-                    serve_connection(stream, writer, shutdown, live, conn);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(e),
+        if opts.verbose {
+            eprintln!("[serve] connection accepted");
         }
+        let shutdown = Arc::clone(&shutdown);
+        let live = live.clone();
+        let conn = next_conn.fetch_add(1, Ordering::Relaxed);
+        conns.push(std::thread::spawn(move || {
+            let write_half: UnixStream = match stream.try_clone() {
+                Ok(s) => s,
+                Err(_) => return,
+            };
+            let writer = Arc::new(LineWriter {
+                inner: Mutex::new(write_half),
+            });
+            serve_connection(stream, writer, shutdown, live, conn);
+        }));
         conns.retain(|h| !h.is_finished());
     }
     for c in conns {
@@ -619,7 +637,7 @@ pub fn serve_stdio() {
         inner: Mutex::new(io::stdout()),
     });
     vgen_obs::enable();
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let shutdown = Arc::new(Shutdown::default());
     serve_connection(io::stdin(), writer, shutdown, LiveState::default(), 0);
     let _ = vgen_obs::collect();
 }
@@ -640,7 +658,7 @@ mod tests {
         serve_connection(
             reader,
             Arc::clone(&writer),
-            Arc::new(AtomicBool::new(false)),
+            Arc::new(Shutdown::default()),
             LiveState::default(),
             0,
         );
@@ -669,7 +687,7 @@ mod tests {
         serve_connection(
             &line[..],
             Arc::clone(&writer),
-            Arc::new(AtomicBool::new(false)),
+            Arc::new(Shutdown::default()),
             LiveState::default(),
             0,
         );

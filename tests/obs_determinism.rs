@@ -89,8 +89,14 @@ fn trace_json_is_valid_and_covers_every_stage() {
             "trace is missing stage `{stage}`"
         );
     }
-    // Worker lanes are named after their threads.
+    // Worker lanes are named after their threads. Pooled checker threads
+    // record onto the lane of the worker that sent each check, so they
+    // never get a lane of their own.
     assert!(trace.contains("vgen-pool-0"), "missing worker lane name");
+    assert!(
+        !trace.contains("vgen-check"),
+        "a checker thread got its own lane"
+    );
 }
 
 #[test]
@@ -106,6 +112,12 @@ fn metrics_sidecars_are_valid_json() {
     }
     assert!(metrics.contains("\"p99_ns\""));
     assert!(metrics.contains("\"utilization\""));
+    // Two workers, each holding one pooled checker at a time.
+    let spawns = ["\"guard.checker_spawn\": 1", "\"guard.checker_spawn\": 2"];
+    assert!(
+        spawns.iter().any(|s| metrics.contains(s)),
+        "expected 1 or 2 checker spawns: {metrics}"
+    );
     let stats = std::fs::read_to_string(dir.join("sweep.log.stats.json")).expect("stats");
     assert_eq!(vgen::obs::json::validate(&stats), Ok(()), "{stats}");
     assert!(stats.contains("\"checks_run\""));

@@ -1,10 +1,12 @@
 //! Deadline supervision end-to-end: slow-but-legal completions classify as
 //! timeouts under a tight deadline and as ordinary verdicts without one;
 //! injected hard stalls are detached by the watchdog; retries heal
-//! transient timeouts; and a stalled worker pool degrades to hard-timeout
-//! *records* instead of aborting the sweep.
+//! transient timeouts; a stalled worker pool degrades to hard-timeout
+//! *records* instead of aborting the sweep; and the process-wide pool of
+//! checker threads survives panics, hard hangs and stalls.
 
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use vgen::core::check::CheckOutcome;
 use vgen::core::{
@@ -16,8 +18,18 @@ use vgen::lm::mutate::slow_corpus;
 use vgen::problems::{problem, Problem, PromptLevel};
 use vgen::sim::SimConfig;
 
+/// Every test here runs checks on the process-wide checker pool, and one
+/// counts the pool's spawns in a `vgen-obs` session, which sees every
+/// thread: the tests must not interleave.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn slow_corpus_times_out_softly_under_a_tight_deadline() {
+    let _serial = serial();
     let p = problem(2).expect("problem 2 (and_gate) exists");
     let policy = CheckPolicy::default().with_timeout(Some(Duration::from_millis(5)));
     for (op, completion) in slow_corpus() {
@@ -40,6 +52,7 @@ fn slow_corpus_times_out_softly_under_a_tight_deadline() {
 
 #[test]
 fn slow_corpus_passes_within_budgets_without_a_deadline() {
+    let _serial = serial();
     // Every slow entry implements a correct AND gate and is sized to stay
     // inside the default parser/elaborator/simulator budgets; with no
     // deadline configured each one must therefore *pass* — slowness alone
@@ -64,6 +77,7 @@ fn slow_corpus_passes_within_budgets_without_a_deadline() {
 
 #[test]
 fn injected_hard_stall_is_detached_and_classified() {
+    let _serial = serial();
     // chaos `check.delay:600%1` makes the checker thread sleep 600 ms
     // before doing any work — a stall the cancel token cannot interrupt.
     // With a 25 ms deadline and the default 200 ms grace, the watchdog
@@ -95,6 +109,7 @@ fn injected_hard_stall_is_detached_and_classified() {
 
 #[test]
 fn injected_soft_timeout_heals_on_retry() {
+    let _serial = serial();
     // `check.timeout:1%1` fires a synthetic soft timeout on attempt 0 for
     // every completion, and never on later attempts. Without retries the
     // timeout is recorded; with one retry the second attempt runs the real
@@ -152,6 +167,7 @@ impl CompletionEngine for DistinctEngine {
 
 #[test]
 fn stalled_worker_pool_degrades_to_hard_timeout_records() {
+    let _serial = serial();
     // Every check sleeps 700 ms (chaos check.delay, no per-check deadline)
     // while the merge loop only waits 150 ms for a result: the pool is
     // declared stalled, every outstanding item is recorded as a hard
@@ -169,6 +185,7 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
         stall_timeout: Some(Duration::from_millis(150)),
         ..SweepOptions::parallel(2)
     };
+    let started = Instant::now();
     let (run, _stats) =
         run_engine_sweep_stats(&mut DistinctEngine { cursor: 0 }, &cfg, None, &opts)
             .expect("a stalled pool must degrade, not abort the sweep");
@@ -181,5 +198,87 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
         run.fault_count(),
         run.fault_count_of(FaultKind::HardTimeout),
         "stall records must be classified as hard timeouts"
+    );
+
+    // The checker pool outlives the stall: a follow-up sweep in the same
+    // process, while the abandoned workers still hold their checkers,
+    // passes normally.
+    let (run, _stats) = run_engine_sweep_stats(
+        &mut DistinctEngine { cursor: 0 },
+        &cfg,
+        None,
+        &SweepOptions::parallel(2),
+    )
+    .expect("follow-up sweep");
+    assert_eq!(run.records.len(), 6);
+    assert!(
+        run.records.iter().all(|r| r.passed && !r.fault),
+        "follow-up sweep must pass: {:?}",
+        run.records
+    );
+    // The abandoned workers drain the stalled sweep's six 700 ms checks,
+    // two at a time. Let them finish before the next test, which counts
+    // checker spawns process-wide.
+    let drained = started + Duration::from_millis(3 * 700 + 1000);
+    std::thread::sleep(drained.saturating_duration_since(Instant::now()));
+}
+
+#[test]
+fn chaos_sweep_on_pooled_checkers_keeps_its_verdicts() {
+    let _serial = serial();
+    // Forty distinct passing completions on four workers. A fifth of the
+    // checks panic, and some stall 1.5 s past a 200 ms deadline into a
+    // hard timeout.
+    let cfg = vgen::core::EvalConfig {
+        temperatures: vec![0.5],
+        ns: vec![40],
+        levels: vec![PromptLevel::Low],
+        problem_ids: vec![2],
+        sim: SimConfig::default(),
+    };
+    let jobs = 4;
+    let (clean, _stats) = run_engine_sweep_stats(
+        &mut DistinctEngine { cursor: 0 },
+        &cfg,
+        None,
+        &SweepOptions::parallel(jobs),
+    )
+    .expect("clean sweep");
+    let opts = SweepOptions {
+        policy: CheckPolicy {
+            timeout: Some(Duration::from_millis(200)),
+            grace: Duration::from_millis(100),
+            ..CheckPolicy::default()
+        }
+        .with_chaos(ChaosSpec::parse("check.panic%5;check.delay:1500%13", 0).expect("valid spec")),
+        ..SweepOptions::parallel(jobs)
+    };
+    vgen::obs::enable();
+    let (chaos, _stats) =
+        run_engine_sweep_stats(&mut DistinctEngine { cursor: 0 }, &cfg, None, &opts)
+            .expect("chaos sweep");
+    let obs = vgen::obs::collect();
+
+    assert_eq!(chaos.records.len(), clean.records.len());
+    for (i, (c, k)) in chaos.records.iter().zip(&clean.records).enumerate() {
+        if !c.fault {
+            assert_eq!(c, k, "record {i} differs from the clean run");
+        }
+    }
+    let panics = chaos.fault_count_of(FaultKind::Panic);
+    let hard = chaos.fault_count_of(FaultKind::HardTimeout);
+    assert!(
+        panics >= 1 && hard >= 1,
+        "{panics} panics, {hard} hard timeouts"
+    );
+    assert_eq!(chaos.fault_count(), panics + hard);
+    let counter = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("guard.hard_timeout"), hard as u64);
+    // Each worker holds one checker at a time, and only a hard timeout
+    // retires one: every other checker goes back to the pool.
+    assert!(
+        counter("guard.checker_spawn") <= jobs as u64 + counter("guard.hard_timeout"),
+        "{} checker spawns for {jobs} workers and {hard} hard timeouts",
+        counter("guard.checker_spawn")
     );
 }
