@@ -7,6 +7,7 @@ use vgen_obs::CancelToken;
 use vgen_problems::{Problem, PromptLevel, PASS_MARKER};
 use vgen_sim::{SimConfig, StopReason};
 use vgen_verilog::truncate::{assemble_candidate, truncate_completion};
+use vgen_verilog::Parsed;
 
 /// How a check's wall-clock deadline was enforced when it fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,7 +293,8 @@ pub fn check_source(problem: &Problem, source: &str, config: SimConfig) -> Check
 /// [`check_source`] that also returns lint tallies whenever the source
 /// parses (even if it later fails elaboration or simulation — the lint
 /// rules are total over any parsed AST). Runs inside the same call so a
-/// sweep pays one parse per candidate and the
+/// sweep pays one parse per candidate, shared by lint, elaboration and
+/// simulation against the once-per-process testbench parse, and the
 /// [guard](crate::guard::guarded_check_completion) covers the lint stage
 /// too.
 pub fn check_source_with_lint(
@@ -311,40 +313,45 @@ pub fn check_source_cancellable(
     cancel: &CancelToken,
 ) -> (CheckOutcome, Option<LintCounts>) {
     // Compile check: the DUT alone must parse and elaborate.
-    let file = match vgen_verilog::parse_with_cancel(source, cancel) {
-        Ok(f) => f,
+    let parsed = match vgen_verilog::parse_with_cancel(source, cancel) {
+        Ok(p) => p,
         Err(e) if e.cancelled => return (CheckOutcome::Timeout(TimeoutKind::Soft), None),
         Err(e) => return (CheckOutcome::CompileFail(e.to_string()), None),
     };
     // Lint stage: every parsed candidate gets tallies, so "compiled but
     // hazardous" and even "unelaboratable but racy" both leave a trace.
-    let lint = Some(LintCounts::from_report(&vgen_lint::lint_file(&file)));
-    let outcome = check_parsed(problem, source, &file, config, cancel);
+    let lint = Some(LintCounts::from_report(&vgen_lint::lint_file(&parsed.file)));
+    let outcome = check_parsed(problem, source, &parsed, config, cancel);
     (outcome, lint)
 }
 
 /// The elaborate + simulate stages, after parse and lint.
+///
+/// The functional check simulates the candidate's parse linked with the
+/// problem's testbench, parsed once per process
+/// ([`vgen_problems::simulate_with_testbench`]): exactly what simulating
+/// the text `"{source}\n{testbench}"` gives, without parsing either again.
 fn check_parsed(
     problem: &Problem,
     source: &str,
-    file: &vgen_verilog::ast::SourceFile,
+    parsed: &Parsed,
     config: SimConfig,
     cancel: &CancelToken,
 ) -> CheckOutcome {
+    let file = &parsed.file;
     if file.module(problem.module_name).is_none() {
         return CheckOutcome::CompileFail(format!(
             "completion does not define module `{}`",
             problem.module_name
         ));
     }
-    match vgen_sim::elab::elaborate_with_cancel(file, problem.module_name, cancel) {
+    match vgen_sim::elab::elaborate_with_cancel(&[file], problem.module_name, cancel) {
         Err(e) if e.cancelled => return CheckOutcome::Timeout(TimeoutKind::Soft),
         Err(e) => return CheckOutcome::CompileFail(e.to_string()),
         Ok(_) => {}
     }
     // Functional check: simulate DUT + testbench.
-    let full = format!("{source}\n{}", problem.testbench);
-    match vgen_sim::simulate_with_cancel(&full, Some("tb"), config, cancel) {
+    match vgen_problems::simulate_with_testbench(problem, source, parsed, config, cancel) {
         Ok(out) => {
             if !out.reason.is_clean() {
                 return match out.reason {

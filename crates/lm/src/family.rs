@@ -30,7 +30,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use vgen_corpus::CorpusSource;
+use vgen_obs::CancelToken;
 use vgen_problems::{Difficulty, Problem, PromptLevel};
+use vgen_verilog::Parsed;
 
 use crate::engine::{Completion, CompletionEngine};
 use crate::latency::sample_seconds;
@@ -204,10 +206,14 @@ pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
         if functional_fail.len() >= per_pool {
             break;
         }
-        if !compiles(&mutant) {
+        // One parse serves the compile check and the testbench run.
+        let Ok(parsed) = vgen_verilog::parse_with_cancel(&mutant, &CancelToken::unlimited()) else {
+            continue;
+        };
+        if vgen_sim::elab::elaborate_first(&parsed.file).is_err() {
             continue;
         }
-        if !passes_testbench(&mutant, problem) {
+        if !passes_testbench(&mutant, &parsed, problem) {
             functional_fail.push(mutant);
         }
     }
@@ -280,12 +286,17 @@ pub fn compiles(source: &str) -> bool {
     vgen_sim::elab::elaborate_first(&file).is_ok()
 }
 
-fn passes_testbench(source: &str, problem: &Problem) -> bool {
-    let src = format!("{source}\n{}", problem.testbench);
-    match vgen_sim::simulate(&src, Some("tb"), vgen_sim::SimConfig::default()) {
-        Ok(out) => out.stdout.contains(vgen_problems::PASS_MARKER),
-        Err(_) => false,
-    }
+/// Whether `source`, parsed as `parsed`, passes the problem's testbench.
+fn passes_testbench(source: &str, parsed: &Parsed, problem: &Problem) -> bool {
+    let config = vgen_sim::SimConfig::default();
+    vgen_problems::simulate_with_testbench(
+        problem,
+        source,
+        parsed,
+        config,
+        &CancelToken::unlimited(),
+    )
+    .is_ok_and(|out| out.stdout.contains(vgen_problems::PASS_MARKER))
 }
 
 /// The calibrated engine for one (family, tuning) row.
@@ -479,13 +490,17 @@ mod tests {
         assert!(!bank.correct.is_empty());
         assert!(!bank.functional_fail.is_empty());
         assert!(!bank.syntax_fail.is_empty());
+        let passes = |src: &str| {
+            let parsed = vgen_verilog::parse_with_cancel(src, &CancelToken::unlimited());
+            passes_testbench(src, &parsed.expect("compiles"), p)
+        };
         for c in &bank.correct {
             assert!(compiles(c));
-            assert!(passes_testbench(c, p));
+            assert!(passes(c));
         }
         for f in &bank.functional_fail {
             assert!(compiles(f), "functional-fail mutant must compile:\n{f}");
-            assert!(!passes_testbench(f, p));
+            assert!(!passes(f));
         }
         for s in &bank.syntax_fail {
             assert!(!compiles(s));

@@ -20,9 +20,11 @@
 mod catalog;
 pub mod engineered;
 pub mod extended;
+pub mod testbench;
 pub mod types;
 
 pub use engineered::engineered_prompt;
+pub use testbench::{parsed_testbench, simulate_with_testbench};
 pub use types::{Difficulty, Problem, PromptLevel, PASS_MARKER};
 
 use std::sync::OnceLock;

@@ -97,21 +97,30 @@ const TEMP_WIDTH: usize = 128;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn elaborate(file: &SourceFile, top: &str) -> Result<Design, ElabError> {
-    elaborate_with_cancel(file, top, &vgen_obs::CancelToken::unlimited())
+    elaborate_with_cancel(&[file], top, &vgen_obs::CancelToken::unlimited())
 }
 
-/// [`elaborate`] under a cooperative [`vgen_obs::CancelToken`]: the
-/// elaborator polls the token periodically (per instance and per batch of
-/// lowered statements) and returns an [`ElabError`] with
-/// `cancelled == true` once it trips.
+/// Elaborates `top` from separately parsed `files` as if they were one
+/// file, concatenated in order: a module name resolves to its first
+/// definition in that order. Linking a candidate with a shared, already
+/// parsed testbench this way spares re-parsing the testbench per check.
+///
+/// Runs under a cooperative [`vgen_obs::CancelToken`]: the elaborator
+/// polls the token periodically (per instance and per batch of lowered
+/// statements) and returns an [`ElabError`] with `cancelled == true` once
+/// it trips.
+///
+/// # Errors
+///
+/// Same as [`elaborate`].
 pub fn elaborate_with_cancel(
-    file: &SourceFile,
+    files: &[&SourceFile],
     top: &str,
     cancel: &vgen_obs::CancelToken,
 ) -> Result<Design, ElabError> {
     let _span = vgen_obs::span("elaborate");
     let mut el = Elaborator {
-        file,
+        files,
         design: Design {
             top: top.to_string(),
             ..Design::default()
@@ -161,18 +170,19 @@ impl Scope {
 /// Declaration info accumulated across possibly-split declarations
 /// (`output q;` + `reg q;`).
 #[derive(Debug, Default, Clone)]
-struct DeclInfo {
+struct DeclInfo<'a> {
     dir: Option<PortDir>,
     kind: Option<NetKind>,
     signed: bool,
     range: Option<(i64, i64)>,
     dims: Option<(i64, i64)>,
-    init: Option<Expr>,
+    init: Option<&'a Expr>,
     span: Span,
 }
 
 struct Elaborator<'a> {
-    file: &'a SourceFile,
+    /// Source files in lookup order (see [`elaborate_with_cancel`]).
+    files: &'a [&'a SourceFile],
     design: Design,
     temp_counter: u32,
     /// Module instances elaborated so far (capped at [`MAX_INSTANCES`]).
@@ -204,6 +214,12 @@ impl<'a> Elaborator<'a> {
 
     // ------------------------------------------------------------ instances
 
+    /// The first definition of `name` across the files, in order. Borrowed
+    /// from the input, never cloned.
+    fn module(&self, name: &str) -> Option<&'a ast::Module> {
+        self.files.iter().find_map(|f| f.module(name))
+    }
+
     fn instantiate(
         &mut self,
         module_name: &str,
@@ -231,10 +247,8 @@ impl<'a> Elaborator<'a> {
             ));
         }
         let module = self
-            .file
             .module(module_name)
-            .ok_or_else(|| ElabError::new(format!("unknown module `{module_name}`"), inst_span))?
-            .clone();
+            .ok_or_else(|| ElabError::new(format!("unknown module `{module_name}`"), inst_span))?;
 
         let mut scope = Scope::default();
 
@@ -364,7 +378,7 @@ impl<'a> Elaborator<'a> {
                             n.span,
                         ));
                     }
-                    info.init = Some(init.clone());
+                    info.init = Some(init);
                 }
             }
         }
@@ -499,16 +513,16 @@ impl<'a> Elaborator<'a> {
                     outer_reads: Vec::new(),
                     outer_mem_reads: Vec::new(),
                 });
-                func_items.push((idx, f.clone(), frame));
+                func_items.push((idx, f, frame));
             }
         }
         for (idx, f, frame) in func_items {
-            self.compile_function(idx, &f, &scope, frame, prefix)?;
+            self.compile_function(idx, f, &scope, frame, prefix)?;
         }
 
         // Pass 4: initialisers.
         for (name, info) in &decls {
-            let Some(init) = &info.init else { continue };
+            let Some(init) = info.init else { continue };
             let Some(Sym::Signal(id)) = scope.lookup(name).cloned() else {
                 return Err(ElabError::new(
                     format!("initialiser on array `{name}` is not supported"),
@@ -1051,10 +1065,8 @@ impl<'a> Elaborator<'a> {
             depth + 1,
         )?;
         let child = self
-            .file
             .module(&inst.module)
-            .expect("instantiate verified the module exists")
-            .clone();
+            .expect("instantiate verified the module exists");
 
         // Resolve connections to (port name, outer expr).
         let mut bindings: Vec<(String, &Expr)> = Vec::new();

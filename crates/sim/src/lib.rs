@@ -106,7 +106,7 @@ pub fn simulate_with_cancel(
     config: SimConfig,
     cancel: &vgen_obs::CancelToken,
 ) -> Result<SimOutput, SimError> {
-    let file = vgen_verilog::parse_with_cancel(src, cancel)?;
+    let file = vgen_verilog::parse_with_cancel(src, cancel)?.file;
     let top_name = match top {
         Some(t) => t.to_string(),
         None => file
@@ -116,7 +116,7 @@ pub fn simulate_with_cancel(
             .name
             .clone(),
     };
-    let design = elab::elaborate_with_cancel(&file, &top_name, cancel)?;
+    let design = elab::elaborate_with_cancel(&[&file], &top_name, cancel)?;
     Ok(Simulator::with_config(design, config)
         .cancelled_by(cancel.clone())
         .run())

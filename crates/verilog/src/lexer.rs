@@ -132,7 +132,8 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Token, ParseError> {
+    /// Lexes the next token (an [`TokenKind::Eof`] once the input is spent).
+    pub(crate) fn next_token(&mut self) -> Result<Token, ParseError> {
         self.skip_trivia()?;
         let start = self.pos as u32;
         let Some(b) = self.peek() else {

@@ -38,6 +38,6 @@ pub mod value;
 
 pub use ast::{Module, SourceFile};
 pub use error::ParseError;
-pub use parser::{parse, parse_with_cancel, syntax_check};
+pub use parser::{parse, parse_with_cancel, syntax_check, Parsed};
 pub use span::Span;
 pub use value::{Logic, LogicVec, ZeroWidthError};

@@ -28,7 +28,18 @@ use vgen_obs::CancelToken;
 /// # Ok::<(), vgen_verilog::error::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<SourceFile, ParseError> {
-    parse_with_cancel(src, &CancelToken::unlimited())
+    parse_with_cancel(src, &CancelToken::unlimited()).map(|p| p.file)
+}
+
+/// A successful parse together with the size of the token stream it was
+/// parsed from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Parsed {
+    /// The parsed modules.
+    pub file: SourceFile,
+    /// Tokens the lexer produced, counting the end-of-input token: the
+    /// figure [`MAX_TOKENS`] caps.
+    pub tokens: usize,
 }
 
 /// [`parse`] under a cooperative [`CancelToken`]: the parser polls the
@@ -36,8 +47,9 @@ pub fn parse(src: &str) -> Result<SourceFile, ParseError> {
 /// productions) and bails out with a [`ParseError::cancelled_at`] error —
 /// `cancelled == true` — once it trips. With an
 /// [unlimited](CancelToken::unlimited) token the polls cost one relaxed
-/// atomic load each and the behaviour is identical to [`parse`].
-pub fn parse_with_cancel(src: &str, cancel: &CancelToken) -> Result<SourceFile, ParseError> {
+/// atomic load each and the behaviour is identical to [`parse`]. A
+/// successful parse also reports its token count ([`Parsed`]).
+pub fn parse_with_cancel(src: &str, cancel: &CancelToken) -> Result<Parsed, ParseError> {
     let _span = vgen_obs::span("parse");
     let tokens = Lexer::new(src).tokenize()?;
     // Lexing is linear and allocation-light; one poll after it bounds the
@@ -52,7 +64,12 @@ pub fn parse_with_cancel(src: &str, cancel: &CancelToken) -> Result<SourceFile, 
             span,
         ));
     }
-    Parser::with_cancel(tokens, cancel.clone()).parse_source_file()
+    let count = tokens.len();
+    let file = Parser::with_cancel(tokens, cancel.clone()).parse_source_file()?;
+    Ok(Parsed {
+        file,
+        tokens: count,
+    })
 }
 
 /// Checks whether `src` is syntactically valid — the "compiles" check used

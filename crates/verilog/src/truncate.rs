@@ -23,13 +23,24 @@ use crate::token::{Keyword, TokenKind};
 /// assert_eq!(truncate_completion(c), "assign y = a;\nendmodule");
 /// ```
 pub fn truncate_completion(completion: &str) -> &str {
-    let tokens = Lexer::new(completion).tokenize_lossy();
-    for t in &tokens {
-        if t.kind == TokenKind::Keyword(Keyword::Endmodule) {
-            return &completion[..t.span.end as usize];
+    truncate_at_endmodule(completion).0
+}
+
+/// [`truncate_completion`], plus whether the cut text holds an `endmodule`
+/// token — which it does exactly when the cut happened. One scan, which
+/// stops at the first `endmodule` or lexical error.
+fn truncate_at_endmodule(completion: &str) -> (&str, bool) {
+    let mut lexer = Lexer::new(completion);
+    while let Ok(t) = lexer.next_token() {
+        match t.kind {
+            TokenKind::Keyword(Keyword::Endmodule) => {
+                return (&completion[..t.span.end as usize], true)
+            }
+            TokenKind::Eof => break,
+            _ => {}
         }
     }
-    completion
+    (completion, false)
 }
 
 /// Joins a prompt and raw completion into a compilable source candidate.
@@ -39,17 +50,13 @@ pub fn truncate_completion(completion: &str) -> &str {
 /// prompt always opens a module, so an unterminated completion would
 /// otherwise always fail to compile for a trivial reason).
 pub fn assemble_candidate(prompt: &str, completion: &str) -> String {
-    let body = truncate_completion(completion);
+    let (body, has_endmodule) = truncate_at_endmodule(completion);
     let mut out = String::with_capacity(prompt.len() + body.len() + 16);
     out.push_str(prompt);
     if !prompt.ends_with('\n') {
         out.push('\n');
     }
     out.push_str(body);
-    let has_endmodule = Lexer::new(body)
-        .tokenize_lossy()
-        .iter()
-        .any(|t| t.kind == TokenKind::Keyword(Keyword::Endmodule));
     if !has_endmodule {
         if !out.ends_with('\n') {
             out.push('\n');
@@ -62,6 +69,93 @@ pub fn assemble_candidate(prompt: &str, completion: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-scan assembly [`assemble_candidate`] replaced: lex the whole
+    /// completion to truncate it, then lex the cut body again to look for
+    /// `endmodule`.
+    fn assemble_two_scans(prompt: &str, completion: &str) -> String {
+        let tokens = Lexer::new(completion).tokenize_lossy();
+        let body = tokens
+            .iter()
+            .find(|t| t.kind == TokenKind::Keyword(Keyword::Endmodule))
+            .map_or(completion, |t| &completion[..t.span.end as usize]);
+        let mut out = String::with_capacity(prompt.len() + body.len() + 16);
+        out.push_str(prompt);
+        if !prompt.ends_with('\n') {
+            out.push('\n');
+        }
+        out.push_str(body);
+        let has_endmodule = Lexer::new(body)
+            .tokenize_lossy()
+            .iter()
+            .any(|t| t.kind == TokenKind::Keyword(Keyword::Endmodule));
+        if !has_endmodule {
+            if !out.ends_with('\n') {
+                out.push('\n');
+            }
+            out.push_str("endmodule");
+        }
+        out
+    }
+
+    /// Pieces the generated completions are spliced from: `endmodule` in
+    /// and out of comments, strings and longer identifiers, plus openers
+    /// that never close.
+    const FRAGMENTS: &[&str] = &[
+        "endmodule",
+        "endmodule_x",
+        "xendmodule",
+        "endmodule$",
+        "\\endmodule ",
+        "end",
+        "module m;",
+        "assign y = a;",
+        "\"",
+        "\"endmodule\"",
+        "//",
+        "// endmodule",
+        "/*",
+        "*/",
+        "/* endmodule */",
+        "`define X endmodule",
+        "`",
+        "4'b1x",
+        "8'h",
+        "#",
+        "\n",
+        " ",
+        "\t",
+        "é",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_scan_assembly_matches_two_scans(
+            picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..24),
+            noise in ".{0,6}",
+            newline in any::<bool>(),
+        ) {
+            let mut completion: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            completion.push_str(&noise);
+            let prompt = if newline { "module m(input a, output y);\n" } else { "module m;" };
+            prop_assert_eq!(
+                assemble_candidate(prompt, &completion),
+                assemble_two_scans(prompt, &completion),
+                "completion {:?}", completion
+            );
+        }
+
+        #[test]
+        fn one_scan_assembly_matches_two_scans_on_noise(completion in ".{0,40}") {
+            prop_assert_eq!(
+                assemble_candidate("module m;", &completion),
+                assemble_two_scans("module m;", &completion)
+            );
+        }
+    }
 
     #[test]
     fn truncates_after_first_endmodule() {
