@@ -30,10 +30,10 @@ use std::sync::Arc;
 /// A failpoint site in the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosSite {
-    /// Inside the checker thread, before the real check runs: `panic!` —
+    /// Inside the guarded check, before the real check runs: `panic!` —
     /// exercises the [`crate::guard`] panic path. Keyed by completion.
     CheckPanic,
-    /// In the guard, before spawning the checker: synthesize a
+    /// In the guard, before the check runs anywhere: synthesize a
     /// [`CheckOutcome::Timeout`](crate::check::CheckOutcome::Timeout)
     /// (soft) without running anything or reading a clock. Keyed by
     /// completion; the rule's `param` is an *attempt ceiling* — the fault
@@ -41,7 +41,7 @@ pub enum ChaosSite {
     /// `check.timeout:1%5` heals on first retry while `check.timeout%5`
     /// persists through all retries.
     CheckTimeout,
-    /// Inside the checker thread: sleep `param` milliseconds before
+    /// Inside the guarded check: sleep `param` milliseconds before
     /// checking — a *real* stall that exercises the watchdog's hard-timeout
     /// detach path. Keyed by completion. (Wall-clock: only for tests that
     /// accept nondeterministic latency, never for byte-compare CI.)

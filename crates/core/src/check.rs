@@ -15,7 +15,7 @@ pub enum TimeoutKind {
     /// The [`CancelToken`] tripped and the pipeline unwound cooperatively
     /// within the grace period.
     Soft,
-    /// The checker thread did not exit within deadline + grace — it was
+    /// The check thread did not answer within deadline + grace — it was
     /// detached and abandoned by the watchdog (see [`crate::guard`]).
     Hard,
 }

@@ -19,27 +19,43 @@
 //!   2. **cancel** — a [`CancelToken`] armed with the deadline is threaded
 //!      through parse/elaborate/simulate; when it trips, the stage unwinds
 //!      cooperatively and the outcome is a *soft timeout*.
-//!   3. **watchdog** — the guard waits `deadline + grace` for the checker
-//!      thread's result. Cooperative exit lands here.
-//!   4. **detach** — no result inside the grace period means the checker is
-//!      hard-hung (stuck outside any poll site). The thread is detached —
-//!      abandoned, never joined, and retired from the checker pool so no
-//!      later check is handed to it — and the outcome is a *hard timeout*.
-//!      The calling worker continues immediately; the pool never loses a
-//!      worker to a hang.
+//!   3. **watchdog** — a check with a deadline runs on a cached check
+//!      thread while the caller waits `deadline + grace` for its result.
+//!      Cooperative exit lands here.
+//!   4. **detach** — no result inside the grace period means the check
+//!      thread is hard-hung (stuck outside any poll site). It is detached —
+//!      abandoned, never joined, and not back among the idle threads until
+//!      its check returns, so no later check is handed to it — and the
+//!      outcome is a *hard timeout*. The calling worker continues
+//!      immediately; the pool never loses a worker to a hang.
 //!   5. **retry** — timeouts are transient by nature (machine load, cache
 //!      state), so the policy may retry them with exponential backoff
 //!      before the record is finalized. Panics are deterministic and are
 //!      never retried.
+//!
+//! ## Where a check runs
+//!
+//! A check needs a known 8 MiB stack (`CHECK_STACK_BYTES`), so that
+//! classification never depends on how much stack its caller has left.
+//! Threads spawned through `spawn_check_thread` have one and are marked
+//! as such: sweep pool workers and the daemon's request threads. With no
+//! deadline, a check asked for on a marked thread runs right there, under
+//! [`catch_harness_fault`]. Every other check — one with a deadline (it
+//! needs a watchdog) or one from an unmarked caller (a test thread, the
+//! benchmark's trace replay) — is handed off to a process-wide cache of
+//! idle marked threads ([`run_on_check_thread`]), which the daemon also
+//! runs its requests on.
 //!
 //! While a guarded check is running, the default "thread panicked at ..."
 //! report is suppressed (per thread) so sweeps don't spray backtraces; the
 //! panic message is preserved in the outcome instead.
 
 use std::cell::Cell;
+use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard, Once};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use vgen_obs::CancelToken;
@@ -52,6 +68,8 @@ use crate::check::{check_completion_cancellable, CheckOutcome, CheckResult, Time
 thread_local! {
     /// Set while a guarded closure runs on this thread.
     static QUIET: Cell<bool> = const { Cell::new(false) };
+    /// Set for the life of a thread spawned by [`spawn_check_thread`].
+    static CHECK_STACK: Cell<bool> = const { Cell::new(false) };
 }
 
 static INSTALL_HOOK: Once = Once::new();
@@ -73,12 +91,14 @@ fn install_quiet_hook() {
 /// Runs `f`, converting any panic into `Err(message)`.
 ///
 /// The default panic report is suppressed for the duration; the payload
-/// (the `panic!` message, when it is a string) is returned instead.
+/// (the `panic!` message, when it is a string) is returned instead. Calls
+/// nest: an inner call leaves the report suppressed for the rest of the
+/// outer one.
 pub fn catch_harness_fault<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     install_quiet_hook();
-    QUIET.with(|q| q.set(true));
+    let was_quiet = QUIET.with(|q| q.replace(true));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
-    QUIET.with(|q| q.set(false));
+    QUIET.with(|q| q.set(was_quiet));
     result.map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -90,10 +110,35 @@ pub fn catch_harness_fault<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// Stack size of every pooled checker thread. The parser's recursion
+/// Stack size of every thread a check may run on. The parser's recursion
 /// guard ([`vgen_verilog::parser::MAX_NEST_DEPTH`]) is sized so the worst
 /// legal nesting fits in a fraction of this even in unoptimised builds.
 const CHECK_STACK_BYTES: usize = 8 * 1024 * 1024;
+
+/// Spawns a thread named `name` with a [`CHECK_STACK_BYTES`] stack, marked
+/// so that deadline-free checks run inline on it. The only place the mark
+/// is set.
+///
+/// # Errors
+///
+/// The OS refused to spawn the thread.
+pub(crate) fn spawn_check_thread<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<JoinHandle<T>> {
+    std::thread::Builder::new()
+        .name(name)
+        .stack_size(CHECK_STACK_BYTES)
+        .spawn(move || {
+            CHECK_STACK.with(|m| m.set(true));
+            f()
+        })
+}
+
+/// Whether the calling thread came from [`spawn_check_thread`].
+fn on_check_thread() -> bool {
+    CHECK_STACK.with(Cell::get)
+}
 
 /// How one check is supervised: deadline, grace period, retry budget and
 /// fault injection. The [`Default`] policy has no deadline and no chaos —
@@ -151,9 +196,10 @@ impl CheckPolicy {
 
 /// [`check_completion`](crate::check::check_completion) with fault
 /// isolation and the default (deadline-less) [`CheckPolicy`]: the check
-/// runs on a pooled checker thread with a known [8 MiB
-/// stack](CHECK_STACK_BYTES) — so classification never depends on how much
-/// stack the *caller* happens to have left — and a panic anywhere in the
+/// runs with a known 8 MiB stack — inline when the caller is a sweep pool
+/// worker or another thread with that stack, on a cached check thread
+/// otherwise — so classification never depends on how much stack the
+/// *caller* happens to have left, and a panic anywhere in the
 /// assemble/parse/elaborate/simulate stack yields
 /// [`CheckOutcome::HarnessFault`] instead of unwinding into the caller.
 ///
@@ -180,12 +226,11 @@ pub fn guarded_check_completion(
 /// the module docs), bounded retry for timeouts, and deterministic fault
 /// injection.
 ///
-/// Checker threads are long-lived and shared process-wide: a check takes
-/// an idle one (spawning one only when none is free) and hands it back
-/// once it has answered, panic or not. A hard-hung checker is never
-/// handed back.
+/// An attempt with a deadline always runs on a cached check thread, with
+/// the calling thread as its watchdog; a hard-hung check thread is not
+/// reused until its check returns.
 ///
-/// `problem` is `&'static` because on a hard hang the checker thread is
+/// `problem` is `&'static` because on a hard hang the check thread is
 /// detached and may touch its inputs long after this call returns —
 /// borrowed data must therefore live forever (problems do: they come from
 /// the static problem table) or be owned by the thread (the completion is
@@ -200,7 +245,7 @@ pub fn supervised_check_completion(
     let mut attempt: u32 = 0;
     loop {
         let result = attempt_check(
-            &CHECKERS, problem, level, completion, config, policy, attempt,
+            &THREADS, problem, level, completion, config, policy, attempt,
         );
         if matches!(result.outcome, CheckOutcome::Timeout(_)) {
             vgen_obs::counter_add("guard.timeout", 1);
@@ -218,148 +263,123 @@ pub fn supervised_check_completion(
     }
 }
 
-/// What a checker sends back for one job: the check's result, or the
-/// message of a panic caught inside it.
-type Caught = Result<CheckResult, String>;
-
-/// One check for a pooled checker. Everything it needs is owned (or
-/// `'static`), because a hard-hung checker outlives the call that sent it.
-struct Job {
-    problem: &'static Problem,
-    level: PromptLevel,
-    completion: String,
-    config: SimConfig,
-    cancel: CancelToken,
-    chaos: ChaosSpec,
-    /// The caller's obs lane: a pooled checker records onto the lane of
-    /// whichever worker sent the job, so a sweep's trace shows one
-    /// timeline per worker rather than one per checker.
-    lane: u32,
+/// Runs `work` on an idle cached check thread, spawning one when none is
+/// free. The thread has an 8 MiB stack, so a deadline-free check `work`
+/// asks for runs inline on it. The thread is idle again only once `work`
+/// returns, so `work` may block (on a slow client's socket, say) without
+/// delaying anyone else's task. A thread whose `work` never returns is
+/// never reused; one whose `work` panics dies.
+///
+/// # Errors
+///
+/// No thread was idle and the OS refused to spawn one.
+pub fn run_on_check_thread(work: impl FnOnce() + Send + 'static) -> io::Result<()> {
+    THREADS.run(work, |()| {})
 }
 
-impl Job {
-    /// Runs on the checker thread. Panics stay inside
-    /// [`catch_harness_fault`], so the thread survives them.
-    fn run(self) -> Caught {
-        vgen_obs::adopt_lane(self.lane);
-        let caught = catch_harness_fault(|| {
-            if self
-                .chaos
-                .fires(ChaosSite::CheckPanic, self.completion.as_bytes())
-                .is_some()
-            {
-                panic!("chaos: injected checker panic");
-            }
-            if let Some(ms) = self
-                .chaos
-                .fires(ChaosSite::CheckDelayMs, self.completion.as_bytes())
-            {
-                // A real, uncancellable stall — exercises the hard-
-                // timeout detach path.
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            check_completion_cancellable(
-                self.problem,
-                self.level,
-                &self.completion,
-                self.config,
-                &self.cancel,
-            )
-        });
-        // Drain this thread's obs buffers after every job: the thread is
-        // long-lived, so nothing else would drain them until it exits, and
-        // after a hard timeout the caller has already moved on — flushing
-        // at the cancel point keeps the partial stage spans a
-        // hard-timed-out check did complete.
-        vgen_obs::flush();
-        caught
-    }
-}
+/// Work for a cached thread. It returns its announcement, which the thread
+/// runs only after it is back among the idle threads.
+type Task = Box<dyn FnOnce() -> Box<dyn FnOnce()> + Send>;
 
-/// A long-lived `vgen-check` thread with a known
-/// [8 MiB stack](CHECK_STACK_BYTES), reached through its two channels.
-/// Dropping the handle closes the job channel, so the thread exits once
-/// the job it is running (if any) returns.
-struct Checker {
-    jobs: mpsc::Sender<Job>,
-    results: mpsc::Receiver<Caught>,
-}
+/// Most idle threads the cache keeps — about the most tasks a process runs
+/// at once (one per sweep worker under a deadline, or per in-flight daemon
+/// request). A burst wider than this spawns extra threads, which exit when
+/// they come back to a full list.
+const IDLE_THREADS: usize = 8;
 
-impl Checker {
-    fn spawn() -> std::io::Result<Checker> {
-        let (jobs, job_rx) = mpsc::channel::<Job>();
-        let (result_tx, results) = mpsc::channel();
-        // The join handle is dropped: a checker is never joined, since a
-        // hard-hung one may not return for a long time, and one that dies
-        // shows up as a closed result channel.
-        std::thread::Builder::new()
-            .name("vgen-check".into())
-            .stack_size(CHECK_STACK_BYTES)
-            .spawn(move || {
-                for job in job_rx {
-                    if result_tx.send(job.run()).is_err() {
-                        // Detached after a hard timeout: nobody is waiting.
-                        break;
-                    }
-                }
-            })?;
-        Ok(Checker { jobs, results })
-    }
-}
-
-/// Most idle checkers the pool keeps — about the most checks a process
-/// runs at once (one per sweep worker). A burst wider than this spawns
-/// extra checkers, which exit when they come back to a full list.
-const IDLE_CHECKERS: usize = 8;
-
-/// Idle checker threads, shared by every caller in the process.
-struct CheckerPool {
-    idle: Mutex<Vec<Checker>>,
-    /// Checkers this pool has spawned (what `guard.checker_spawn` counts).
+/// Idle check threads, each reached through the sending end of its task
+/// channel.
+struct ThreadCache {
+    idle: Mutex<Vec<mpsc::Sender<Task>>>,
+    /// Threads this cache has spawned (what `guard.thread_spawn` counts).
     spawned: AtomicU64,
 }
 
-/// The process-wide pool behind [`supervised_check_completion`].
-static CHECKERS: CheckerPool = CheckerPool::new();
+/// The process-wide cache behind [`run_on_check_thread`] and every
+/// handed-off check.
+static THREADS: ThreadCache = ThreadCache::new();
 
-impl CheckerPool {
+impl ThreadCache {
     const fn new() -> Self {
-        CheckerPool {
+        ThreadCache {
             idle: Mutex::new(Vec::new()),
             spawned: AtomicU64::new(0),
         }
     }
 
-    fn idle(&self) -> MutexGuard<'_, Vec<Checker>> {
+    fn idle(&self) -> MutexGuard<'_, Vec<mpsc::Sender<Task>>> {
         self.idle.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// An idle checker, or a freshly spawned one if none is free.
-    fn take(&self) -> std::io::Result<Checker> {
-        if let Some(checker) = self.idle().pop() {
-            return Ok(checker);
-        }
-        let checker = Checker::spawn()?;
-        self.spawned.fetch_add(1, Ordering::Relaxed);
-        vgen_obs::counter_add("guard.checker_spawn", 1);
-        Ok(checker)
+    /// Runs `work` on an idle thread (spawning one when none is free),
+    /// then `then(result)` on the same thread once it is idle again — so
+    /// whoever `then` wakes finds the thread reusable. `then` must not
+    /// block: while it runs, the thread is already listed as idle, and the
+    /// next task handed to it would wait behind it.
+    fn run<R: 'static>(
+        &'static self,
+        work: impl FnOnce() -> R + Send + 'static,
+        then: impl FnOnce(R) + Send + 'static,
+    ) -> io::Result<()> {
+        let task: Task = Box::new(move || {
+            let result = work();
+            Box::new(move || then(result))
+        });
+        let idle = self.idle().pop();
+        let thread = match idle {
+            Some(thread) => thread,
+            None => self.spawn()?,
+        };
+        // An idle thread is blocked on its channel, so this only fails if
+        // it died.
+        thread
+            .send(task)
+            .map_err(|_| io::Error::other("check thread died"))
     }
 
-    /// Returns a checker that has answered its job. Only such checkers
-    /// come back: a hard-hung or dead one is dropped, never reused.
-    fn give_back(&self, checker: Checker) {
+    fn spawn(&'static self) -> io::Result<mpsc::Sender<Task>> {
+        let (thread, tasks) = mpsc::channel::<Task>();
+        // The thread holds a sender to itself, which it puts on the idle
+        // list after each task, and which keeps it waiting there. The join
+        // handle is dropped: a hard-hung thread may not return for a long
+        // time.
+        let me = thread.clone();
+        spawn_check_thread("vgen-check".into(), move || {
+            for task in &tasks {
+                let announce = task();
+                let kept = self.give_back(me.clone());
+                announce();
+                if !kept {
+                    break;
+                }
+            }
+        })?;
+        self.spawned.fetch_add(1, Ordering::Relaxed);
+        vgen_obs::counter_add("guard.thread_spawn", 1);
+        Ok(thread)
+    }
+
+    /// Puts a thread whose task has returned back on the idle list; `false`
+    /// when the list is full and the thread should exit.
+    fn give_back(&self, thread: mpsc::Sender<Task>) -> bool {
         let mut idle = self.idle();
-        if idle.len() < IDLE_CHECKERS {
-            idle.push(checker);
+        let kept = idle.len() < IDLE_THREADS;
+        if kept {
+            idle.push(thread);
         }
+        kept
     }
 }
 
-/// One supervised attempt on a pooled checker thread with a known 8 MiB
-/// stack: send the job, wait for its result up to deadline + grace,
-/// classify.
+/// What a check attempt yields: its result, or the message of a panic
+/// caught inside it.
+type Caught = Result<CheckResult, String>;
+
+/// One supervised attempt. With no deadline on a thread from
+/// [`spawn_check_thread`] the check runs inline; otherwise it is handed
+/// off to a cached check thread.
 fn attempt_check(
-    pool: &CheckerPool,
+    cache: &'static ThreadCache,
     problem: &'static Problem,
     level: PromptLevel,
     completion: &str,
@@ -377,71 +397,114 @@ fn attempt_check(
         vgen_obs::counter_add("guard.chaos", 1);
         return no_verdict(CheckOutcome::Timeout(TimeoutKind::Soft));
     }
-
-    let cancel = match policy.timeout {
-        Some(t) => CancelToken::with_deadline(t),
-        None => CancelToken::unlimited(),
+    let caught = if policy.timeout.is_none() && on_check_thread() {
+        run_check(
+            problem,
+            level,
+            completion,
+            config,
+            &CancelToken::unlimited(),
+            &policy.chaos,
+        )
+    } else {
+        hand_off(cache, problem, level, completion, config, policy)
     };
-    let checker = match pool.take() {
-        Ok(c) => c,
-        Err(e) => {
-            vgen_obs::counter_add("guard.fault", 1);
-            return no_verdict(CheckOutcome::HarnessFault(format!(
-                "cannot spawn checker thread: {e}"
-            )));
+    caught.unwrap_or_else(|msg| {
+        vgen_obs::counter_add("guard.fault", 1);
+        no_verdict(CheckOutcome::HarnessFault(msg))
+    })
+}
+
+/// Runs one check, with its chaos injection, under [`catch_harness_fault`].
+fn run_check(
+    problem: &'static Problem,
+    level: PromptLevel,
+    completion: &str,
+    config: SimConfig,
+    cancel: &CancelToken,
+    chaos: &ChaosSpec,
+) -> Caught {
+    catch_harness_fault(|| {
+        if chaos
+            .fires(ChaosSite::CheckPanic, completion.as_bytes())
+            .is_some()
+        {
+            panic!("chaos: injected checker panic");
+        }
+        if let Some(ms) = chaos.fires(ChaosSite::CheckDelayMs, completion.as_bytes()) {
+            // A real, uncancellable stall — exercises the hard-timeout
+            // detach path.
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        check_completion_cancellable(problem, level, completion, config, cancel)
+    })
+}
+
+/// Hands one check to a cached check thread and waits for its result up
+/// to deadline + grace.
+fn hand_off(
+    cache: &'static ThreadCache,
+    problem: &'static Problem,
+    level: PromptLevel,
+    completion: &str,
+    config: SimConfig,
+    policy: &CheckPolicy,
+) -> Caught {
+    let cancel = policy
+        .timeout
+        .map_or_else(CancelToken::unlimited, CancelToken::with_deadline);
+    // Everything the check needs is owned (or `'static`), because a
+    // hard-hung thread outlives this call.
+    let work = {
+        let (completion, cancel, chaos) =
+            (completion.to_string(), cancel.clone(), policy.chaos.clone());
+        // The check records onto the lane of whichever worker handed it
+        // off, so a sweep's trace shows one timeline per worker rather
+        // than one per check thread.
+        let lane = vgen_obs::current_lane();
+        move || {
+            vgen_obs::adopt_lane(lane);
+            let caught = run_check(problem, level, &completion, config, &cancel, &chaos);
+            // Drain this thread's obs buffers after every check: the
+            // thread is long-lived, so nothing else would drain them until
+            // it exits, and after a hard timeout the caller has already
+            // moved on — flushing at the cancel point keeps the partial
+            // stage spans a hard-timed-out check did complete.
+            vgen_obs::flush();
+            caught
         }
     };
-    let job = Job {
-        problem,
-        level,
-        completion: completion.to_string(),
-        config,
-        cancel: cancel.clone(),
-        chaos: policy.chaos.clone(),
-        lane: vgen_obs::current_lane(),
-    };
+    let (result_tx, result) = mpsc::channel();
+    let sent = cache.run(work, move |caught| {
+        // Nobody is waiting after a hard timeout.
+        let _ = result_tx.send(caught);
+    });
+    if let Err(e) = sent {
+        return Err(format!("cannot spawn checker thread: {e}"));
+    }
+    vgen_obs::counter_add("guard.handoff", 1);
     let answer = match policy.timeout {
-        // The checker is alive while idle, so this only fires if it died.
-        _ if checker.jobs.send(job).is_err() => Err(mpsc::RecvTimeoutError::Disconnected),
-        // Unsupervised: block until the check finishes.
-        None => checker
-            .results
+        None => result
             .recv()
             .map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-        Some(t) => checker.results.recv_timeout(t + policy.grace),
+        Some(t) => result.recv_timeout(t + policy.grace),
     };
     match answer {
-        Ok(Ok(r)) => {
-            pool.give_back(checker);
-            r
-        }
-        // A caught panic: the checker survived it and is reusable.
-        Ok(Err(msg)) => {
-            pool.give_back(checker);
-            vgen_obs::counter_add("guard.fault", 1);
-            no_verdict(CheckOutcome::HarnessFault(msg))
-        }
+        Ok(caught) => caught,
         Err(mpsc::RecvTimeoutError::Timeout) => {
             // Hard hang: the deadline armed the token at `t`, the grace
-            // period passed, and the checker never reached a poll site.
-            // Detach it: drop the handle without joining, so it leaves the
-            // pool for good and exits whenever its job returns; the worker
-            // moves on.
+            // period passed, and the check never reached a poll site.
+            // Detach it: the thread is not back on the idle list until
+            // its check returns; the worker moves on.
             cancel.cancel();
             vgen_obs::counter_add("guard.hard_timeout", 1);
             // Make the verdict visible to live snapshots before the worker
             // moves on — the detached thread may hold its lane hostage for
             // a long time.
             vgen_obs::flush();
-            drop(checker);
-            no_verdict(CheckOutcome::Timeout(TimeoutKind::Hard))
+            Ok(no_verdict(CheckOutcome::Timeout(TimeoutKind::Hard)))
         }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            vgen_obs::counter_add("guard.fault", 1);
-            no_verdict(CheckOutcome::HarnessFault(
-                "checker thread died".to_string(),
-            ))
-        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err("checker thread died".to_string()),
     }
 }
 
@@ -664,11 +727,11 @@ mod tests {
 
     const GOOD: &str = "assign y = a & b;\nendmodule";
 
-    /// One attempt on a private pool, so the spawn counts below are
-    /// exact even while other tests use the process-wide pool.
-    fn check_on(pool: &CheckerPool, policy: &CheckPolicy) -> CheckResult {
+    /// One attempt on `cache`, a test-private cache, so the spawn counts
+    /// below are exact even while other tests use the process-wide one.
+    fn check_on(cache: &'static ThreadCache, policy: &CheckPolicy) -> CheckResult {
         attempt_check(
-            pool,
+            cache,
             p(),
             PromptLevel::Low,
             GOOD,
@@ -678,82 +741,129 @@ mod tests {
         )
     }
 
-    fn spawned(pool: &CheckerPool) -> u64 {
-        pool.spawned.load(Ordering::Relaxed)
+    fn spawned(cache: &ThreadCache) -> u64 {
+        cache.spawned.load(Ordering::Relaxed)
     }
 
-    #[test]
-    fn sequential_checks_reuse_one_checker() {
-        let pool = CheckerPool::new();
-        for _ in 0..5 {
-            assert!(check_on(&pool, &CheckPolicy::default()).outcome.passed());
-        }
-        assert_eq!(spawned(&pool), 1);
-        assert_eq!(pool.idle().len(), 1);
-    }
-
-    #[test]
-    fn a_checker_survives_a_caught_panic() {
-        let pool = CheckerPool::new();
-        let panicky =
-            CheckPolicy::default().with_chaos(ChaosSpec::parse("check.panic%1", 0).unwrap());
-        assert_eq!(
-            check_on(&pool, &panicky).outcome,
-            CheckOutcome::HarnessFault("chaos: injected checker panic".into())
-        );
-        assert_eq!(pool.idle().len(), 1, "the panicked checker is back");
-        let r = check_on(&pool, &CheckPolicy::default());
-        assert_eq!(r.outcome, CheckOutcome::Pass);
-        assert_eq!(spawned(&pool), 1, "the same checker ran both checks");
-    }
-
-    #[test]
-    fn a_hard_hung_checker_is_never_reused() {
-        let pool = CheckerPool::new();
-        let hang = CheckPolicy {
-            timeout: Some(Duration::from_millis(50)),
+    fn deadline(ms: u64) -> CheckPolicy {
+        CheckPolicy {
+            timeout: Some(Duration::from_millis(ms)),
             grace: Duration::from_millis(100),
             ..CheckPolicy::default()
         }
-        .with_chaos(ChaosSpec::parse("check.delay:2000%1", 0).unwrap());
-        let start = std::time::Instant::now();
-        assert_eq!(
-            check_on(&pool, &hang).outcome,
-            CheckOutcome::Timeout(TimeoutKind::Hard)
-        );
-        assert_eq!(pool.idle().len(), 0, "the hung checker left the pool");
-        let r = check_on(&pool, &CheckPolicy::default());
-        assert_eq!(r.outcome, CheckOutcome::Pass);
-        assert!(
-            start.elapsed() < Duration::from_millis(1500),
-            "the next check must not wait for the hung checker"
-        );
-        assert_eq!(spawned(&pool), 2, "the next check spawned a fresh checker");
-        assert_eq!(pool.idle().len(), 1);
     }
 
     #[test]
-    fn racing_callers_spawn_at_most_one_checker_each() {
-        let pool = CheckerPool::new();
+    fn nested_catch_keeps_the_outer_report_quiet() {
+        let inside = catch_harness_fault(|| {
+            assert!(catch_harness_fault(|| -> u32 { panic!("inner") }).is_err());
+            QUIET.with(Cell::get)
+        });
+        assert_eq!(inside, Ok(true), "the inner catch un-silenced the outer");
+        assert!(!QUIET.with(Cell::get));
+    }
+
+    #[test]
+    fn checks_on_a_check_thread_run_inline_unless_they_have_a_deadline() {
+        static CACHE: ThreadCache = ThreadCache::new();
+        let marked = spawn_check_thread("guard-test".into(), || {
+            assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
+            assert_eq!(spawned(&CACHE), 0, "a deadline-free check ran inline");
+            assert!(check_on(&CACHE, &deadline(60_000)).outcome.passed());
+            assert_eq!(spawned(&CACHE), 1, "a check with a deadline was handed off");
+        });
+        marked.expect("spawn").join().expect("checks passed");
+        // This (test) thread is unmarked, so even a deadline-free check is
+        // handed off — to the now-idle thread.
+        assert!(!on_check_thread());
+        assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
+        assert_eq!(spawned(&CACHE), 1);
+    }
+
+    #[test]
+    fn sequential_checks_reuse_one_thread() {
+        static CACHE: ThreadCache = ThreadCache::new();
+        for _ in 0..5 {
+            assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
+        }
+        assert_eq!(spawned(&CACHE), 1);
+        assert_eq!(CACHE.idle().len(), 1);
+    }
+
+    #[test]
+    fn a_thread_survives_a_caught_panic() {
+        static CACHE: ThreadCache = ThreadCache::new();
+        let panicky =
+            CheckPolicy::default().with_chaos(ChaosSpec::parse("check.panic%1", 0).unwrap());
+        assert_eq!(
+            check_on(&CACHE, &panicky).outcome,
+            CheckOutcome::HarnessFault("chaos: injected checker panic".into())
+        );
+        assert_eq!(CACHE.idle().len(), 1, "the panicked thread is back");
+        let r = check_on(&CACHE, &CheckPolicy::default());
+        assert_eq!(r.outcome, CheckOutcome::Pass);
+        assert_eq!(spawned(&CACHE), 1, "the same thread ran both checks");
+    }
+
+    #[test]
+    fn a_hard_hung_thread_is_not_reused() {
+        static CACHE: ThreadCache = ThreadCache::new();
+        let hang = deadline(50).with_chaos(ChaosSpec::parse("check.delay:2000%1", 0).unwrap());
+        let start = std::time::Instant::now();
+        assert_eq!(
+            check_on(&CACHE, &hang).outcome,
+            CheckOutcome::Timeout(TimeoutKind::Hard)
+        );
+        assert_eq!(CACHE.idle().len(), 0, "the hung thread is not idle");
+        let r = check_on(&CACHE, &CheckPolicy::default());
+        assert_eq!(r.outcome, CheckOutcome::Pass);
+        assert!(
+            start.elapsed() < Duration::from_millis(1500),
+            "the next check must not wait for the hung thread"
+        );
+        assert_eq!(spawned(&CACHE), 2, "the next check spawned a fresh thread");
+        assert_eq!(CACHE.idle().len(), 1);
+    }
+
+    #[test]
+    fn racing_callers_spawn_at_most_one_thread_each() {
+        static CACHE: ThreadCache = ThreadCache::new();
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        assert!(check_on(&pool, &CheckPolicy::default()).outcome.passed());
+                        assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
                     }
                 });
             }
         });
-        assert!(spawned(&pool) <= 8, "spawned {}", spawned(&pool));
-        assert_eq!(pool.idle().len() as u64, spawned(&pool));
+        assert!(spawned(&CACHE) <= 8, "spawned {}", spawned(&CACHE));
+        assert_eq!(CACHE.idle().len() as u64, spawned(&CACHE));
     }
 
     #[test]
     fn idle_list_never_grows_past_its_cap() {
-        let pool = CheckerPool::new();
-        for _ in 0..IDLE_CHECKERS + 4 {
-            pool.give_back(Checker::spawn().expect("spawn a checker"));
+        static CACHE: ThreadCache = ThreadCache::new();
+        let burst = IDLE_THREADS + 4;
+        // Every task holds its thread until all of them run at once.
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(burst + 1));
+        let (done_tx, done) = mpsc::channel();
+        for _ in 0..burst {
+            let gate = std::sync::Arc::clone(&gate);
+            let done_tx = done_tx.clone();
+            let work = move || {
+                gate.wait();
+                on_check_thread()
+            };
+            CACHE
+                .run(work, move |marked| done_tx.send(marked).unwrap())
+                .expect("run a task");
         }
-        assert_eq!(pool.idle().len(), IDLE_CHECKERS);
+        gate.wait();
+        for _ in 0..burst {
+            assert!(done.recv().expect("task done"), "cached threads are marked");
+        }
+        assert_eq!(spawned(&CACHE), burst as u64);
+        assert_eq!(CACHE.idle().len(), IDLE_THREADS);
     }
 }

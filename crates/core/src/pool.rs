@@ -17,6 +17,9 @@
 //!   shutdown notify it. Waits use a timeout so a steal opportunity that
 //!   arises without a submission (a sibling refilling its deque) is never
 //!   missed for long.
+//! * **Check stacks** — workers come from the guard's
+//!   `spawn_check_thread`, so a deadline-free check runs inline on the
+//!   worker that takes it.
 //! * **Panic isolation** — each task runs under
 //!   [`catch_harness_fault`](crate::guard::catch_harness_fault), the same
 //!   machinery that guards individual checks, so a panicking task yields
@@ -35,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::guard::catch_harness_fault;
+use crate::guard::{catch_harness_fault, spawn_check_thread};
 
 /// A unit of work: produces an `R`, tagged with its submission index.
 type Task<R> = Box<dyn FnOnce() -> R + Send + 'static>;
@@ -93,7 +96,8 @@ pub struct WorkerPool<R: Send + 'static> {
 }
 
 impl<R: Send + 'static> WorkerPool<R> {
-    /// Spawns a pool with `workers` worker threads (clamped to ≥ 1).
+    /// Spawns a pool with `workers` worker threads (clamped to ≥ 1), each
+    /// with a check-sized stack.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let shared = Arc::new(Shared {
@@ -108,10 +112,10 @@ impl<R: Send + 'static> WorkerPool<R> {
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 let tx: Sender<(usize, Result<R, String>)> = tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("vgen-pool-{id}"))
-                    .spawn(move || worker_loop(id, &shared, &tx))
-                    .expect("spawn pool worker")
+                spawn_check_thread(format!("vgen-pool-{id}"), move || {
+                    worker_loop(id, &shared, &tx)
+                })
+                .expect("spawn pool worker")
             })
             .collect();
         WorkerPool {

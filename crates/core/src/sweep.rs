@@ -19,17 +19,17 @@
 //!    of independent work items. Serial generation keeps the engine's RNG
 //!    stream identical across worker counts and across fresh vs resumed
 //!    runs.
-//! 2. **Check** (serial or parallel): each work item is one
-//!    compile+simulate check. With `jobs > 1`
-//!    ([`SweepOptions::jobs`]) items are dispatched to a
-//!    [`WorkerPool`](crate::pool::WorkerPool) and results flow through a
-//!    [`ReorderBuffer`](crate::pool::ReorderBuffer) back into canonical
-//!    order, so journal lines, reports and Pass@k aggregates are
-//!    byte-identical to the serial path regardless of worker count or
+//! 2. **Check** (pooled at any `--jobs`): each work item is one
+//!    compile+simulate check. Items are dispatched to a
+//!    [`WorkerPool`](crate::pool::WorkerPool) of
+//!    [`SweepOptions::jobs`] workers, which run each check inline, and
+//!    results flow through a [`ReorderBuffer`](crate::pool::ReorderBuffer)
+//!    back into canonical order, so journal lines, reports and Pass@k
+//!    aggregates are byte-identical regardless of worker count or
 //!    completion order. Journal lines are written by a single dedicated
-//!    writer thread, in order, one flush per record — a killed parallel
-//!    run therefore leaves the same contiguous-prefix journal a killed
-//!    serial run would, and `--resume` composes unchanged.
+//!    writer thread, in order, one flush per record — a killed run at any
+//!    worker count therefore leaves a contiguous-prefix journal, and
+//!    `--resume` composes unchanged.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -285,11 +285,11 @@ impl FsyncPolicy {
 /// per-check supervision and journal durability.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Checker worker threads. `1` runs every check inline on the calling
-    /// thread (the serial path); `0` means "use
-    /// [`SweepOptions::auto_jobs`]". Results are merged through a
-    /// deterministic reorder buffer, so any value produces byte-identical
-    /// reports and journals.
+    /// Worker threads of the sweep's pool; `0` means "use
+    /// [`SweepOptions::auto_jobs`]". Each worker runs its checks inline
+    /// (handing each off only under a deadline, see [`crate::guard`]),
+    /// and results are merged through a deterministic reorder buffer, so
+    /// any value produces byte-identical reports and journals.
     pub jobs: usize,
     /// Emit a periodic one-line progress/throughput counter to stderr
     /// from the merge loop. Callers should gate this on stdout being a
@@ -309,7 +309,7 @@ pub struct SweepOptions {
     /// When the journal writer fsyncs the journal file
     /// ([`FsyncPolicy`]); ignored for unjournaled runs.
     pub fsync: FsyncPolicy,
-    /// How long the parallel merge loop waits for any single pool result
+    /// How long the merge loop waits for any single pool result
     /// before declaring the pool stalled and degrading: every outstanding
     /// item is recorded as a hard-timeout fault and the pool's threads are
     /// abandoned, so a wedged worker costs records, not the sweep. `None`
@@ -333,7 +333,7 @@ impl Default for SweepOptions {
 }
 
 impl SweepOptions {
-    /// Serial execution, no progress output (the historical behaviour).
+    /// One pool worker, no progress output (the historical behaviour).
     pub fn serial() -> Self {
         Self::default()
     }
@@ -441,8 +441,8 @@ pub struct SweepHooks {
     /// `(record, done, total)` where `done`/`total` count this shard's
     /// records. Not called for records replayed from a resumed journal.
     pub observer: Option<RecordObserver>,
-    /// Cooperative cancellation: polled before each serial check and on
-    /// every merge-loop wakeup. When it fires, the sweep stops issuing
+    /// Cooperative cancellation: polled on every merge-loop wakeup (at
+    /// least every 50 ms). When it fires, the sweep stops issuing
     /// work, finishes the journal cleanly (a valid resumable prefix) and
     /// returns [`io::ErrorKind::Interrupted`].
     pub cancel: Option<vgen_obs::CancelToken>,
@@ -583,9 +583,8 @@ fn check_item(item: &WorkItem, sim: SimConfig, policy: &CheckPolicy) -> Record {
 }
 
 /// Whether the injected pool-task panic ([`ChaosSite::TaskPanic`]) fires
-/// for the item at canonical position `pos`. Consulted on the serial path
-/// too — synthesizing the same fault record the parallel pool-plumbing
-/// path produces — so chaos runs stay byte-identical across `--jobs`.
+/// for the item at canonical position `pos`. Keyed by position, not by
+/// worker, so chaos runs stay byte-identical across `--jobs`.
 fn task_panic_fires(chaos: &ChaosSpec, pos: usize) -> bool {
     !chaos.is_empty()
         && chaos
@@ -607,8 +606,7 @@ fn dedup_key(item: &WorkItem) -> (u64, u64) {
 /// duplicate's own [`ItemMeta`] at replay time, so a replayed [`Record`] is
 /// identical to what a fresh check of the same text would have produced.
 /// Harness faults are cached too: the guard makes them deterministic per
-/// completion text, and skipping them would make hit counts differ between
-/// the serial and parallel paths.
+/// completion text.
 #[derive(Clone)]
 struct CachedCheck {
     compiled: bool,
@@ -707,7 +705,8 @@ fn generate_items(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Vec
     items
 }
 
-/// Runs an engine over the grid, checking every completion serially.
+/// Runs an engine over the grid, checking every completion on one pool
+/// worker.
 ///
 /// J1-Large skips n = 25 upstream (the engine name containing "J1" is not
 /// inspected here — pass a config without 25 for that model, as the bench
@@ -718,7 +717,7 @@ pub fn run_engine(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Eva
 }
 
 /// [`run_engine`] with `jobs` checker workers (`0` = auto). Produces
-/// records identical to the serial path.
+/// records identical to [`run_engine`]'s.
 ///
 /// # Errors
 ///
@@ -1108,8 +1107,8 @@ impl Progress {
 
 /// The unified sweep executor behind [`run_engine`],
 /// [`run_engine_parallel`] and [`run_engine_journaled`]: generate phase,
-/// optional journal (with resume), and a serial or pooled check phase
-/// merged deterministically. See the module docs for the execution model.
+/// optional journal (with resume), and a pooled check phase merged
+/// deterministically. See the module docs for the execution model.
 ///
 /// # Errors
 ///
@@ -1260,138 +1259,128 @@ pub fn run_engine_sweep_sharded(
     stats.resumed_records = done_prior;
     let mut progress = Progress::new(opts.progress, total, done_prior);
     let mut records = prior;
-    let jobs = opts.effective_jobs();
     // The dedup cache is never seeded from resumed (prior) records:
     // duplicates of prior completions simply get checked again.
     let use_cache = opts.dedup;
     let mut interrupted = false;
 
-    if jobs <= 1 {
-        // Serial path: check inline, in canonical order, consulting the
-        // cache before each check.
-        let mut cache: HashMap<(u64, u64), CachedCheck> = HashMap::new();
-        for item in items.into_iter().skip(done_prior) {
-            if hooks.cancelled() {
-                interrupted = true;
-                break;
-            }
-            let key = dedup_key(&item);
-            let cached = if use_cache {
-                cache.get(&key).cloned()
-            } else {
-                None
-            };
-            let rec = match cached {
-                Some(hit) => {
+    // Dispatch to the work-stealing pool, merge back into canonical order
+    // through the reorder buffer.
+    let metas: Vec<ItemMeta> = items.iter().skip(done_prior).map(WorkItem::meta).collect();
+    let pool: WorkerPool<Record> = WorkerPool::new(opts.effective_jobs());
+    let sim = config.sim;
+    // Leader/follower dedup: the first item (in canonical order) for each
+    // key is submitted as its leader; later duplicates are parked under the
+    // leader's position and replayed when its result arrives. Leaders are
+    // picked in canonical order, so hit counts — and every record — are
+    // identical across `--jobs` values.
+    let mut leader_of: HashMap<(u64, u64), usize> = HashMap::new();
+    let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
+    let mut outstanding: BTreeSet<usize> = BTreeSet::new();
+    let mut submitted = 0usize;
+    for (dense, item) in items.into_iter().enumerate().skip(done_prior) {
+        if use_cache {
+            match leader_of.entry(dedup_key(&item)) {
+                Entry::Occupied(leader) => {
+                    followers.entry(*leader.get()).or_default().push(dense);
                     stats.cache_hits += 1;
                     vgen_obs::counter_add("dedup.hit", 1);
-                    hit.replay(item.meta())
+                    continue;
                 }
-                None => {
-                    let rec = if task_panic_fires(&opts.policy.chaos, item.pos) {
-                        item.meta().fault_record(FaultKind::Panic)
-                    } else {
-                        check_item(&item, config.sim, &opts.policy)
-                    };
-                    stats.checks_run += 1;
-                    if use_cache {
-                        cache.insert(key, CachedCheck::of(&rec));
-                    }
-                    rec
+                Entry::Vacant(slot) => {
+                    slot.insert(dense);
                 }
-            };
-            if let Some(w) = &writer {
-                w.write(rec.to_journal_line());
             }
-            hooks.observe(&rec, records.len() + 1, total);
-            records.push(rec);
-            progress.tick();
         }
+        let policy = opts.policy.clone();
+        outstanding.insert(dense);
+        // Pool and reorder-buffer indices are the *dense* per-shard
+        // positions (the reorder buffer requires contiguity); chaos stays
+        // keyed by the canonical grid position (`item.pos`) so injected
+        // faults land on the same records at any shard count. Unsharded,
+        // the two coincide.
+        pool.submit(dense, move || {
+            if task_panic_fires(&policy.chaos, item.pos) {
+                panic!("chaos: injected pool-task panic");
+            }
+            check_item(&item, sim, &policy)
+        });
+        submitted += 1;
+    }
+    stats.checks_run = submitted;
+    let stall_timeout = opts.stall_timeout.unwrap_or(RESULT_TIMEOUT);
+    // With a cancel token attached, wait in short slices so cancellation
+    // latency is bounded by the slice, not the stall window; without one,
+    // a single long wait per result.
+    let slice = if hooks.cancel.is_some() {
+        Duration::from_millis(50).min(stall_timeout)
     } else {
-        // Parallel path: dispatch to the work-stealing pool, merge back
-        // into canonical order through the reorder buffer.
-        let metas: Vec<ItemMeta> = items.iter().skip(done_prior).map(WorkItem::meta).collect();
-        let pool: WorkerPool<Record> = WorkerPool::new(jobs);
-        let sim = config.sim;
-        // Leader/follower dedup: the first item (in canonical order) for
-        // each key is submitted as its leader; later duplicates are parked
-        // under the leader's position and replayed when its result
-        // arrives. Leaders are picked in the same order the serial path
-        // consults its cache, so hit counts — and every record — are
-        // identical across `--jobs` values.
-        let mut leader_of: HashMap<(u64, u64), usize> = HashMap::new();
-        let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut outstanding: BTreeSet<usize> = BTreeSet::new();
-        let mut submitted = 0usize;
-        for (dense, item) in items.into_iter().enumerate().skip(done_prior) {
-            if use_cache {
-                match leader_of.entry(dedup_key(&item)) {
-                    Entry::Occupied(leader) => {
-                        followers.entry(*leader.get()).or_default().push(dense);
-                        stats.cache_hits += 1;
-                        vgen_obs::counter_add("dedup.hit", 1);
-                        continue;
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(dense);
-                    }
-                }
-            }
-            let policy = opts.policy.clone();
-            outstanding.insert(dense);
-            // Pool and reorder-buffer indices are the *dense* per-shard
-            // positions (the reorder buffer requires contiguity); chaos
-            // stays keyed by the canonical grid position (`item.pos`) so
-            // injected faults land on the same records at any shard
-            // count. Unsharded, the two coincide.
-            pool.submit(dense, move || {
-                if task_panic_fires(&policy.chaos, item.pos) {
-                    panic!("chaos: injected pool-task panic");
-                }
-                check_item(&item, sim, &policy)
-            });
-            submitted += 1;
+        stall_timeout
+    };
+    let mut reorder = ReorderBuffer::new(done_prior);
+    let mut stalled = false;
+    // Records leave the reorder buffer in canonical order, to the journal,
+    // the hooks and the run.
+    let mut emit = |rec: Record| {
+        if let Some(w) = &writer {
+            w.write(rec.to_journal_line());
         }
-        stats.checks_run = submitted;
-        let stall_timeout = opts.stall_timeout.unwrap_or(RESULT_TIMEOUT);
-        // With a cancel token attached, wait in short slices so
-        // cancellation latency is bounded by the slice, not the stall
-        // window; without one, a single long wait per result as before.
-        let slice = if hooks.cancel.is_some() {
-            Duration::from_millis(50).min(stall_timeout)
-        } else {
-            stall_timeout
-        };
-        let mut reorder = ReorderBuffer::new(done_prior);
-        let mut stalled = false;
-        'recv: for _received in 0..submitted {
-            let waited = Instant::now();
-            let (pos, result) = loop {
-                if hooks.cancelled() {
-                    interrupted = true;
+        hooks.observe(&rec, records.len() + 1, total);
+        records.push(rec);
+        progress.tick();
+    };
+    'recv: for _received in 0..submitted {
+        let waited = Instant::now();
+        let (pos, result) = loop {
+            if hooks.cancelled() {
+                interrupted = true;
+                break 'recv;
+            }
+            match pool.recv_timeout(slice) {
+                Ok(r) => break r,
+                Err(_) if waited.elapsed() >= stall_timeout => {
+                    stalled = true;
                     break 'recv;
                 }
-                match pool.recv_timeout(slice) {
-                    Ok(r) => break r,
-                    Err(_) if waited.elapsed() >= stall_timeout => {
-                        stalled = true;
-                        break 'recv;
-                    }
-                    Err(_) => {}
-                }
-            };
-            outstanding.remove(&pos);
-            let rec = match result {
-                Ok(r) => r,
-                // The per-check guard already converts checker panics into
-                // fault records, so this arm only fires if the task
-                // panicked in pool plumbing around the check. It still
-                // costs exactly one fault record, like any harness fault.
-                Err(_panic_msg) => metas[pos - done_prior].fault_record(FaultKind::Panic),
-            };
-            // Replay the leader's outcome into its parked duplicates.
-            // Duplicate positions are always greater than the leader's, so
-            // pushing them here keeps the reorder buffer contiguous.
+                Err(_) => {}
+            }
+        };
+        outstanding.remove(&pos);
+        let rec = match result {
+            Ok(r) => r,
+            // The per-check guard already converts checker panics into
+            // fault records, so this arm only fires if the task panicked in
+            // pool plumbing around the check. It still costs exactly one
+            // fault record, like any harness fault.
+            Err(_panic_msg) => metas[pos - done_prior].fault_record(FaultKind::Panic),
+        };
+        // Replay the leader's outcome into its parked duplicates. Duplicate
+        // positions are always greater than the leader's, so pushing them
+        // here keeps the reorder buffer contiguous.
+        if let Some(dups) = followers.remove(&pos) {
+            let cached = CachedCheck::of(&rec);
+            for dup in dups {
+                reorder.push(dup, cached.replay(metas[dup - done_prior]));
+            }
+        }
+        reorder.push(pos, rec);
+        while let Some(rec) = reorder.pop_ready() {
+            emit(rec);
+        }
+    }
+    if stalled {
+        // No result arrived within the stall window: at least one worker is
+        // wedged in a check that escaped per-check supervision. Degrade
+        // instead of aborting — every item still owed a result becomes a
+        // hard-timeout stall *record*, so the sweep completes and
+        // `--resume` sees a coherent journal.
+        vgen_obs::counter_add("pool.stall", outstanding.len() as u64);
+        eprintln!(
+            "[eval] worker pool stalled; recording {} outstanding check(s) as hard timeouts",
+            outstanding.len()
+        );
+        for pos in std::mem::take(&mut outstanding) {
+            let rec = metas[pos - done_prior].fault_record(FaultKind::HardTimeout);
             if let Some(dups) = followers.remove(&pos) {
                 let cached = CachedCheck::of(&rec);
                 for dup in dups {
@@ -1399,70 +1388,26 @@ pub fn run_engine_sweep_sharded(
                 }
             }
             reorder.push(pos, rec);
-            while let Some(rec) = reorder.pop_ready() {
-                if let Some(w) = &writer {
-                    w.write(rec.to_journal_line());
-                }
-                hooks.observe(&rec, records.len() + 1, total);
-                records.push(rec);
-                progress.tick();
-            }
         }
-        if interrupted {
-            // Keep everything contiguously completed (journal stays a
-            // valid resumable prefix), then abandon the pool with its
-            // remaining queue discarded — a cancelled request must not
-            // keep burning CPU on checks nobody will read.
-            while let Some(rec) = reorder.pop_ready() {
-                if let Some(w) = &writer {
-                    w.write(rec.to_journal_line());
-                }
-                hooks.observe(&rec, records.len() + 1, total);
-                records.push(rec);
-                progress.tick();
-            }
-            pool.abort();
+        while let Some(rec) = reorder.pop_ready() {
+            emit(rec);
+        }
+    }
+    if interrupted {
+        // Everything contiguously completed is already recorded (the
+        // journal stays a valid resumable prefix). Abandon the pool with
+        // its remaining queue discarded — a cancelled request must not keep
+        // burning CPU on checks nobody will read.
+        pool.abort();
+    } else {
+        debug_assert_eq!(reorder.pending_len(), 0, "reorder buffer drained");
+        debug_assert!(followers.is_empty(), "every follower replayed");
+        if stalled {
+            // Joining a wedged worker would hang the sweep right back;
+            // abandon the pool's threads instead of shutting down cleanly.
+            pool.detach();
         } else {
-            if stalled {
-                // No result arrived within the stall window: at least one
-                // worker is wedged in a check that escaped per-check
-                // supervision. Degrade instead of aborting — every item still
-                // owed a result becomes a hard-timeout stall *record*, so the
-                // sweep completes and `--resume` sees a coherent journal.
-                vgen_obs::counter_add("pool.stall", outstanding.len() as u64);
-                eprintln!(
-                "[eval] worker pool stalled; recording {} outstanding check(s) as hard timeouts",
-                outstanding.len()
-            );
-                for pos in std::mem::take(&mut outstanding) {
-                    let rec = metas[pos - done_prior].fault_record(FaultKind::HardTimeout);
-                    if let Some(dups) = followers.remove(&pos) {
-                        let cached = CachedCheck::of(&rec);
-                        for dup in dups {
-                            reorder.push(dup, cached.replay(metas[dup - done_prior]));
-                        }
-                    }
-                    reorder.push(pos, rec);
-                }
-                while let Some(rec) = reorder.pop_ready() {
-                    if let Some(w) = &writer {
-                        w.write(rec.to_journal_line());
-                    }
-                    hooks.observe(&rec, records.len() + 1, total);
-                    records.push(rec);
-                    progress.tick();
-                }
-            }
-            debug_assert_eq!(reorder.pending_len(), 0, "reorder buffer drained");
-            debug_assert!(followers.is_empty(), "every follower replayed");
-            if stalled {
-                // Joining a wedged worker would hang the sweep right back;
-                // abandon the pool's threads instead of shutting down
-                // cleanly.
-                pool.detach();
-            } else {
-                pool.shutdown();
-            }
+            pool.shutdown();
         }
     }
 

@@ -14,7 +14,7 @@
 //!   (cache hits, scheduler steps, steals); [`gauge_max`] tracks a
 //!   high-water mark (scheduler queue depth).
 //! * **Lanes** — every recording thread gets a *lane* (a `tid` in the
-//!   Chrome trace). Helper threads (the guard's pooled checker threads)
+//!   Chrome trace). Helper threads (the guard's cached check threads)
 //!   [adopt](adopt_lane) the lane of the worker whose job they run, so a
 //!   worker's checks render as one coherent timeline instead of one row
 //!   per checker.
@@ -548,7 +548,7 @@ pub fn current_lane() -> u32 {
 }
 
 /// Makes the current thread record onto `lane` instead of a fresh lane —
-/// used by helper threads (the guard's pooled checker threads) so the
+/// used by helper threads (the guard's cached check threads) so the
 /// spans of each job land on the timeline of the worker that sent it.
 ///
 /// Call at the start of every job, before its first instrumentation hit.
@@ -776,8 +776,8 @@ mod tests {
     fn adopt_lane_restamps_a_reused_thread() {
         let _g = serial();
         enable();
-        // One long-lived helper thread runs every job, as a pooled checker
-        // does, and acknowledges each one.
+        // One long-lived helper thread runs every job, as a cached check
+        // thread does, and acknowledges each one.
         type Job = Box<dyn FnOnce() + Send>;
         let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
         let (ack_tx, ack_rx) = std::sync::mpsc::channel();

@@ -1,12 +1,15 @@
 //! The transport layer: a unix-socket daemon and a stdio single-client
 //! loop, both speaking the line-delimited JSON protocol of [`crate::proto`].
 //!
-//! Supervision is per-request: every eval/check/lint/sim runs on its own
-//! worker thread with its own [`CancelToken`] held in a per-connection
-//! registry, so a `cancel` request (or a dropped connection) can trip one
-//! request without touching the others — and a wedged request degrades
-//! inside the sweep executor (timeout records, detached workers) without
-//! wedging the daemon's accept loop.
+//! Supervision is per-request: every eval/check/lint/sim/subscribe runs
+//! off the connection's reader, on a cached check thread
+//! ([`run_on_check_thread`]) — reused across requests, with the stack a
+//! check needs, so a check runs inline on it — with its own
+//! [`CancelToken`] held in a per-connection registry. A `cancel` request
+//! (or a dropped connection) can trip one request without touching the
+//! others, and a wedged request degrades inside the sweep executor
+//! (timeout records, detached workers) without wedging the daemon's accept
+//! loop.
 //!
 //! The daemon also owns a process-wide `vgen-obs` recording session for
 //! its lifetime, feeding the live metrics plane: `metrics` answers with
@@ -22,9 +25,10 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use vgen_core::guard::run_on_check_thread;
 use vgen_obs::CancelToken;
 
 use crate::json::Json;
@@ -38,7 +42,7 @@ pub struct DaemonOptions {
     pub verbose: bool,
 }
 
-/// A writer shared by every worker thread of one connection. Each event
+/// A writer shared by every request thread of one connection. Each event
 /// is one line, written and flushed under the lock so lines never
 /// interleave.
 struct LineWriter<W: Write + Send> {
@@ -137,9 +141,10 @@ impl LiveState {
         vgen_obs::counter_add("serve.requests", 1);
         vgen_obs::gauge_max("serve.active", reqs.len() as u64);
         drop(reqs);
-        // The request thread records no spans, so nothing would arm its
-        // periodic self-flush — drain it now so the counters are visible
-        // to snapshots immediately, not at thread exit.
+        // An eval's request thread records no spans of its own while the
+        // sweep runs, so nothing would arm its periodic self-flush — drain
+        // it now so the counters are visible to snapshots immediately, not
+        // when the request ends.
         vgen_obs::flush();
     }
 
@@ -252,8 +257,9 @@ fn respond<W: Write + Send>(writer: &LineWriter<W>, id: u64, event: &Event) {
     writer.send(&render_event(id, event));
 }
 
-/// Runs one request to its terminal event. Blocking; callers decide
-/// whether to spawn.
+/// Runs one request and returns its terminal event; the events before it
+/// (acceptance, progress, subscription frames) it writes itself.
+/// Blocking; callers decide where to run it.
 fn run_request<W: Write + Send + 'static>(
     envelope: RequestEnvelope,
     writer: &Arc<LineWriter<W>>,
@@ -261,27 +267,16 @@ fn run_request<W: Write + Send + 'static>(
     shutdown: &Shutdown,
     live: &LiveState,
     conn: u64,
-) {
+) -> Event {
     let id = envelope.id;
+    let done = |payload| Event::Done { payload };
+    let finish =
+        |result: Result<Json, String>| result.map_or_else(|message| Event::Error { message }, done);
     match envelope.body {
-        Request::Ping => {
-            respond(
-                writer,
-                id,
-                &Event::Done {
-                    payload: Json::str("pong"),
-                },
-            );
-        }
+        Request::Ping => done(Json::str("pong")),
         Request::Shutdown => {
             shutdown.request();
-            respond(
-                writer,
-                id,
-                &Event::Done {
-                    payload: Json::str("shutting down"),
-                },
-            );
+            done(Json::str("shutting down"))
         }
         Request::Cancel { target } => {
             let token = registry
@@ -292,32 +287,14 @@ fn run_request<W: Write + Send + 'static>(
             match token {
                 Some(t) => {
                     t.cancel();
-                    respond(
-                        writer,
-                        id,
-                        &Event::Done {
-                            payload: Json::str("cancelled"),
-                        },
-                    );
+                    done(Json::str("cancelled"))
                 }
-                None => respond(
-                    writer,
-                    id,
-                    &Event::Error {
-                        message: format!("no in-flight request with id {target}"),
-                    },
-                ),
+                None => Event::Error {
+                    message: format!("no in-flight request with id {target}"),
+                },
             }
         }
-        Request::Metrics => {
-            respond(
-                writer,
-                id,
-                &Event::Done {
-                    payload: metrics_payload(live),
-                },
-            );
-        }
+        Request::Metrics => done(metrics_payload(live)),
         Request::Subscribe { interval_ms, count } => {
             respond(writer, id, &Event::Accepted { cmd: "subscribe" });
             let cancel = CancelToken::unlimited();
@@ -356,22 +333,15 @@ fn run_request<W: Write + Send + 'static>(
                 .unwrap_or_else(|e| e.into_inner())
                 .remove(&id);
             if stopped {
-                respond(
-                    writer,
-                    id,
-                    &Event::CancelledAt {
-                        done: frames as usize,
-                        total: count as usize,
-                    },
-                );
+                Event::CancelledAt {
+                    done: frames as usize,
+                    total: count as usize,
+                }
             } else {
-                respond(
-                    writer,
-                    id,
-                    &Event::Done {
-                        payload: Json::Obj(vec![("frames".to_string(), Json::Num(frames as f64))]),
-                    },
-                );
+                done(Json::Obj(vec![(
+                    "frames".to_string(),
+                    Json::Num(frames as f64),
+                )]))
             }
         }
         Request::Eval(req) => {
@@ -397,14 +367,10 @@ fn run_request<W: Write + Send + 'static>(
                 .unwrap_or_else(|e| e.into_inner())
                 .remove(&id);
             match result {
-                Ok(outcome) if outcome.cancelled => respond(
-                    writer,
-                    id,
-                    &Event::CancelledAt {
-                        done: outcome.done,
-                        total: outcome.total,
-                    },
-                ),
+                Ok(outcome) if outcome.cancelled => Event::CancelledAt {
+                    done: outcome.done,
+                    total: outcome.total,
+                },
                 Ok(outcome) => {
                     let mut members = vec![
                         ("records".to_string(), Json::Num(outcome.done as f64)),
@@ -425,30 +391,18 @@ fn run_request<W: Write + Send + 'static>(
                     if let Some(report) = outcome.report {
                         members.push(("report".to_string(), Json::Str(report)));
                     }
-                    respond(
-                        writer,
-                        id,
-                        &Event::Done {
-                            payload: Json::Obj(members),
-                        },
-                    );
+                    done(Json::Obj(members))
                 }
-                Err(message) => respond(writer, id, &Event::Error { message }),
+                Err(message) => Event::Error { message },
             }
         }
         Request::Check(req) => {
             respond(writer, id, &Event::Accepted { cmd: "check" });
-            match Service.check(&req) {
-                Ok(payload) => respond(writer, id, &Event::Done { payload }),
-                Err(message) => respond(writer, id, &Event::Error { message }),
-            }
+            finish(Service.check(&req))
         }
         Request::Lint(req) => {
             respond(writer, id, &Event::Accepted { cmd: "lint" });
-            match Service.lint(&req) {
-                Ok(payload) => respond(writer, id, &Event::Done { payload }),
-                Err(message) => respond(writer, id, &Event::Error { message }),
-            }
+            finish(Service.lint(&req))
         }
         Request::Sim(req) => {
             respond(writer, id, &Event::Accepted { cmd: "sim" });
@@ -462,10 +416,7 @@ fn run_request<W: Write + Send + 'static>(
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .remove(&id);
-            match result {
-                Ok(payload) => respond(writer, id, &Event::Done { payload }),
-                Err(message) => respond(writer, id, &Event::Error { message }),
-            }
+            finish(result)
         }
     }
 }
@@ -476,10 +427,11 @@ fn run_request<W: Write + Send + 'static>(
 /// daemon buffer.
 const MAX_REQUEST_LINE: usize = 4 << 20;
 
-/// Serves one connection: reads request lines, dispatches long-running
-/// requests to worker threads (keeping the reader free so `cancel` works
-/// on the same connection), until EOF, shutdown, or a line longer than
-/// [`MAX_REQUEST_LINE`] (answered with one `line_too_long` error).
+/// Serves one connection: reads request lines, hands long-running
+/// requests to cached check threads (keeping the reader free so `cancel`
+/// works on the same connection), until EOF, shutdown, or a line longer
+/// than [`MAX_REQUEST_LINE`] (answered with one `line_too_long` error).
+/// Returns once every request it started has answered.
 fn serve_connection<R, W>(
     reader: R,
     writer: Arc<LineWriter<W>>,
@@ -491,7 +443,10 @@ fn serve_connection<R, W>(
     W: Write + Send + 'static,
 {
     let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
-    let mut workers = Vec::new();
+    // The in-flight latch: every running request holds a clone of
+    // `in_flight` until its terminal event is written, and close waits
+    // for the last clone to go.
+    let (in_flight, all_answered) = mpsc::channel::<()>();
     let mut reader = BufReader::new(reader);
     let mut buf = Vec::new();
     loop {
@@ -525,6 +480,7 @@ fn serve_connection<R, W>(
         }
         match parse_request(line) {
             Ok(envelope) => {
+                let id = envelope.id;
                 let heavy = matches!(
                     envelope.body,
                     Request::Eval(_)
@@ -534,15 +490,32 @@ fn serve_connection<R, W>(
                         | Request::Subscribe { .. }
                 );
                 if heavy {
-                    let writer = Arc::clone(&writer);
-                    let registry = Arc::clone(&registry);
-                    let shutdown = Arc::clone(&shutdown);
-                    let live = live.clone();
-                    workers.push(std::thread::spawn(move || {
-                        run_request(envelope, &writer, &registry, &shutdown, &live, conn);
-                    }));
+                    let work = {
+                        let writer = Arc::clone(&writer);
+                        let registry = Arc::clone(&registry);
+                        let shutdown = Arc::clone(&shutdown);
+                        let live = live.clone();
+                        let latch = in_flight.clone();
+                        move || {
+                            let event =
+                                run_request(envelope, &writer, &registry, &shutdown, &live, conn);
+                            // The thread outlives the request: drain what
+                            // it recorded now, not at thread exit.
+                            vgen_obs::flush();
+                            // Written before the thread is idle again: a
+                            // client that stops reading stalls this thread
+                            // only, never a task handed to it next.
+                            respond(&writer, id, &event);
+                            drop(latch);
+                        }
+                    };
+                    if let Err(e) = run_on_check_thread(work) {
+                        let message = format!("cannot start request thread: {e}");
+                        respond(&writer, id, &Event::Error { message });
+                    }
                 } else {
-                    run_request(envelope, &writer, &registry, &shutdown, &live, conn);
+                    let event = run_request(envelope, &writer, &registry, &shutdown, &live, conn);
+                    respond(&writer, id, &event);
                     if shutdown.is_set() {
                         break;
                     }
@@ -560,9 +533,10 @@ fn serve_connection<R, W>(
     for token in registry.lock().unwrap_or_else(|e| e.into_inner()).values() {
         token.cancel();
     }
-    for w in workers {
-        let _ = w.join();
-    }
+    drop(in_flight);
+    // Nothing is ever sent on the latch: `recv` fails once every clone is
+    // gone.
+    let _ = all_answered.recv();
 }
 
 /// Runs the daemon on a unix socket at `socket`. Returns when a client
@@ -695,5 +669,195 @@ mod tests {
         let out = String::from_utf8(out).expect("utf-8 events");
         assert!(!out.contains("line_too_long"), "{out}");
         assert!(out.contains("\"id\":3"), "{out}");
+    }
+
+    /// Serializes the tests that count or hold the process-wide thread
+    /// cache, so neither sees the other's threads.
+    static THREAD_CACHE: Mutex<()> = Mutex::new(());
+
+    fn check_line(id: u64) -> String {
+        format!(
+            r#"{{"id":{id},"cmd":"check","problem":2,"source":"assign y = a & b;\nendmodule"}}"#
+        )
+    }
+
+    /// Serves the daemon end of a socket pair on its own thread; returns
+    /// the client end and that thread.
+    fn serve_pair() -> (UnixStream, std::thread::JoinHandle<()>) {
+        let (client, server) = UnixStream::pair().expect("socket pair");
+        let write_half = server.try_clone().expect("clone the daemon end");
+        let daemon = std::thread::spawn(move || {
+            let writer = Arc::new(LineWriter {
+                inner: Mutex::new(write_half),
+            });
+            serve_connection(
+                server,
+                writer,
+                Arc::new(Shutdown::default()),
+                LiveState::default(),
+                0,
+            );
+        });
+        (client, daemon)
+    }
+
+    #[test]
+    fn closed_loop_checks_reuse_one_request_thread() {
+        let _serial = THREAD_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+        vgen_obs::enable();
+        let (mut client, daemon) = serve_pair();
+        let mut events = BufReader::new(client.try_clone().expect("clone the client end")).lines();
+        for id in 1..=500 {
+            writeln!(client, "{}", check_line(id)).expect("send a check");
+            let mut next = || {
+                let line = events.next().expect("an event").expect("event text");
+                Json::parse(&line).expect("event is JSON")
+            };
+            assert_eq!(next().get("event").and_then(Json::as_str), Some("accepted"));
+            let done = next();
+            assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
+            let outcome = done.get("payload").and_then(|p| p.get("outcome"));
+            assert_eq!(outcome.and_then(Json::as_str), Some("pass"));
+        }
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close the request side");
+        daemon.join().expect("connection served");
+        let obs = vgen_obs::collect();
+        let counter = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
+        // A request's thread is idle again moments after its answer is
+        // written. Now and then the client's next request arrives first and
+        // a second thread is spawned; once two are cached, a third is
+        // needed only if both are caught between answer and give-back.
+        assert!(counter("guard.thread_spawn") <= 3, "{:?}", obs.counters);
+        assert_eq!(
+            counter("guard.handoff"),
+            0,
+            "checks ran on the request thread"
+        );
+        assert!(
+            obs.hists.get("parse").map_or(0, |h| h.count) >= 500,
+            "every check was recorded"
+        );
+    }
+
+    /// A client that stops reading at its first answer: writing a `done`
+    /// event reports on `stalled`, then blocks until `release` is dropped.
+    struct StalledClient {
+        stalled: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl Write for StalledClient {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            const DONE: &[u8] = br#""event":"done""#;
+            if buf.windows(DONE.len()).any(|w| w == DONE) {
+                let _ = self.stalled.send(());
+                let _ = self.release.recv();
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_stalls_no_other_connection() {
+        let _serial = THREAD_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+        let patience = Duration::from_secs(60);
+        // Connection A pipelines three checks and never reads an answer.
+        let (stalled_tx, stalled) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let pipelined: String = (1..=3).map(|id| check_line(id) + "\n").collect();
+        let a = std::thread::spawn(move || {
+            let writer = Arc::new(LineWriter {
+                inner: Mutex::new(StalledClient {
+                    stalled: stalled_tx,
+                    release: release_rx,
+                }),
+            });
+            serve_connection(
+                pipelined.as_bytes(),
+                writer,
+                Arc::new(Shutdown::default()),
+                LiveState::default(),
+                1,
+            );
+        });
+        stalled
+            .recv_timeout(patience)
+            .expect("connection A blocks writing an answer");
+
+        // Connection B: a check, then a sweep with a deadline on every
+        // check, each answered while A is stalled.
+        let (mut client, b) = serve_pair();
+        let lines = BufReader::new(client.try_clone().expect("clone the client end"));
+        let (line_tx, events) = mpsc::channel();
+        std::thread::spawn(move || {
+            for line in lines.lines().map_while(Result::ok) {
+                if line_tx.send(line).is_err() {
+                    break;
+                }
+            }
+        });
+        let answer = |id: f64| loop {
+            let line = events
+                .recv_timeout(patience)
+                .expect("connection B is answered while A is stalled");
+            let event = Json::parse(&line).expect("event is JSON");
+            let kind = event.get("event").and_then(Json::as_str);
+            if event.get("id").and_then(Json::as_f64) == Some(id)
+                && !matches!(kind, Some("accepted" | "progress"))
+            {
+                return event;
+            }
+        };
+        writeln!(client, "{}", check_line(10)).expect("send a check");
+        let done = answer(10.0);
+        let outcome = done.get("payload").and_then(|p| p.get("outcome"));
+        assert_eq!(
+            outcome.and_then(Json::as_str),
+            Some("pass"),
+            "{}",
+            done.render()
+        );
+
+        let journal = std::env::temp_dir().join(format!("vgen-stall-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&journal);
+        let eval = Json::Obj(vec![
+            ("id".to_string(), Json::Num(11.0)),
+            ("cmd".to_string(), Json::str("eval")),
+            (
+                "journal".to_string(),
+                Json::str(journal.to_string_lossy().into_owned()),
+            ),
+            (
+                "problems".to_string(),
+                Json::Arr(vec![Json::Num(2.0), Json::Num(3.0)]),
+            ),
+            ("ns".to_string(), Json::Arr(vec![Json::Num(1.0)])),
+            ("temperatures".to_string(), Json::Arr(vec![Json::Num(0.1)])),
+            ("levels".to_string(), Json::str("LMH")),
+            ("jobs".to_string(), Json::Num(2.0)),
+            ("check_timeout".to_string(), Json::Num(10.0)),
+        ]);
+        writeln!(client, "{}", eval.render()).expect("send an eval");
+        let done = answer(11.0);
+        let _ = std::fs::remove_file(&journal);
+        let report = done
+            .get("payload")
+            .and_then(|p| p.get("report"))
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("a report: {}", done.render()));
+        assert!(report.contains("check timeouts:  0"), "{report}");
+
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close B's request side");
+        b.join().expect("connection B served");
+        drop(release);
+        a.join().expect("connection A served once released");
     }
 }

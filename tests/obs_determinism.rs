@@ -112,11 +112,11 @@ fn metrics_sidecars_are_valid_json() {
     }
     assert!(metrics.contains("\"p99_ns\""));
     assert!(metrics.contains("\"utilization\""));
-    // Two workers, each holding one pooled checker at a time.
-    let spawns = ["\"guard.checker_spawn\": 1", "\"guard.checker_spawn\": 2"];
+    // With no deadline, both workers run every check inline: none
+    // crosses threads, so `guard.handoff` is 0 and never listed.
     assert!(
-        spawns.iter().any(|s| metrics.contains(s)),
-        "expected 1 or 2 checker spawns: {metrics}"
+        !metrics.contains("\"guard.handoff\""),
+        "a default-policy sweep handed a check off: {metrics}"
     );
     let stats = std::fs::read_to_string(dir.join("sweep.log.stats.json")).expect("stats");
     assert_eq!(vgen::obs::json::validate(&stats), Ok(()), "{stats}");

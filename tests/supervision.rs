@@ -2,11 +2,11 @@
 //! timeouts under a tight deadline and as ordinary verdicts without one;
 //! injected hard stalls are detached by the watchdog; retries heal
 //! transient timeouts; a stalled worker pool degrades to hard-timeout
-//! *records* instead of aborting the sweep; and the process-wide pool of
-//! checker threads survives panics, hard hangs and stalls.
+//! *records* instead of aborting the sweep; and the process-wide cache of
+//! check threads survives panics, hard hangs and stalls.
 
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use vgen::core::check::CheckOutcome;
 use vgen::core::{
@@ -18,9 +18,9 @@ use vgen::lm::mutate::slow_corpus;
 use vgen::problems::{problem, Problem, PromptLevel};
 use vgen::sim::SimConfig;
 
-/// Every test here runs checks on the process-wide checker pool, and one
-/// counts the pool's spawns in a `vgen-obs` session, which sees every
-/// thread: the tests must not interleave.
+/// Every test here runs checks on the process-wide cache of check threads,
+/// and one counts the cache's spawns in a `vgen-obs` session, which sees
+/// every thread: the tests must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -185,7 +185,6 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
         stall_timeout: Some(Duration::from_millis(150)),
         ..SweepOptions::parallel(2)
     };
-    let started = Instant::now();
     let (run, _stats) =
         run_engine_sweep_stats(&mut DistinctEngine { cursor: 0 }, &cfg, None, &opts)
             .expect("a stalled pool must degrade, not abort the sweep");
@@ -200,9 +199,8 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
         "stall records must be classified as hard timeouts"
     );
 
-    // The checker pool outlives the stall: a follow-up sweep in the same
-    // process, while the abandoned workers still hold their checkers,
-    // passes normally.
+    // A follow-up sweep in the same process, while the abandoned workers
+    // are still stuck in their checks, passes normally.
     let (run, _stats) = run_engine_sweep_stats(
         &mut DistinctEngine { cursor: 0 },
         &cfg,
@@ -216,11 +214,6 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
         "follow-up sweep must pass: {:?}",
         run.records
     );
-    // The abandoned workers drain the stalled sweep's six 700 ms checks,
-    // two at a time. Let them finish before the next test, which counts
-    // checker spawns process-wide.
-    let drained = started + Duration::from_millis(3 * 700 + 1000);
-    std::thread::sleep(drained.saturating_duration_since(Instant::now()));
 }
 
 #[test]
@@ -254,7 +247,7 @@ fn chaos_sweep_on_pooled_checkers_keeps_its_verdicts() {
         ..SweepOptions::parallel(jobs)
     };
     vgen::obs::enable();
-    let (chaos, _stats) =
+    let (chaos, stats) =
         run_engine_sweep_stats(&mut DistinctEngine { cursor: 0 }, &cfg, None, &opts)
             .expect("chaos sweep");
     let obs = vgen::obs::collect();
@@ -274,11 +267,17 @@ fn chaos_sweep_on_pooled_checkers_keeps_its_verdicts() {
     assert_eq!(chaos.fault_count(), panics + hard);
     let counter = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
     assert_eq!(counter("guard.hard_timeout"), hard as u64);
-    // Each worker holds one checker at a time, and only a hard timeout
-    // retires one: every other checker goes back to the pool.
+    // Every attempt has a deadline, so every one is handed off to a
+    // cached check thread. Each worker holds one such thread at a time,
+    // and only a hard timeout keeps one from coming back idle.
+    assert_eq!(
+        counter("guard.handoff"),
+        stats.checks_run as u64 + counter("guard.retry"),
+        "one hand-off per deadline attempt"
+    );
     assert!(
-        counter("guard.checker_spawn") <= jobs as u64 + counter("guard.hard_timeout"),
-        "{} checker spawns for {jobs} workers and {hard} hard timeouts",
-        counter("guard.checker_spawn")
+        counter("guard.thread_spawn") <= jobs as u64 + counter("guard.hard_timeout"),
+        "{} thread spawns for {jobs} workers and {hard} hard timeouts",
+        counter("guard.thread_spawn")
     );
 }
