@@ -4,10 +4,10 @@
 //! output condition (Fig 4c) — plus syntax-level corruption for
 //! compile-failure modelling.
 //!
-//! Semantic mutants are produced by AST rewrites and re-rendered with the
-//! pretty-printer, so they always *parse*; whether they actually fail the
-//! testbench is verified downstream by the bank builder in
-//! [`crate::family`].
+//! A semantic mutant is one AST rewrite, named by its (op, site, parity)
+//! key and rendered with the pretty-printer, so it always *parses*;
+//! whether it actually fails the testbench is verified downstream by the
+//! bank builder in [`crate::family`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,63 +41,60 @@ impl SemanticOp {
     ];
 }
 
-/// Applies one random semantic mutation to `src`; returns the mutated
-/// source and the op used, or `None` if `src` does not parse or has no
-/// applicable site.
-pub fn semantic_mutate(src: &str, rng: &mut StdRng) -> Option<(String, SemanticOp)> {
-    let file = vgen_verilog::parse(src).ok()?;
-    mutate_file(&file, rng)
-}
-
-/// [`semantic_mutate`] on an already-parsed file, which it leaves intact.
-fn mutate_file(file: &SourceFile, rng: &mut StdRng) -> Option<(String, SemanticOp)> {
-    // Try ops in random order until one has a site.
-    let mut ops = SemanticOp::ALL.to_vec();
-    for i in (1..ops.len()).rev() {
-        ops.swap(i, rng.gen_range(0..=i));
-    }
-    for op in ops {
-        let mut mutated = file.clone();
-        let sites = count_sites(&mut mutated, op);
-        if sites == 0 {
-            continue;
-        }
-        let target = rng.gen_range(0..sites);
-        let mut counter = target as isize;
-        let pick = rng.gen_range(0..u32::MAX);
-        for m in &mut mutated.modules {
-            for item in &mut m.items {
-                mutate_item(item, op, &mut counter, pick);
-            }
-        }
-        if counter < 0 {
-            return Some((pretty_file(&mutated), op));
-        }
-    }
-    None
-}
-
 /// Generates up to `count` distinct semantic mutants of `src`, or none if
-/// `src` does not parse. `src` is parsed once; parsing draws nothing from
-/// the RNG, so the stream equals repeated [`semantic_mutate`] calls.
+/// `src` does not parse.
+///
+/// The stream is up to `count * 8` attempts on one RNG seeded with `seed`.
+/// Each attempt shuffles the ops, takes the first with a site in `src`,
+/// then draws a target site and a `pick` whose parity tells `TweakConst`
+/// to add or subtract one. Texts already seen, `src` included, are dropped.
+///
+/// A mutant's text depends only on its `(op, site, parity)` key, so `src`
+/// is parsed once, its sites counted once per op, and the AST cloned and
+/// rendered only for a key not drawn before. A repeated key still makes
+/// its draws, so skipping its render leaves the stream unchanged.
 pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
     let mut out: Vec<(String, SemanticOp)> = Vec::new();
-    let Ok(file) = vgen_verilog::parse(src) else {
+    let Ok(mut file) = vgen_verilog::parse(src) else {
         return out;
     };
+    let sites = SemanticOp::ALL.map(|op| (op, count_sites(&mut file, op)));
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys = std::collections::HashSet::new();
     let mut seen = std::collections::HashSet::new();
     seen.insert(src.to_string());
     for _ in 0..count * 8 {
         if out.len() >= count {
             break;
         }
-        if let Some((m, op)) = mutate_file(&file, &mut rng) {
-            if seen.insert(m.clone()) {
-                out.push((m, op));
+        let mut ops = sites;
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, rng.gen_range(0..=i));
+        }
+        let Some((op, n)) = ops.into_iter().find(|&(_, n)| n > 0) else {
+            continue;
+        };
+        let target = rng.gen_range(0..n);
+        let pick = rng.gen_range(0..u32::MAX);
+        let odd = op == SemanticOp::TweakConst && !pick.is_multiple_of(2);
+        if !keys.insert((op, target, odd)) {
+            continue;
+        }
+        let mut mutated = file.clone();
+        let mut counter = target as isize;
+        for m in &mut mutated.modules {
+            for item in &mut m.items {
+                mutate_item(item, op, &mut counter, pick);
             }
         }
+        // The walk is `count_sites`'s, so it always reaches the target.
+        debug_assert!(counter < 0);
+        let m = pretty_file(&mutated);
+        if seen.insert(m.clone()) {
+            out.push((m, op));
+        }
     }
+    vgen_obs::counter_add("lm.mutant_render", keys.len() as u64);
     out
 }
 
@@ -1025,8 +1022,95 @@ endmodule
 
     #[test]
     fn unparseable_input_yields_nothing() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(semantic_mutate("not verilog at all", &mut rng).is_none());
+        assert!(semantic_mutants("not verilog at all", 1, 4).is_empty());
+    }
+
+    /// The reference generator: every attempt clones the file, mutates
+    /// and renders it, and a repeated text is dropped.
+    fn per_attempt_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
+        let mut out = Vec::new();
+        let Ok(file) = vgen_verilog::parse(src) else {
+            return out;
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(src.to_string());
+        for _ in 0..count * 8 {
+            if out.len() >= count {
+                break;
+            }
+            if let Some((m, op)) = mutate_once(&file, &mut rng) {
+                if seen.insert(m.clone()) {
+                    out.push((m, op));
+                }
+            }
+        }
+        out
+    }
+
+    /// One attempt: ops in random order until one has a site.
+    fn mutate_once(file: &SourceFile, rng: &mut StdRng) -> Option<(String, SemanticOp)> {
+        let mut ops = SemanticOp::ALL.to_vec();
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, rng.gen_range(0..=i));
+        }
+        for op in ops {
+            let mut mutated = file.clone();
+            let sites = count_sites(&mut mutated, op);
+            if sites == 0 {
+                continue;
+            }
+            let target = rng.gen_range(0..sites);
+            let mut counter = target as isize;
+            let pick = rng.gen_range(0..u32::MAX);
+            for m in &mut mutated.modules {
+                for item in &mut m.items {
+                    mutate_item(item, op, &mut counter, pick);
+                }
+            }
+            if counter < 0 {
+                return Some((pretty_file(&mutated), op));
+            }
+        }
+        None
+    }
+
+    /// Every catalog and extended solution, and `COUNTER`.
+    fn oracle_sources() -> Vec<String> {
+        let mut sources = vec![COUNTER.to_string()];
+        for p in vgen_problems::problems()
+            .iter()
+            .chain(vgen_problems::extended_problems())
+        {
+            sources.extend(p.all_solutions());
+        }
+        sources
+    }
+
+    fn assert_matches_oracle(seeds: std::ops::Range<u64>, counts: &[usize]) {
+        for src in oracle_sources() {
+            for seed in seeds.clone() {
+                for &count in counts {
+                    assert_eq!(
+                        semantic_mutants(&src, seed, count),
+                        per_attempt_mutants(&src, seed, count),
+                        "seed {seed}, count {count}:\n{src}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_generator_matches_the_per_attempt_oracle() {
+        assert_matches_oracle(40..43, &[4, 30]);
+    }
+
+    /// The full sweep; run with `cargo test --release -p vgen-lm -- --ignored`.
+    #[test]
+    #[ignore = "slow in debug builds; CI runs it in release"]
+    fn keyed_generator_matches_the_per_attempt_oracle_on_the_full_sweep() {
+        assert_matches_oracle(0..60, &[1, 4, 12, 30]);
     }
 
     #[test]

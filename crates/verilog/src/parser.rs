@@ -88,8 +88,9 @@ pub const MAX_TOKENS: usize = 400_000;
 /// overflowing the parser's stack; such inputs become a [`ParseError`].
 ///
 /// Sized for the worst case: each statement level costs ~3 stack frames in
-/// an unoptimised build, and the checker must survive on a 2 MiB test
-/// thread, so the ceiling stays well under that even in debug builds.
+/// an unoptimised build, where a `begin`/`end` nest one level under the
+/// cap needs 2–4 MiB to parse. That is more than a 2 MiB test thread has,
+/// so every check runs on an 8 MiB stack (`vgen-core`'s `CHECK_STACK_BYTES`).
 pub const MAX_NEST_DEPTH: usize = 100;
 
 /// Units of parser work (grammar productions entered, module items started)
