@@ -4,8 +4,8 @@
 //! and the journal writer) and, per site, a firing rate. Whether a given
 //! site fires for a given piece of work is a pure function of
 //! `(seed, site, content key)` — the key is canonical content (the
-//! completion text, the journal line, the work item's position in the
-//! deterministic generation order), **never** a process-local occurrence
+//! assembled candidate source, the journal line, the work item's position
+//! in the deterministic generation order), **never** a process-local occurrence
 //! counter or a clock. That choice is what makes chaos testing composable
 //! with the sweep's determinism guarantees:
 //!
@@ -31,20 +31,21 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosSite {
     /// Inside the guarded check, before the real check runs: `panic!` —
-    /// exercises the [`crate::guard`] panic path. Keyed by completion.
+    /// exercises the [`crate::guard`] panic path. Keyed by assembled
+    /// source.
     CheckPanic,
     /// In the guard, before the check runs anywhere: synthesize a
     /// [`CheckOutcome::Timeout`](crate::check::CheckOutcome::Timeout)
     /// (soft) without running anything or reading a clock. Keyed by
-    /// completion; the rule's `param` is an *attempt ceiling* — the fault
-    /// fires only on attempts `< param` (0 means every attempt), so
+    /// assembled source; the rule's `param` is an *attempt ceiling* — the
+    /// fault fires only on attempts `< param` (0 means every attempt), so
     /// `check.timeout:1%5` heals on first retry while `check.timeout%5`
     /// persists through all retries.
     CheckTimeout,
     /// Inside the guarded check: sleep `param` milliseconds before
     /// checking — a *real* stall that exercises the watchdog's hard-timeout
-    /// detach path. Keyed by completion. (Wall-clock: only for tests that
-    /// accept nondeterministic latency, never for byte-compare CI.)
+    /// detach path. Keyed by assembled source. (Wall-clock: only for tests
+    /// that accept nondeterministic latency, never for byte-compare CI.)
     CheckDelayMs,
     /// In the sweep's worker-pool task wrapper, outside the guard —
     /// exercises the pool-plumbing fault path. Keyed by the item's

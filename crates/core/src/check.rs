@@ -202,7 +202,8 @@ impl LintCounts {
 pub struct CheckResult {
     /// Outcome classification.
     pub outcome: CheckOutcome,
-    /// The assembled candidate source that was checked.
+    /// The assembled candidate source that was checked (empty only when
+    /// assembling the completion panicked).
     pub source: String,
     /// Lint tallies for the candidate. `None` when there was nothing to
     /// lint: the source failed to parse, or the harness faulted before the

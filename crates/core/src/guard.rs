@@ -63,7 +63,9 @@ use vgen_problems::{Problem, PromptLevel};
 use vgen_sim::SimConfig;
 
 use crate::chaos::{ChaosSite, ChaosSpec};
-use crate::check::{check_completion_cancellable, CheckOutcome, CheckResult, TimeoutKind};
+use crate::check::{
+    assemble, check_source_cancellable, CheckOutcome, CheckResult, LintCounts, TimeoutKind,
+};
 
 thread_local! {
     /// Set while a guarded closure runs on this thread.
@@ -226,6 +228,10 @@ pub fn guarded_check_completion(
 /// the module docs), bounded retry for timeouts, and deterministic fault
 /// injection.
 ///
+/// The completion is assembled once, under [`catch_harness_fault`], and
+/// the assembled source is what [`supervised_check_source`] checks and
+/// keys its chaos sites on.
+///
 /// An attempt with a deadline always runs on a cached check thread, with
 /// the calling thread as its watchdog; a hard-hung check thread is not
 /// reused until its check returns.
@@ -233,7 +239,7 @@ pub fn guarded_check_completion(
 /// `problem` is `&'static` because on a hard hang the check thread is
 /// detached and may touch its inputs long after this call returns —
 /// borrowed data must therefore live forever (problems do: they come from
-/// the static problem table) or be owned by the thread (the completion is
+/// the static problem table) or be owned by the thread (the source is
 /// copied in).
 pub fn supervised_check_completion(
     problem: &'static Problem,
@@ -242,12 +248,38 @@ pub fn supervised_check_completion(
     config: SimConfig,
     policy: &CheckPolicy,
 ) -> CheckResult {
+    let (source, (outcome, lint)) =
+        match catch_harness_fault(|| assemble(problem, level, completion)) {
+            Ok(source) => {
+                let verdict = supervised_check_source(problem, &source, config, policy);
+                (source, verdict)
+            }
+            Err(msg) => (String::new(), fault(msg)),
+        };
+    CheckResult {
+        outcome,
+        source,
+        lint,
+    }
+}
+
+/// [`supervised_check_completion`] for a source that is already assembled
+/// (with [`assemble`]): the outcome and lint tallies of checking it.
+///
+/// A pure function of `(problem, source, config, policy)`: every chaos
+/// site fires on the source, so two completions that assemble to the same
+/// source get the same result, faults included. The sweep's dedup cache
+/// relies on that.
+pub fn supervised_check_source(
+    problem: &'static Problem,
+    source: &str,
+    config: SimConfig,
+    policy: &CheckPolicy,
+) -> (CheckOutcome, Option<LintCounts>) {
     let mut attempt: u32 = 0;
     loop {
-        let result = attempt_check(
-            &THREADS, problem, level, completion, config, policy, attempt,
-        );
-        if matches!(result.outcome, CheckOutcome::Timeout(_)) {
+        let verdict = attempt_check(&THREADS, problem, source, config, policy, attempt);
+        if matches!(verdict.0, CheckOutcome::Timeout(_)) {
             vgen_obs::counter_add("guard.timeout", 1);
             if attempt < policy.retries {
                 vgen_obs::counter_add("guard.retry", 1);
@@ -259,7 +291,7 @@ pub fn supervised_check_completion(
                 continue;
             }
         }
-        return result;
+        return verdict;
     }
 }
 
@@ -371,9 +403,12 @@ impl ThreadCache {
     }
 }
 
-/// What a check attempt yields: its result, or the message of a panic
+/// What a check yields: its outcome and lint tallies.
+type Verdict = (CheckOutcome, Option<LintCounts>);
+
+/// What a check attempt yields: its verdict, or the message of a panic
 /// caught inside it.
-type Caught = Result<CheckResult, String>;
+type Caught = Result<Verdict, String>;
 
 /// One supervised attempt. With no deadline on a thread from
 /// [`spawn_check_thread`] the check runs inline; otherwise it is handed
@@ -381,62 +416,59 @@ type Caught = Result<CheckResult, String>;
 fn attempt_check(
     cache: &'static ThreadCache,
     problem: &'static Problem,
-    level: PromptLevel,
-    completion: &str,
+    source: &str,
     config: SimConfig,
     policy: &CheckPolicy,
     attempt: u32,
-) -> CheckResult {
+) -> Verdict {
     // Injected soft timeout: synthesized before any work, without reading
-    // a clock — deterministic in (seed, completion, attempt) so chaos runs
-    // byte-compare across jobs counts and kill/resume.
-    if policy
-        .chaos
-        .fires_check_timeout(completion.as_bytes(), attempt)
-    {
+    // a clock — deterministic in (seed, source, attempt) so chaos runs
+    // byte-compare across jobs counts, dedup settings and kill/resume.
+    if policy.chaos.fires_check_timeout(source.as_bytes(), attempt) {
         vgen_obs::counter_add("guard.chaos", 1);
-        return no_verdict(CheckOutcome::Timeout(TimeoutKind::Soft));
+        return (CheckOutcome::Timeout(TimeoutKind::Soft), None);
     }
     let caught = if policy.timeout.is_none() && on_check_thread() {
         run_check(
             problem,
-            level,
-            completion,
+            source,
             config,
             &CancelToken::unlimited(),
             &policy.chaos,
         )
     } else {
-        hand_off(cache, problem, level, completion, config, policy)
+        hand_off(cache, problem, source, config, policy)
     };
-    caught.unwrap_or_else(|msg| {
-        vgen_obs::counter_add("guard.fault", 1);
-        no_verdict(CheckOutcome::HarnessFault(msg))
-    })
+    caught.unwrap_or_else(fault)
+}
+
+/// The verdict of a check that panicked with `msg`.
+fn fault(msg: String) -> Verdict {
+    vgen_obs::counter_add("guard.fault", 1);
+    (CheckOutcome::HarnessFault(msg), None)
 }
 
 /// Runs one check, with its chaos injection, under [`catch_harness_fault`].
 fn run_check(
     problem: &'static Problem,
-    level: PromptLevel,
-    completion: &str,
+    source: &str,
     config: SimConfig,
     cancel: &CancelToken,
     chaos: &ChaosSpec,
 ) -> Caught {
     catch_harness_fault(|| {
         if chaos
-            .fires(ChaosSite::CheckPanic, completion.as_bytes())
+            .fires(ChaosSite::CheckPanic, source.as_bytes())
             .is_some()
         {
             panic!("chaos: injected checker panic");
         }
-        if let Some(ms) = chaos.fires(ChaosSite::CheckDelayMs, completion.as_bytes()) {
+        if let Some(ms) = chaos.fires(ChaosSite::CheckDelayMs, source.as_bytes()) {
             // A real, uncancellable stall — exercises the hard-timeout
             // detach path.
             std::thread::sleep(Duration::from_millis(ms));
         }
-        check_completion_cancellable(problem, level, completion, config, cancel)
+        check_source_cancellable(problem, source, config, cancel)
     })
 }
 
@@ -445,8 +477,7 @@ fn run_check(
 fn hand_off(
     cache: &'static ThreadCache,
     problem: &'static Problem,
-    level: PromptLevel,
-    completion: &str,
+    source: &str,
     config: SimConfig,
     policy: &CheckPolicy,
 ) -> Caught {
@@ -456,15 +487,14 @@ fn hand_off(
     // Everything the check needs is owned (or `'static`), because a
     // hard-hung thread outlives this call.
     let work = {
-        let (completion, cancel, chaos) =
-            (completion.to_string(), cancel.clone(), policy.chaos.clone());
+        let (source, cancel, chaos) = (source.to_string(), cancel.clone(), policy.chaos.clone());
         // The check records onto the lane of whichever worker handed it
         // off, so a sweep's trace shows one timeline per worker rather
         // than one per check thread.
         let lane = vgen_obs::current_lane();
         move || {
             vgen_obs::adopt_lane(lane);
-            let caught = run_check(problem, level, &completion, config, &cancel, &chaos);
+            let caught = run_check(problem, &source, config, &cancel, &chaos);
             // Drain this thread's obs buffers after every check: the
             // thread is long-lived, so nothing else would drain them until
             // it exits, and after a hard timeout the caller has already
@@ -502,19 +532,9 @@ fn hand_off(
             // moves on — the detached thread may hold its lane hostage for
             // a long time.
             vgen_obs::flush();
-            Ok(no_verdict(CheckOutcome::Timeout(TimeoutKind::Hard)))
+            Ok((CheckOutcome::Timeout(TimeoutKind::Hard), None))
         }
         Err(mpsc::RecvTimeoutError::Disconnected) => Err("checker thread died".to_string()),
-    }
-}
-
-/// A [`CheckResult`] for outcomes that never produced a candidate verdict
-/// (faults and timeouts): no source, no lint.
-fn no_verdict(outcome: CheckOutcome) -> CheckResult {
-    CheckResult {
-        outcome,
-        source: String::new(),
-        lint: None,
     }
 }
 
@@ -729,16 +749,9 @@ mod tests {
 
     /// One attempt on `cache`, a test-private cache, so the spawn counts
     /// below are exact even while other tests use the process-wide one.
-    fn check_on(cache: &'static ThreadCache, policy: &CheckPolicy) -> CheckResult {
-        attempt_check(
-            cache,
-            p(),
-            PromptLevel::Low,
-            GOOD,
-            SimConfig::default(),
-            policy,
-            0,
-        )
+    fn check_on(cache: &'static ThreadCache, policy: &CheckPolicy) -> CheckOutcome {
+        let source = assemble(p(), PromptLevel::Low, GOOD);
+        attempt_check(cache, p(), &source, SimConfig::default(), policy, 0).0
     }
 
     fn spawned(cache: &ThreadCache) -> u64 {
@@ -767,16 +780,16 @@ mod tests {
     fn checks_on_a_check_thread_run_inline_unless_they_have_a_deadline() {
         static CACHE: ThreadCache = ThreadCache::new();
         let marked = spawn_check_thread("guard-test".into(), || {
-            assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
+            assert!(check_on(&CACHE, &CheckPolicy::default()).passed());
             assert_eq!(spawned(&CACHE), 0, "a deadline-free check ran inline");
-            assert!(check_on(&CACHE, &deadline(60_000)).outcome.passed());
+            assert!(check_on(&CACHE, &deadline(60_000)).passed());
             assert_eq!(spawned(&CACHE), 1, "a check with a deadline was handed off");
         });
         marked.expect("spawn").join().expect("checks passed");
         // This (test) thread is unmarked, so even a deadline-free check is
         // handed off — to the now-idle thread.
         assert!(!on_check_thread());
-        assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
+        assert!(check_on(&CACHE, &CheckPolicy::default()).passed());
         assert_eq!(spawned(&CACHE), 1);
     }
 
@@ -784,7 +797,7 @@ mod tests {
     fn sequential_checks_reuse_one_thread() {
         static CACHE: ThreadCache = ThreadCache::new();
         for _ in 0..5 {
-            assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
+            assert!(check_on(&CACHE, &CheckPolicy::default()).passed());
         }
         assert_eq!(spawned(&CACHE), 1);
         assert_eq!(CACHE.idle().len(), 1);
@@ -796,12 +809,14 @@ mod tests {
         let panicky =
             CheckPolicy::default().with_chaos(ChaosSpec::parse("check.panic%1", 0).unwrap());
         assert_eq!(
-            check_on(&CACHE, &panicky).outcome,
+            check_on(&CACHE, &panicky),
             CheckOutcome::HarnessFault("chaos: injected checker panic".into())
         );
         assert_eq!(CACHE.idle().len(), 1, "the panicked thread is back");
-        let r = check_on(&CACHE, &CheckPolicy::default());
-        assert_eq!(r.outcome, CheckOutcome::Pass);
+        assert_eq!(
+            check_on(&CACHE, &CheckPolicy::default()),
+            CheckOutcome::Pass
+        );
         assert_eq!(spawned(&CACHE), 1, "the same thread ran both checks");
     }
 
@@ -811,12 +826,14 @@ mod tests {
         let hang = deadline(50).with_chaos(ChaosSpec::parse("check.delay:2000%1", 0).unwrap());
         let start = std::time::Instant::now();
         assert_eq!(
-            check_on(&CACHE, &hang).outcome,
+            check_on(&CACHE, &hang),
             CheckOutcome::Timeout(TimeoutKind::Hard)
         );
         assert_eq!(CACHE.idle().len(), 0, "the hung thread is not idle");
-        let r = check_on(&CACHE, &CheckPolicy::default());
-        assert_eq!(r.outcome, CheckOutcome::Pass);
+        assert_eq!(
+            check_on(&CACHE, &CheckPolicy::default()),
+            CheckOutcome::Pass
+        );
         assert!(
             start.elapsed() < Duration::from_millis(1500),
             "the next check must not wait for the hung thread"
@@ -832,7 +849,7 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        assert!(check_on(&CACHE, &CheckPolicy::default()).outcome.passed());
+                        assert!(check_on(&CACHE, &CheckPolicy::default()).passed());
                     }
                 });
             }

@@ -38,7 +38,8 @@ pub use chaos::{ChaosSite, ChaosSpec};
 pub use check::{check_completion, CheckOutcome, CheckResult, FaultKind, TimeoutKind};
 pub use experiments::{evaluate_all_models, evaluate_model};
 pub use guard::{
-    catch_harness_fault, guarded_check_completion, supervised_check_completion, CheckPolicy,
+    catch_harness_fault, guarded_check_completion, supervised_check_completion,
+    supervised_check_source, CheckPolicy,
 };
 pub use metrics::{pass_at_k, pass_fraction, Tally};
 pub use pool::{ReorderBuffer, WorkerPool};

@@ -30,6 +30,22 @@
 //!    writer thread, in order, one flush per record — a killed run at any
 //!    worker count therefore leaves a contiguous-prefix journal, and
 //!    `--resume` composes unchanged.
+//!
+//! ## Dedup cache
+//!
+//! A check depends only on the problem and the *assembled* source
+//! ([`assemble`]): the prompt level matters only through assembly, and a
+//! whole-module completion assembles to the same source at every level,
+//! as does a copy with different junk after its `endmodule`. So with
+//! [`SweepOptions::dedup`] on, the first item (in canonical order) for
+//! each (problem, source hash) is checked as a *leader*, and every later
+//! item with that key is a *follower* that replays the leader's outcome.
+//! The key is computed on the submitting thread, assembling each distinct
+//! (problem, level, text) once, and a leader's assembled source travels
+//! with it to the worker. Chaos sites in the guard are keyed on the
+//! assembled source too, so a replayed fault is the fault a fresh check
+//! of the follower would have hit, and reports and journals are
+//! byte-identical with the cache on or off.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -44,8 +60,8 @@ use vgen_sim::SimConfig;
 use vgen_lint::Rule;
 
 use crate::chaos::{ChaosSite, ChaosSpec};
-use crate::check::{FaultKind, LintCounts};
-use crate::guard::{supervised_check_completion, CheckPolicy};
+use crate::check::{assemble, FaultKind, LintCounts};
+use crate::guard::{supervised_check_completion, supervised_check_source, CheckPolicy};
 use crate::metrics::Tally;
 use crate::pool::{ReorderBuffer, WorkerPool};
 
@@ -295,8 +311,8 @@ pub struct SweepOptions {
     /// from the merge loop. Callers should gate this on stdout being a
     /// TTY ([`SweepOptions::progress_auto`]) so CI logs stay clean.
     pub progress: bool,
-    /// Completion-dedup cache (on by default): identical completion texts
-    /// for the same (problem, prompt level) are compiled and simulated
+    /// Completion-dedup cache (on by default): completions that assemble
+    /// to the same source for the same problem are compiled and simulated
     /// once, and every duplicate replays the cached outcome. Checks are
     /// deterministic in those inputs, so reports and journals are
     /// byte-identical with the cache on or off.
@@ -541,45 +557,44 @@ impl ItemMeta {
     }
 }
 
-/// Checks one completion (under the supervision policy's guard, deadline
-/// and retry budget) and builds its record.
-fn check_to_record(
-    prob: &'static Problem,
-    level: PromptLevel,
-    temperature: f64,
-    n: usize,
-    c: &Completion,
+/// Checks one work item under the supervision policy's guard, deadline
+/// and retry budget, and builds its record. `source` is the item's
+/// assembled source when the sweep has already assembled it (to key the
+/// dedup cache); otherwise the check assembles the completion itself.
+fn check_item(
+    item: &WorkItem,
+    source: Option<String>,
     sim: SimConfig,
     policy: &CheckPolicy,
 ) -> Record {
-    let result = supervised_check_completion(prob, level, &c.text, sim, policy);
-    let fault_kind = result.outcome.fault_kind();
+    let _span = vgen_obs::span("check");
+    let (outcome, lint) = match source {
+        Some(source) => supervised_check_source(item.problem, &source, sim, policy),
+        None => {
+            let result = supervised_check_completion(
+                item.problem,
+                item.level,
+                &item.completion.text,
+                sim,
+                policy,
+            );
+            (result.outcome, result.lint)
+        }
+    };
+    let fault_kind = outcome.fault_kind();
     Record {
-        problem_id: prob.id,
-        difficulty: prob.difficulty,
-        level,
-        temperature,
-        n,
-        compiled: result.outcome.compiled(),
-        passed: result.outcome.passed(),
+        problem_id: item.problem.id,
+        difficulty: item.problem.difficulty,
+        level: item.level,
+        temperature: item.temperature,
+        n: item.n,
+        compiled: outcome.compiled(),
+        passed: outcome.passed(),
         fault: fault_kind.is_some(),
         fault_kind,
-        latency_s: c.latency_s,
-        lint: result.lint,
+        latency_s: item.completion.latency_s,
+        lint,
     }
-}
-
-fn check_item(item: &WorkItem, sim: SimConfig, policy: &CheckPolicy) -> Record {
-    let _span = vgen_obs::span("check");
-    check_to_record(
-        item.problem,
-        item.level,
-        item.temperature,
-        item.n,
-        &item.completion,
-        sim,
-        policy,
-    )
 }
 
 /// Whether the injected pool-task panic ([`ChaosSite::TaskPanic`]) fires
@@ -592,21 +607,44 @@ fn task_panic_fires(chaos: &ChaosSpec, pos: usize) -> bool {
             .is_some()
 }
 
-/// Cache key for the completion-dedup cache: a fingerprint of the
-/// (problem, prompt level) pair and the FNV-1a hash of the completion
-/// text. `config.sim` is fixed for the duration of a sweep, so these are
-/// the only check inputs that can change an outcome.
-fn dedup_key(item: &WorkItem) -> (u64, u64) {
-    let fp = fnv1a(format!("{}:{}", item.problem.id, item.level.tag()).as_bytes());
-    (fp, fnv1a(item.completion.text.as_bytes()))
+/// The dedup cache's key: problem id and the FNV-1a hash of the assembled
+/// source. A check is a pure function of (problem, assembled source) for
+/// the sweep's fixed `config.sim` and policy, so these are the only check
+/// inputs that can change an outcome. Completions that differ only in what
+/// assembly drops (the prompt level of a whole-module completion, text
+/// after its `endmodule`) share a key.
+type SourceKey = (u8, u64);
+
+/// What a sweep assembles each distinct completion to, at most once: the
+/// [`SourceKey`] of every (problem, prompt level, text hash) seen so far.
+#[derive(Default)]
+struct SourceKeys(HashMap<(u8, PromptLevel, u64), SourceKey>);
+
+impl SourceKeys {
+    /// The item's source key, plus its assembled source when this is the
+    /// first item with its (problem, level, text).
+    fn of(&mut self, item: &WorkItem) -> (SourceKey, Option<String>) {
+        let text = (
+            item.problem.id,
+            item.level,
+            fnv1a(item.completion.text.as_bytes()),
+        );
+        if let Some(&key) = self.0.get(&text) {
+            return (key, None);
+        }
+        let source = assemble(item.problem, item.level, &item.completion.text);
+        let key = (item.problem.id, fnv1a(source.as_bytes()));
+        self.0.insert(text, key);
+        (key, Some(source))
+    }
 }
 
 /// The outcome fields of one checked completion as stored in the dedup
 /// cache. Per-sample fields (grid coordinates, latency) come from the
 /// duplicate's own [`ItemMeta`] at replay time, so a replayed [`Record`] is
-/// identical to what a fresh check of the same text would have produced.
+/// identical to what a fresh check of the same source would have produced.
 /// Harness faults are cached too: the guard makes them deterministic per
-/// completion text.
+/// assembled source.
 #[derive(Clone)]
 struct CachedCheck {
     compiled: bool,
@@ -1269,18 +1307,21 @@ pub fn run_engine_sweep_sharded(
     let metas: Vec<ItemMeta> = items.iter().skip(done_prior).map(WorkItem::meta).collect();
     let pool: WorkerPool<Record> = WorkerPool::new(opts.effective_jobs());
     let sim = config.sim;
-    // Leader/follower dedup: the first item (in canonical order) for each
-    // key is submitted as its leader; later duplicates are parked under the
-    // leader's position and replayed when its result arrives. Leaders are
-    // picked in canonical order, so hit counts — and every record — are
-    // identical across `--jobs` values.
-    let mut leader_of: HashMap<(u64, u64), usize> = HashMap::new();
+    // Leader/follower dedup (see the module docs): the first item (in
+    // canonical order) for each source key is submitted as its leader;
+    // later duplicates are parked under the leader's position and replayed
+    // when its result arrives. Leaders are picked in canonical order, so
+    // hit counts — and every record — are identical across `--jobs` values.
+    let mut source_keys = SourceKeys::default();
+    let mut leader_of: HashMap<SourceKey, usize> = HashMap::new();
     let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
     let mut outstanding: BTreeSet<usize> = BTreeSet::new();
     let mut submitted = 0usize;
     for (dense, item) in items.into_iter().enumerate().skip(done_prior) {
+        let mut source = None;
         if use_cache {
-            match leader_of.entry(dedup_key(&item)) {
+            let (key, assembled) = source_keys.of(&item);
+            match leader_of.entry(key) {
                 Entry::Occupied(leader) => {
                     followers.entry(*leader.get()).or_default().push(dense);
                     stats.cache_hits += 1;
@@ -1291,6 +1332,9 @@ pub fn run_engine_sweep_sharded(
                     slot.insert(dense);
                 }
             }
+            // A text seen before maps to a key that already has a leader,
+            // so a new leader's source was assembled just now.
+            source = assembled;
         }
         let policy = opts.policy.clone();
         outstanding.insert(dense);
@@ -1303,7 +1347,7 @@ pub fn run_engine_sweep_sharded(
             if task_panic_fires(&policy.chaos, item.pos) {
                 panic!("chaos: injected pool-task panic");
             }
-            check_item(&item, sim, &policy)
+            check_item(&item, source, sim, &policy)
         });
         submitted += 1;
     }

@@ -36,7 +36,7 @@ use vgen_verilog::Parsed;
 
 use crate::engine::{Completion, CompletionEngine};
 use crate::latency::sample_seconds;
-use crate::mutate::{semantic_mutants, syntax_mutants};
+use crate::mutate::{syntax_mutants, SemanticMutants};
 use crate::registry::{ModelFamily, ModelId, Tuning};
 
 /// Compile-rate anchor from Table III (best temperature, n = 10).
@@ -202,10 +202,13 @@ pub struct MutantBank {
 pub fn build_bank(problem: &Problem, seed: u64, per_pool: usize) -> MutantBank {
     let reference = problem.reference_source();
     let mut functional_fail = vec![problem.assemble("endmodule\n")];
-    for (mutant, _) in semantic_mutants(&reference, seed, per_pool * 3) {
-        if functional_fail.len() >= per_pool {
+    // Pulled lazily: mutants past the one that fills the pool are never
+    // rendered.
+    let mut mutants = SemanticMutants::new(&reference, seed, per_pool * 3);
+    while functional_fail.len() < per_pool {
+        let Some((mutant, _)) = mutants.next() else {
             break;
-        }
+        };
         // One parse serves the compile check and the testbench run.
         let Ok(parsed) = vgen_verilog::parse_with_cancel(&mutant, &CancelToken::unlimited()) else {
             continue;

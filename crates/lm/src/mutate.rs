@@ -42,7 +42,14 @@ impl SemanticOp {
 }
 
 /// Generates up to `count` distinct semantic mutants of `src`, or none if
-/// `src` does not parse.
+/// `src` does not parse: [`SemanticMutants`] collected.
+pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
+    SemanticMutants::new(src, seed, count).collect()
+}
+
+/// The stream of up to `count` distinct semantic mutants of `src`, made
+/// as it is pulled, so a caller that stops early renders no more than it
+/// takes.
 ///
 /// The stream is up to `count * 8` attempts on one RNG seeded with `seed`.
 /// Each attempt shuffles the ops, takes the first with a site in `src`,
@@ -53,49 +60,73 @@ impl SemanticOp {
 /// is parsed once, its sites counted once per op, and the AST cloned and
 /// rendered only for a key not drawn before. A repeated key still makes
 /// its draws, so skipping its render leaves the stream unchanged.
-pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
-    let mut out: Vec<(String, SemanticOp)> = Vec::new();
-    let Ok(mut file) = vgen_verilog::parse(src) else {
-        return out;
-    };
-    let sites = SemanticOp::ALL.map(|op| (op, count_sites(&mut file, op)));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut keys = std::collections::HashSet::new();
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(src.to_string());
-    for _ in 0..count * 8 {
-        if out.len() >= count {
-            break;
-        }
-        let mut ops = sites;
-        for i in (1..ops.len()).rev() {
-            ops.swap(i, rng.gen_range(0..=i));
-        }
-        let Some((op, n)) = ops.into_iter().find(|&(_, n)| n > 0) else {
-            continue;
-        };
-        let target = rng.gen_range(0..n);
-        let pick = rng.gen_range(0..u32::MAX);
-        let odd = op == SemanticOp::TweakConst && !pick.is_multiple_of(2);
-        if !keys.insert((op, target, odd)) {
-            continue;
-        }
-        let mut mutated = file.clone();
-        let mut counter = target as isize;
-        for m in &mut mutated.modules {
-            for item in &mut m.items {
-                mutate_item(item, op, &mut counter, pick);
-            }
-        }
-        // The walk is `count_sites`'s, so it always reaches the target.
-        debug_assert!(counter < 0);
-        let m = pretty_file(&mutated);
-        if seen.insert(m.clone()) {
-            out.push((m, op));
+pub struct SemanticMutants {
+    /// The parsed `src`; `None` when it does not parse.
+    file: Option<SourceFile>,
+    sites: [(SemanticOp, usize); 5],
+    rng: StdRng,
+    keys: std::collections::HashSet<(SemanticOp, usize, bool)>,
+    seen: std::collections::HashSet<String>,
+    attempts_left: usize,
+    /// Mutants still to yield.
+    wanted: usize,
+}
+
+impl SemanticMutants {
+    /// The stream for `src` at `seed`, yielding at most `count` mutants.
+    pub fn new(src: &str, seed: u64, count: usize) -> SemanticMutants {
+        let mut file = vgen_verilog::parse(src).ok();
+        let sites = SemanticOp::ALL.map(|op| (op, file.as_mut().map_or(0, |f| count_sites(f, op))));
+        SemanticMutants {
+            file,
+            sites,
+            rng: StdRng::seed_from_u64(seed),
+            keys: std::collections::HashSet::new(),
+            seen: std::collections::HashSet::from([src.to_string()]),
+            attempts_left: count * 8,
+            wanted: count,
         }
     }
-    vgen_obs::counter_add("lm.mutant_render", keys.len() as u64);
-    out
+}
+
+impl Iterator for SemanticMutants {
+    type Item = (String, SemanticOp);
+
+    fn next(&mut self) -> Option<(String, SemanticOp)> {
+        let file = self.file.as_ref()?;
+        while self.wanted > 0 && self.attempts_left > 0 {
+            self.attempts_left -= 1;
+            let mut ops = self.sites;
+            for i in (1..ops.len()).rev() {
+                ops.swap(i, self.rng.gen_range(0..=i));
+            }
+            let Some((op, n)) = ops.into_iter().find(|&(_, n)| n > 0) else {
+                continue;
+            };
+            let target = self.rng.gen_range(0..n);
+            let pick = self.rng.gen_range(0..u32::MAX);
+            let odd = op == SemanticOp::TweakConst && !pick.is_multiple_of(2);
+            if !self.keys.insert((op, target, odd)) {
+                continue;
+            }
+            vgen_obs::counter_add("lm.mutant_render", 1);
+            let mut mutated = file.clone();
+            let mut counter = target as isize;
+            for m in &mut mutated.modules {
+                for item in &mut m.items {
+                    mutate_item(item, op, &mut counter, pick);
+                }
+            }
+            // The walk is `count_sites`'s, so it always reaches the target.
+            debug_assert!(counter < 0);
+            let m = pretty_file(&mutated);
+            if self.seen.insert(m.clone()) {
+                self.wanted -= 1;
+                return Some((m, op));
+            }
+        }
+        None
+    }
 }
 
 /// Kinds of text-level syntax corruption.

@@ -53,8 +53,9 @@ fn second_eval_at_one_seed_reuses_every_bank() {
     let first = eval_counters(&socket, &eval(1, "CodeGen-16B", "first.log"));
     assert_eq!(counter(&first, "lm.bank_build"), 17);
     assert_eq!(counter(&first, "lm.bank_hit"), 0);
-    // One render per distinct (op, site, parity) key the 17 banks draw.
-    assert_eq!(counter(&first, "lm.mutant_render"), 167);
+    // One render per distinct (op, site, parity) key the 17 banks draw
+    // before their functional pools fill.
+    assert_eq!(counter(&first, "lm.mutant_render"), 109);
     let second = eval_counters(&socket, &eval(2, "CodeGen-2B", "second.log"));
     assert_eq!(counter(&second, "lm.bank_build"), 0);
     assert_eq!(counter(&second, "lm.bank_hit"), 17);

@@ -1,6 +1,6 @@
 //! The deterministic chaos harness: seeded fault injection must compose
 //! with the sweep's determinism guarantees. Injected faults are keyed by
-//! *content* (completion text, journal line, canonical item position),
+//! *content* (assembled source, journal line, canonical item position),
 //! never by clocks or occurrence counters, so a chaos sweep's final report
 //! and journal are byte-identical across worker counts and across
 //! kill/resume — the property CI's chaos-smoke job rechecks end to end.

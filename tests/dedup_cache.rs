@@ -1,20 +1,25 @@
 //! Equivalence coverage for the completion-dedup check cache.
 //!
-//! The cache short-circuits checking when the same completion text recurs
-//! for the same (problem, prompt level), which is common at low sampling
-//! temperatures. Its contract is strict: reports and journals must be
-//! **byte-identical** with the cache on or off, at any worker count, and
-//! across kill/resume — the cache may only change how fast answers arrive,
-//! never what they are.
+//! The cache short-circuits checking when two completions for the same
+//! problem assemble to the same source: an exact duplicate text at one
+//! prompt level (common at low sampling temperatures), a whole-module
+//! completion repeated at another level, or a copy that differs only in
+//! what follows its `endmodule`. Its contract is strict: reports and
+//! journals must be **byte-identical** with the cache on or off, at any
+//! worker count, under chaos, and across kill/resume — the cache may only
+//! change how fast answers arrive, never what they are.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
+use std::time::Duration;
 
+use vgen::core::check::assemble;
 use vgen::core::{
-    render_eval_summary, run_engine_sweep, run_engine_sweep_stats, EvalConfig, EvalRun,
-    SweepOptions, SweepStats,
+    render_eval_summary, run_engine_sweep, run_engine_sweep_stats, ChaosSpec, CheckPolicy,
+    EvalConfig, EvalRun, SweepOptions, SweepStats,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
-use vgen::problems::{Problem, PromptLevel};
+use vgen::problems::{problem, Problem, PromptLevel};
 use vgen::sim::SimConfig;
 
 /// An engine that cycles through a tiny fixed palette of completions, so
@@ -86,15 +91,20 @@ fn journal_path(tag: &str) -> PathBuf {
 /// Runs the sweep with a fresh engine, journaling to `tag`, and returns the
 /// run, its stats, and the raw journal bytes.
 fn sweep(tag: &str, opts: &SweepOptions) -> (EvalRun, SweepStats, Vec<u8>) {
+    sweep_engine(&mut CyclingEngine::new(), &cfg(), tag, opts)
+}
+
+/// [`sweep`] over any engine and grid.
+fn sweep_engine(
+    engine: &mut dyn CompletionEngine,
+    config: &EvalConfig,
+    tag: &str,
+    opts: &SweepOptions,
+) -> (EvalRun, SweepStats, Vec<u8>) {
     let path = journal_path(tag);
     let _ = std::fs::remove_file(&path);
-    let (run, stats) = run_engine_sweep_stats(
-        &mut CyclingEngine::new(),
-        &cfg(),
-        Some((&path, false)),
-        opts,
-    )
-    .expect("sweep");
+    let (run, stats) =
+        run_engine_sweep_stats(engine, config, Some((&path, false)), opts).expect("sweep");
     let journal = std::fs::read(&path).expect("journal bytes");
     let _ = std::fs::remove_file(&path);
     (run, stats, journal)
@@ -182,4 +192,165 @@ fn cached_parallel_run_resumes_cleanly() {
         "resume with cache on lost or altered records"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A whole `and_gate` module, which assembles to itself at every prompt
+/// level.
+const AND_MODULE: &str =
+    "module and_gate(input a, input b, output y);\nassign y = a & b;\nendmodule";
+
+/// An engine whose completions mostly carry their own `module` header:
+/// the same whole modules at every prompt level, and copies that differ
+/// only after their `endmodule` (the "continued output" a model emits),
+/// plus one body-only completion whose source does depend on the level.
+/// The palette's length divides every cell's n, so each cell sees each
+/// text once per pass.
+struct WholeModuleEngine {
+    palette: Vec<String>,
+    cursor: usize,
+}
+
+impl WholeModuleEngine {
+    fn new() -> Self {
+        let broken = AND_MODULE.replace("a & b", "a | ");
+        WholeModuleEngine {
+            palette: vec![
+                format!("{AND_MODULE}\n"),
+                format!("{AND_MODULE}\nmodule junk(input q);\nendmodule\n"),
+                format!("// and gate\n{AND_MODULE}\n\nThat completes the module."),
+                format!("{broken}\n"),
+                format!("{broken}\nendmodule\nendmodule\n"),
+                "assign y = a & b;\nendmodule\nmodule extra;\n".to_string(),
+            ],
+            cursor: 0,
+        }
+    }
+}
+
+impl CompletionEngine for WholeModuleEngine {
+    fn name(&self) -> String {
+        "dedup-whole-module".into()
+    }
+
+    fn generate(
+        &mut self,
+        _problem: &Problem,
+        _level: PromptLevel,
+        _temperature: f64,
+        n: usize,
+    ) -> Vec<Completion> {
+        (0..n)
+            .map(|_| {
+                let text = self.palette[self.cursor % self.palette.len()].clone();
+                self.cursor += 1;
+                Completion {
+                    text,
+                    latency_s: 0.003,
+                }
+            })
+            .collect()
+    }
+}
+
+/// 2 problems × 3 levels × 2 temperatures × 6 completions = 72 items.
+fn whole_module_cfg() -> EvalConfig {
+    EvalConfig {
+        temperatures: vec![0.1, 0.5],
+        ns: vec![6],
+        levels: PromptLevel::ALL.to_vec(),
+        problem_ids: vec![1, 2],
+        sim: SimConfig::default(),
+    }
+}
+
+/// The distinct (problem, level, text) and (problem, assembled source)
+/// pairs of [`WholeModuleEngine`]'s completions over `config`, computed
+/// without the sweep.
+fn distinct_keys(config: &EvalConfig) -> (usize, usize) {
+    let mut engine = WholeModuleEngine::new();
+    let (mut texts, mut sources) = (HashSet::new(), HashSet::new());
+    for &id in &config.problem_ids {
+        let p = problem(id).expect("problem");
+        for &level in &config.levels {
+            for &t in &config.temperatures {
+                for &n in &config.ns {
+                    for c in engine.generate(p, level, t, n) {
+                        sources.insert((id, assemble(p, level, &c.text)));
+                        texts.insert((id, level, c.text));
+                    }
+                }
+            }
+        }
+    }
+    (texts.len(), sources.len())
+}
+
+#[test]
+fn whole_module_completions_are_checked_once_per_distinct_source() {
+    let config = whole_module_cfg();
+    let (texts, sources) = distinct_keys(&config);
+    // Whole modules assemble alike across levels and trailing junk, so
+    // per problem the 18 distinct (level, text) pairs come down to six
+    // sources: the module with and without its leading comment, the
+    // broken module, and the body-only completion at each level.
+    assert_eq!(texts, 36);
+    assert_eq!(sources, 12);
+    let clean = CheckPolicy {
+        backoff: Duration::ZERO,
+        ..CheckPolicy::default()
+    };
+    // Injected panics and healing timeouts, keyed by assembled source; no
+    // `task.panic`, which fires per leader by design.
+    let chaos = clean
+        .clone()
+        .with_chaos(ChaosSpec::parse("check.panic%3;check.timeout:1%4", 11).expect("spec"))
+        .with_retries(1);
+    for (tag, policy) in [("clean", clean), ("chaos", chaos)] {
+        let off = SweepOptions {
+            dedup: false,
+            policy: policy.clone(),
+            ..SweepOptions::serial()
+        };
+        let (baseline, stats_off, baseline_journal) = sweep_engine(
+            &mut WholeModuleEngine::new(),
+            &config,
+            &format!("wm-{tag}-off"),
+            &off,
+        );
+        assert_eq!(baseline.records.len(), 72);
+        assert_eq!(stats_off.checks_run, 72);
+        if tag == "chaos" {
+            assert!(
+                baseline.fault_count() > 0,
+                "the chaos mix injected no faults — adjust its seed"
+            );
+        }
+        for jobs in [1usize, 4] {
+            let on = SweepOptions {
+                policy: policy.clone(),
+                ..SweepOptions::parallel(jobs)
+            };
+            let (run, stats, journal) = sweep_engine(
+                &mut WholeModuleEngine::new(),
+                &config,
+                &format!("wm-{tag}-{jobs}"),
+                &on,
+            );
+            assert_eq!(
+                stats.checks_run, sources,
+                "one check per distinct (problem, source) ({tag}, jobs={jobs})"
+            );
+            assert_eq!(stats.cache_hits, 72 - sources);
+            assert_eq!(run, baseline, "{tag} run diverged at jobs={jobs}");
+            assert_eq!(
+                journal, baseline_journal,
+                "{tag} journal bytes diverged at jobs={jobs}"
+            );
+            assert_eq!(
+                render_eval_summary(&run, "j"),
+                render_eval_summary(&baseline, "j"),
+                "{tag} report diverged at jobs={jobs}"
+            );
+        }
+    }
 }

@@ -4,10 +4,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use vgen::core::check::assemble;
 use vgen::corpus::minhash::MinHasher;
 use vgen::corpus::shingle::{jaccard, shingles};
 use vgen::corpus::window::sliding_windows;
 use vgen::lm::bpe::Bpe;
+use vgen::lm::mutate::hostile_corpus;
+use vgen::problems::PromptLevel;
 use vgen::verilog::number::parse_number;
 use vgen::verilog::pretty::pretty_file;
 use vgen::verilog::truncate::{assemble_candidate, truncate_completion};
@@ -165,6 +168,49 @@ proptest! {
         let prompt = "module m(input a, output y);";
         let src = assemble_candidate(prompt, &body);
         prop_assert_eq!(src.matches("module m").count(), 1);
+    }
+
+    /// `assemble` runs on the sweep's own thread to key the dedup cache,
+    /// outside any panic guard, so it must be total: any text, led or not
+    /// by comment lines and a `module` keyword, at any problem and level,
+    /// assembles without a panic into either the prompt plus a body or a
+    /// cut of the whole-module completion.
+    #[test]
+    fn assemble_is_total(
+        lead in "[ \t\n/]{0,8}",
+        rest in ".{0,120}",
+        tail in "[ -~\n\t]{0,80}",
+        pick in 0usize..102,
+    ) {
+        // `pick` names the problem, the prompt level and whether the text
+        // opens with a `module` keyword.
+        let p = &vgen::problems::problems()[pick % 17];
+        let level = PromptLevel::ALL[pick / 17 % 3];
+        let module = if pick >= 51 { "module " } else { "" };
+        let text = format!("{lead}{module}{rest}{tail}");
+        let src = assemble(p, level, &text);
+        prop_assert!(
+            src.starts_with(p.prompt(level)) || text.trim_start().starts_with(src.as_str())
+        );
+    }
+}
+
+/// [`assemble_is_total`] over the hostile corpus, at every problem and
+/// prompt level.
+#[test]
+fn assemble_is_total_on_the_hostile_corpus() {
+    let corpus = hostile_corpus();
+    for p in vgen::problems::problems() {
+        for level in PromptLevel::ALL {
+            for (op, text) in &corpus {
+                let src = assemble(p, level, text);
+                assert!(
+                    src.starts_with(p.prompt(level)) || text.trim_start().starts_with(src.as_str()),
+                    "{op:?} at problem {} {level:?}",
+                    p.id
+                );
+            }
+        }
     }
 }
 
