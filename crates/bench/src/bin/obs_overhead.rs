@@ -35,6 +35,12 @@ use vgen_sim::SimConfig;
 /// Maximum tolerated slowdown from enabling tracing, in percent.
 const OVERHEAD_BUDGET_PCT: f64 = 5.0;
 
+/// Back-to-back sweeps in one timed sample. One quick sweep takes about
+/// 20 ms on a 2-vCPU host, where 1 ms of scheduler jitter alone is 5%;
+/// five of them make a sample of ≈100 ms, so the budget measures tracing
+/// rather than noise.
+const SWEEPS_PER_SAMPLE: usize = 5;
+
 /// Stages the exported trace must cover (the instrumentation contract).
 const STAGES: &[&str] = &[
     "generate",
@@ -54,9 +60,8 @@ fn engine() -> FamilyEngine {
 }
 
 /// The swept grid. After the warm-up the mutant banks come from the memo,
-/// so a sweep is sampling and checks only; the quick grid is sized so that
-/// one still takes ≈100 ms, long enough for scheduler jitter to stay well
-/// inside the overhead budget.
+/// so a sweep is sampling and checks only; each timed sample repeats it
+/// [`SWEEPS_PER_SAMPLE`] times.
 fn config(quick: bool) -> EvalConfig {
     if quick {
         EvalConfig {
@@ -71,20 +76,27 @@ fn config(quick: bool) -> EvalConfig {
     }
 }
 
-/// One timed sweep. When `traced`, a fresh obs session wraps the run and
-/// the collected report is returned alongside.
+/// [`SWEEPS_PER_SAMPLE`] identical sweeps, each with a fresh engine;
+/// returns the last run.
+fn sweeps(cfg: &EvalConfig) -> EvalRun {
+    let sweep = || run_engine_parallel(&mut engine(), cfg, 1).expect("sweep");
+    (1..SWEEPS_PER_SAMPLE).fold(sweep(), |_, _| sweep())
+}
+
+/// One timed sample. When `traced`, a fresh obs session wraps the sample
+/// and the collected report is returned alongside.
 fn run_once(cfg: &EvalConfig, traced: bool) -> (EvalRun, f64, Option<vgen_obs::ObsReport>) {
     if traced {
         vgen_obs::enable();
     }
     let start = Instant::now();
-    let run = run_engine_parallel(&mut engine(), cfg, 1).expect("sweep");
+    let run = sweeps(cfg);
     let secs = start.elapsed().as_secs_f64();
     let report = traced.then(vgen_obs::collect);
     (run, secs, report)
 }
 
-/// A traced sweep with a background subscriber draining a live snapshot
+/// A traced sample with a background subscriber draining a live snapshot
 /// every ~5ms — far more often than any real `subscribe` interval. Returns
 /// the run, the wall time, and the number of snapshots drained.
 fn run_snapshotted(cfg: &EvalConfig) -> (EvalRun, f64, u64) {
@@ -106,7 +118,7 @@ fn run_snapshotted(cfg: &EvalConfig) -> (EvalRun, f64, u64) {
         })
     };
     let start = Instant::now();
-    let run = run_engine_parallel(&mut engine(), cfg, 1).expect("sweep");
+    let run = sweeps(cfg);
     let secs = start.elapsed().as_secs_f64();
     stop.store(true, Ordering::Relaxed);
     let drained = drainer.join().expect("snapshot drainer");
@@ -181,7 +193,8 @@ fn main() {
     let snapshot_overhead_pct = (snapshot_best - plain_best) / plain_best * 100.0;
     let checks = baseline_run.records.len();
     println!(
-        "obs_overhead: {checks} records, best of {reps}: \
+        "obs_overhead: {checks} records, best of {reps} samples of \
+         {SWEEPS_PER_SAMPLE} sweeps: \
          plain {plain_best:.4}s, traced {traced_best:.4}s, overhead {overhead_pct:+.2}%"
     );
     println!(
@@ -257,6 +270,7 @@ fn render_json(
     ));
     out.push_str(&format!("  \"records\": {checks},\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
+    out.push_str(&format!("  \"sweeps_per_sample\": {SWEEPS_PER_SAMPLE},\n"));
     out.push_str(&format!("  \"plain_seconds\": {plain_best:.6},\n"));
     out.push_str(&format!("  \"traced_seconds\": {traced_best:.6},\n"));
     out.push_str(&format!("  \"overhead_pct\": {overhead_pct:.3},\n"));

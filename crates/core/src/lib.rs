@@ -41,7 +41,7 @@ pub use guard::{
     catch_harness_fault, guarded_check_completion, supervised_check_completion,
     supervised_check_source, CheckPolicy,
 };
-pub use metrics::{pass_at_k, pass_fraction, Tally};
+pub use metrics::{pass_fraction, Tally};
 pub use pool::{ReorderBuffer, WorkerPool};
 pub use report::{
     headline_stats, render_eval_summary, render_fault_summary, sweep_stats_json, Headline, ModelRun,

@@ -6,9 +6,6 @@
 //! that pass the check (§V-B: "For compilation, the Pass@k metric reflects
 //! the proportion of completions that compile. For functional tests, this
 //! metric is the fraction of the k code samples that pass").
-//!
-//! The unbiased pass@k estimator from the Codex paper (Chen et al. 2021)
-//! is also provided as an extension for the ablation benches.
 
 /// Fraction of `passed` outcomes — the paper's Pass@(scenario·n).
 ///
@@ -18,27 +15,6 @@ pub fn pass_fraction(outcomes: &[bool]) -> f64 {
         return 0.0;
     }
     outcomes.iter().filter(|&&b| b).count() as f64 / outcomes.len() as f64
-}
-
-/// The unbiased pass@k estimator: `1 - C(n-c, k)/C(n, k)` where `n` is the
-/// number of samples and `c` the number that passed.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `k > n` or `c > n`.
-pub fn pass_at_k(n: usize, c: usize, k: usize) -> f64 {
-    assert!(k > 0, "k must be positive");
-    assert!(k <= n, "k must not exceed n");
-    assert!(c <= n, "c must not exceed n");
-    if n - c < k {
-        return 1.0;
-    }
-    // 1 - prod_{i=n-c+1..=n} (1 - k/i)
-    let mut prod = 1.0;
-    for i in (n - c + 1)..=n {
-        prod *= 1.0 - k as f64 / i as f64;
-    }
-    1.0 - prod
 }
 
 /// Aggregated counts for one cell of a results table.
@@ -99,36 +75,6 @@ mod tests {
         assert_eq!(pass_fraction(&[true, false, true, true]), 0.75);
         assert_eq!(pass_fraction(&[]), 0.0);
         assert_eq!(pass_fraction(&[false]), 0.0);
-    }
-
-    #[test]
-    fn pass_at_k_extremes() {
-        assert_eq!(pass_at_k(10, 0, 1), 0.0);
-        assert_eq!(pass_at_k(10, 10, 1), 1.0);
-        // All failures except fewer than k leftovers → certain success.
-        assert_eq!(pass_at_k(10, 5, 6), 1.0);
-    }
-
-    #[test]
-    fn pass_at_1_equals_fraction() {
-        let v = pass_at_k(20, 5, 1);
-        assert!((v - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pass_at_k_monotone_in_k() {
-        let mut prev = 0.0;
-        for k in 1..=10 {
-            let v = pass_at_k(10, 3, k);
-            assert!(v >= prev);
-            prev = v;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "k must not exceed n")]
-    fn pass_at_k_validates() {
-        let _ = pass_at_k(5, 2, 6);
     }
 
     #[test]

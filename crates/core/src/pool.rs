@@ -1,30 +1,26 @@
-//! A hand-rolled work-stealing thread pool and the deterministic reorder
-//! buffer that turns its out-of-order results back into canonical order.
+//! The sweep's worker pool and the deterministic reorder buffer that
+//! turns its out-of-order results back into canonical order.
 //!
 //! The evaluation sweep ([`crate::sweep`]) flattens its scenario grid into
-//! thousands of independent compile+simulate checks. This module executes
-//! them on N workers without any external dependency (the build
-//! environment has no crates.io access, so no `rayon`/`crossbeam`):
+//! thousands of independent compile+simulate checks, submitted in
+//! canonical order. This module executes them on N workers without any
+//! external dependency (the build environment has no crates.io access, so
+//! no `rayon`/`crossbeam`):
 //!
-//! * **Shared injector** — submitted tasks land in a global FIFO.
-//! * **Per-worker deques** — each worker refills its local deque from the
-//!   injector in batches (amortising injector-lock traffic) and pops work
-//!   from the front of its own deque.
-//! * **Stealing** — a worker whose deque and the injector are both empty
-//!   steals from the *back* of a sibling's deque, so stragglers (one slow
-//!   hostile completion) don't leave the rest of the pool idle.
-//! * **Parking** — idle workers block on a condvar; submission and
-//!   shutdown notify it. Waits use a timeout so a steal opportunity that
-//!   arises without a submission (a sibling refilling its deque) is never
-//!   missed for long.
+//! * **One shared FIFO** — submitted tasks land in a single queue behind
+//!   one mutex; an idle worker pops the front. There are no private
+//!   per-worker queues, so a slow task (one hostile completion) never
+//!   strands queued work behind it: every other worker keeps popping.
+//! * **Parking** — a worker that finds the queue empty and still open
+//!   waits on a condvar; each submission wakes one worker and closing the
+//!   queue wakes them all.
 //! * **Check stacks** — workers come from the guard's
 //!   `spawn_check_thread`, so a deadline-free check runs inline on the
 //!   worker that takes it.
 //! * **Panic isolation** — each task runs under
 //!   [`catch_harness_fault`](crate::guard::catch_harness_fault), the same
 //!   machinery that guards individual checks, so a panicking task yields
-//!   an `Err(message)` result instead of killing its worker (and silently
-//!   losing every task still queued on that worker's deque).
+//!   an `Err(message)` result instead of killing its worker.
 //!
 //! Results are delivered over a channel as `(index, Result<R, String>)`
 //! pairs in *completion* order; [`ReorderBuffer`] restores submission
@@ -32,7 +28,6 @@
 //! a byte-identical stream regardless of worker count or scheduling.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -43,52 +38,33 @@ use crate::guard::{catch_harness_fault, spawn_check_thread};
 /// A unit of work: produces an `R`, tagged with its submission index.
 type Task<R> = Box<dyn FnOnce() -> R + Send + 'static>;
 
-/// A deque of indexed tasks, guarded for cross-thread access.
-type TaskDeque<R> = Mutex<VecDeque<(usize, Task<R>)>>;
-
-/// How many tasks a worker moves from the injector to its own deque per
-/// refill (at most; the injector is split fairly when it holds fewer).
-const REFILL_BATCH: usize = 8;
-
-/// Idle-worker park timeout. A net under the condvar: steal opportunities
-/// created *without* a submission (a sibling refilling its local deque)
-/// are discovered at worst one timeout later even if a wakeup is missed.
-const PARK_TIMEOUT: Duration = Duration::from_millis(20);
-
-/// Locks a mutex, ignoring poisoning: pool state stays usable even if a
-/// thread panicked while holding the lock (tasks themselves are run under
-/// [`catch_harness_fault`], so this is belt and braces).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// The shared task queue.
+struct Queue<R> {
+    /// Submitted tasks not yet taken by a worker, in submission order.
+    tasks: VecDeque<(usize, Task<R>)>,
+    /// Cleared when the pool handle is dropped (which shutdown and
+    /// [`WorkerPool::abandon`] both do); workers exit once the queue is
+    /// closed and empty.
+    open: bool,
 }
 
 /// State shared between the pool handle and its workers.
 struct Shared<R> {
-    /// Global FIFO of submitted tasks.
-    injector: TaskDeque<R>,
-    /// Per-worker deques. Owner pops the front; thieves pop the back.
-    locals: Vec<TaskDeque<R>>,
-    /// Parking lot for idle workers.
-    park: Mutex<()>,
-    /// Notified on submission, refill and shutdown.
-    wake: Condvar,
-    /// Set once by [`WorkerPool::shutdown`] (or drop); workers drain all
-    /// remaining work and then exit.
-    shutdown: AtomicBool,
+    queue: Mutex<Queue<R>>,
+    /// Notified on submission and on close.
+    ready: Condvar,
 }
 
 impl<R> Shared<R> {
-    /// Whether any queue (injector or local deque) still holds a task.
-    fn has_work(&self) -> bool {
-        if !lock_unpoisoned(&self.injector).is_empty() {
-            return true;
-        }
-        self.locals.iter().any(|l| !lock_unpoisoned(l).is_empty())
+    /// Locks the queue, ignoring poisoning: no code panics while holding
+    /// the lock (tasks run outside it, under [`catch_harness_fault`]).
+    fn lock(&self) -> MutexGuard<'_, Queue<R>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
-/// A fixed-size work-stealing pool producing `(index, Result<R, String>)`
-/// results. `Err` carries the panic message of a task that faulted.
+/// A fixed-size pool producing `(index, Result<R, String>)` results.
+/// `Err` carries the panic message of a task that faulted.
 pub struct WorkerPool<R: Send + 'static> {
     shared: Arc<Shared<R>>,
     workers: Vec<JoinHandle<()>>,
@@ -99,23 +75,20 @@ impl<R: Send + 'static> WorkerPool<R> {
     /// Spawns a pool with `workers` worker threads (clamped to ≥ 1), each
     /// with a check-sized stack.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            park: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                open: true,
+            }),
+            ready: Condvar::new(),
         });
         let (tx, rx) = channel();
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 let tx: Sender<(usize, Result<R, String>)> = tx.clone();
-                spawn_check_thread(format!("vgen-pool-{id}"), move || {
-                    worker_loop(id, &shared, &tx)
-                })
-                .expect("spawn pool worker")
+                spawn_check_thread(format!("vgen-pool-{id}"), move || worker_loop(&shared, &tx))
+                    .expect("spawn pool worker")
             })
             .collect();
         WorkerPool {
@@ -125,20 +98,12 @@ impl<R: Send + 'static> WorkerPool<R> {
         }
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Submits a task tagged with `index`. Tasks may complete in any
     /// order; feed results through a [`ReorderBuffer`] keyed on `index`
     /// to restore submission order.
     pub fn submit(&self, index: usize, task: impl FnOnce() -> R + Send + 'static) {
-        lock_unpoisoned(&self.shared.injector).push_back((index, Box::new(task)));
-        // Notify under the park lock so a worker between its has_work
-        // re-check and its wait can never miss this submission.
-        let _guard = lock_unpoisoned(&self.shared.park);
-        self.shared.wake.notify_all();
+        self.shared.lock().tasks.push_back((index, Box::new(task)));
+        self.shared.ready.notify_one();
     }
 
     /// Receives the next completed result, waiting up to `timeout`.
@@ -149,149 +114,61 @@ impl<R: Send + 'static> WorkerPool<R> {
         self.results.recv_timeout(timeout)
     }
 
-    /// Signals shutdown and joins every worker. Queued tasks are drained
+    /// Closes the queue and joins every worker. Queued tasks are drained
     /// (and their results delivered) before workers exit; callers that
     /// only want completed work should receive all expected results
-    /// first.
-    pub fn shutdown(mut self) {
-        self.shutdown_and_join();
+    /// first. Dropping the pool does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 
-    /// Signals shutdown and *abandons* the workers: every join handle is
-    /// dropped without joining. This is the sweep's stall-degradation
-    /// escape hatch — when at least one worker is known to be wedged in a
-    /// hard-hung check, joining (as [`WorkerPool::shutdown`] and `Drop`
-    /// do) would block forever. Healthy workers still drain their queues
-    /// and exit on their own; the wedged thread is leaked.
-    pub fn detach(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = lock_unpoisoned(&self.shared.park);
-            self.shared.wake.notify_all();
-        }
-        vgen_obs::counter_add("pool.detach", 1);
-        // Dropping the handles detaches the threads; Drop then finds an
-        // empty worker list and joins nothing.
-        self.workers.drain(..).for_each(drop);
+    /// Teardown without joining, for a cancelled or stalled sweep: discards
+    /// every queued-but-unstarted task, closes the queue and drops the
+    /// worker handles. Joining (as shutdown and `Drop` do) would block
+    /// forever on a worker wedged in a hard-hung check, so the workers are
+    /// left to finish the task in hand and exit on their own; a wedged one
+    /// is leaked. Results sent after the pool is gone land on a closed
+    /// channel and are discarded.
+    pub fn abandon(mut self) {
+        self.shared.lock().tasks.clear();
+        // Dropping the handles detaches the threads; Drop then closes the
+        // queue and finds no worker to join.
+        self.workers.clear();
     }
+}
 
-    /// Cancellation teardown: discards every queued-but-unstarted task,
-    /// signals shutdown, and abandons the workers without joining. Unlike
-    /// [`WorkerPool::detach`] (which lets healthy workers drain their
-    /// queues), this clears the injector and every local deque first, so
-    /// a cancelled sweep stops burning CPU after at most the tasks
-    /// already in flight. In-flight results sent after the handle is
-    /// dropped land on a closed channel and are discarded by the workers.
-    pub fn abort(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        lock_unpoisoned(&self.shared.injector).clear();
-        for local in self.shared.locals.iter() {
-            lock_unpoisoned(local).clear();
-        }
-        {
-            let _guard = lock_unpoisoned(&self.shared.park);
-            self.shared.wake.notify_all();
-        }
-        vgen_obs::counter_add("pool.abort", 1);
-        self.workers.drain(..).for_each(drop);
-    }
-
-    fn shutdown_and_join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            // Pairing the notify with the park lock closes the window
-            // where a worker checks the flag and parks just before the
-            // store becomes visible.
-            let _guard = lock_unpoisoned(&self.shared.park);
-            self.shared.wake.notify_all();
-        }
+impl<R: Send + 'static> Drop for WorkerPool<R> {
+    fn drop(&mut self) {
+        self.shared.lock().open = false;
+        self.shared.ready.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-impl<R: Send + 'static> Drop for WorkerPool<R> {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
-    }
-}
-
-/// Finds the next task for worker `id`: own deque front, then an injector
-/// refill, then a steal from a sibling's back.
-fn find_task<R>(id: usize, shared: &Shared<R>) -> Option<(usize, Task<R>)> {
-    if let Some(t) = lock_unpoisoned(&shared.locals[id]).pop_front() {
-        return Some(t);
-    }
-    if let Some(t) = refill_from_injector(id, shared) {
-        return Some(t);
-    }
-    steal(id, shared)
-}
-
-/// Moves up to [`REFILL_BATCH`] tasks from the injector into worker
-/// `id`'s deque, returning the first. When more than one task was moved,
-/// parked siblings are woken so they can steal the surplus.
-fn refill_from_injector<R>(id: usize, shared: &Shared<R>) -> Option<(usize, Task<R>)> {
-    let mut batch = {
-        let mut injector = lock_unpoisoned(&shared.injector);
-        let take = REFILL_BATCH.min(injector.len());
-        injector.drain(..take).collect::<VecDeque<_>>()
-    };
-    let first = batch.pop_front()?;
-    vgen_obs::counter_add("pool.refill", 1);
-    if !batch.is_empty() {
-        lock_unpoisoned(&shared.locals[id]).extend(batch);
-        shared.wake.notify_all();
-    }
-    Some(first)
-}
-
-/// Steals one task from the back of another worker's deque, scanning
-/// victims starting after `id` so contention spreads across the pool.
-fn steal<R>(id: usize, shared: &Shared<R>) -> Option<(usize, Task<R>)> {
-    let n = shared.locals.len();
-    for off in 1..n {
-        let victim = (id + off) % n;
-        if let Some(t) = lock_unpoisoned(&shared.locals[victim]).pop_back() {
-            vgen_obs::counter_add("pool.steal", 1);
-            return Some(t);
-        }
-    }
-    None
-}
-
-/// Worker main loop: run tasks until shutdown is signalled *and* every
-/// queue is drained.
-fn worker_loop<R: Send>(
-    id: usize,
-    shared: &Shared<R>,
-    results: &Sender<(usize, Result<R, String>)>,
-) {
+/// Worker main loop: pop the front task and run it, until the queue is
+/// closed and empty.
+fn worker_loop<R: Send>(shared: &Shared<R>, results: &Sender<(usize, Result<R, String>)>) {
     loop {
-        if let Some((index, task)) = find_task(id, shared) {
-            vgen_obs::counter_add("pool.task", 1);
-            // catch_harness_fault keeps a panicking task from killing the
-            // worker (which would strand everything left on its deque)
-            // and suppresses the default panic report, exactly as for
-            // guarded checks.
-            let outcome = catch_harness_fault(task);
-            // A closed channel means the pool handle is gone; keep
-            // draining so sibling state stays consistent.
-            let _ = results.send((index, outcome));
-            continue;
-        }
-        let guard = lock_unpoisoned(&shared.park);
-        // Re-check under the park lock: a submit/refill between our last
-        // scan and taking the lock would otherwise have its notification
-        // missed.
-        if shared.has_work() {
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let _ = shared.wake.wait_timeout(guard, PARK_TIMEOUT);
+        let (index, task) = {
+            let mut queue = shared.lock();
+            loop {
+                if let Some(task) = queue.tasks.pop_front() {
+                    break task;
+                }
+                if !queue.open {
+                    return;
+                }
+                queue = shared.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        // catch_harness_fault keeps a panicking task from killing the
+        // worker and suppresses the default panic report, exactly as for
+        // guarded checks.
+        let outcome = catch_harness_fault(task);
+        // A closed channel means the pool handle is gone; keep draining.
+        let _ = results.send((index, outcome));
     }
 }
 
@@ -341,11 +218,6 @@ impl<T> ReorderBuffer<T> {
         Some(value)
     }
 
-    /// Index the next [`pop_ready`](ReorderBuffer::pop_ready) will yield.
-    pub fn next_index(&self) -> usize {
-        self.next
-    }
-
     /// Number of results held back waiting for predecessors.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -355,7 +227,7 @@ impl<T> ReorderBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Drains `expect` results from the pool, reordered to submission
     /// order.
@@ -420,19 +292,66 @@ mod tests {
 
     #[test]
     fn uneven_task_costs_are_balanced() {
-        // One long task plus many short ones: with stealing, the short
-        // tasks finish on other workers while one worker is pinned.
+        // One long task plus many short ones: while one worker is pinned
+        // on the long task, the others drain the shared queue, so every
+        // short result arrives before the long one is released.
         let pool = WorkerPool::new(4);
-        pool.submit(0, || {
-            std::thread::sleep(Duration::from_millis(50));
+        let (latch_tx, latch_rx) = channel::<()>();
+        pool.submit(0, move || {
+            // Blocks until the latch sender is dropped.
+            let _ = latch_rx.recv();
             0
         });
         for i in 1..64 {
             pool.submit(i, move || i);
         }
-        let out = collect_ordered(&pool, 64);
+        let mut short: Vec<usize> = (1..64)
+            .map(|_| {
+                let (idx, res) = pool
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("short result while the long task is pinned");
+                assert_eq!(res, Ok(idx));
+                idx
+            })
+            .collect();
+        short.sort_unstable();
+        assert_eq!(short, (1..64).collect::<Vec<_>>());
+        drop(latch_tx);
+        let last = pool
+            .recv_timeout(Duration::from_secs(30))
+            .expect("long result");
+        assert_eq!(last, (0, Ok(0)));
         pool.shutdown();
-        assert_eq!(out.len(), 64);
+    }
+
+    #[test]
+    fn abandon_starts_no_queued_task() {
+        let pool = WorkerPool::new(1);
+        let (started_tx, started_rx) = channel();
+        let (latch_tx, latch_rx) = channel::<()>();
+        pool.submit(0, move || {
+            started_tx.send(()).expect("test thread listening");
+            // Blocks until the latch sender is dropped.
+            let _ = latch_rx.recv();
+            0
+        });
+        let hits = Arc::new(AtomicUsize::new(0));
+        for i in 1..=16 {
+            let hits = Arc::clone(&hits);
+            pool.submit(i, move || {
+                hits.fetch_add(1, Ordering::SeqCst);
+                i
+            });
+        }
+        started_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("first task started");
+        pool.abandon();
+        // The queued closures, and their clones of `hits`, are gone: no
+        // worker can start them any more.
+        assert_eq!(Arc::strong_count(&hits), 1);
+        drop(latch_tx);
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -461,7 +380,7 @@ mod tests {
         assert_eq!(rb.pop_ready(), Some("b"));
         assert_eq!(rb.pop_ready(), Some("c"));
         assert_eq!(rb.pop_ready(), None);
-        assert_eq!(rb.next_index(), 3);
+        assert_eq!(rb.pending_len(), 0);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! 2. **Check** (pooled at any `--jobs`): each work item is one
 //!    compile+simulate check. Items are dispatched to a
 //!    [`WorkerPool`](crate::pool::WorkerPool) of
-//!    [`SweepOptions::jobs`] workers, which run each check inline, and
+//!    [`SweepOptions::jobs`] workers sharing one FIFO queue, which run
+//!    each check inline, and
 //!    results flow through a [`ReorderBuffer`](crate::pool::ReorderBuffer)
 //!    back into canonical order, so journal lines, reports and Pass@k
 //!    aggregates are byte-identical regardless of worker count or
@@ -1302,8 +1303,8 @@ pub fn run_engine_sweep_sharded(
     let use_cache = opts.dedup;
     let mut interrupted = false;
 
-    // Dispatch to the work-stealing pool, merge back into canonical order
-    // through the reorder buffer.
+    // Dispatch to the worker pool, merge back into canonical order through
+    // the reorder buffer.
     let metas: Vec<ItemMeta> = items.iter().skip(done_prior).map(WorkItem::meta).collect();
     let pool: WorkerPool<Record> = WorkerPool::new(opts.effective_jobs());
     let sim = config.sim;
@@ -1437,22 +1438,20 @@ pub fn run_engine_sweep_sharded(
             emit(rec);
         }
     }
-    if interrupted {
-        // Everything contiguously completed is already recorded (the
-        // journal stays a valid resumable prefix). Abandon the pool with
-        // its remaining queue discarded — a cancelled request must not keep
-        // burning CPU on checks nobody will read.
-        pool.abort();
-    } else {
+    if !interrupted {
         debug_assert_eq!(reorder.pending_len(), 0, "reorder buffer drained");
         debug_assert!(followers.is_empty(), "every follower replayed");
-        if stalled {
-            // Joining a wedged worker would hang the sweep right back;
-            // abandon the pool's threads instead of shutting down cleanly.
-            pool.detach();
-        } else {
-            pool.shutdown();
-        }
+    }
+    if interrupted || stalled {
+        // Abandon the pool with its remaining queue discarded: a cancelled
+        // request must not keep burning CPU on checks nobody will read, a
+        // stalled one has already recorded every outstanding item, and
+        // joining a wedged worker would hang the sweep right back. On
+        // cancel, everything contiguously completed is already recorded,
+        // so the journal stays a valid resumable prefix.
+        pool.abandon();
+    } else {
+        pool.shutdown();
     }
 
     progress.finish();

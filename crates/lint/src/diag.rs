@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use vgen_obs::json::escape;
 use vgen_verilog::span::{LineMap, Span};
 
 /// The lint rules, in canonical (report) order.
@@ -191,23 +192,6 @@ impl Diagnostic {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serialises diagnostics as a JSON array (hand-rolled; no serde in this
 /// environment). Spans are emitted both as byte offsets and as resolved
 /// line/column so downstream tools need no source access.
@@ -223,7 +207,7 @@ pub fn diagnostics_json(diags: &[Diagnostic], file: &str, src: &str) -> String {
             "\n  {{\"file\": \"{}\", \"rule\": \"{}\", \"severity\": \"{}\", \
              \"line\": {}, \"col\": {}, \"end_line\": {}, \"end_col\": {}, \
              \"start\": {}, \"end\": {}, \"message\": \"{}\"}}",
-            json_escape(file),
+            escape(file),
             d.rule,
             d.severity,
             start.line,
@@ -232,7 +216,7 @@ pub fn diagnostics_json(diags: &[Diagnostic], file: &str, src: &str) -> String {
             end.col,
             d.span.start,
             d.span.end,
-            json_escape(&d.message)
+            escape(&d.message)
         ));
     }
     if !diags.is_empty() {

@@ -11,7 +11,7 @@
 //!   the trace; every span also feeds a per-stage duration
 //!   [`Histogram`](hist::Histogram).
 //! * **Counters and maxima** — [`counter_add`] accumulates event counts
-//!   (cache hits, scheduler steps, steals); [`gauge_max`] tracks a
+//!   (cache hits, scheduler steps, harness faults); [`gauge_max`] tracks a
 //!   high-water mark (scheduler queue depth).
 //! * **Lanes** — every recording thread gets a *lane* (a `tid` in the
 //!   Chrome trace). Helper threads (the guard's cached check threads)

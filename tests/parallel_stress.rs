@@ -1,6 +1,6 @@
 //! Concurrency coverage for the parallel sweep executor: the full
 //! hostile corpus (parser bombs, elaborator blow-ups, simulator hangs —
-//! see `vgen-lm::mutate`) pushed through the work-stealing pool at every
+//! see `vgen-lm::mutate`) pushed through the shared-queue worker pool at every
 //! worker count from 1 to 8.
 //!
 //! What this asserts, per the determinism contract of
@@ -75,7 +75,7 @@ impl CompletionEngine for HostileEngine {
     }
 }
 
-/// A grid wide enough to wrap the 23-entry corpus and exercise stealing:
+/// A grid wide enough to wrap the 23-entry corpus and keep every worker busy:
 /// 3 problems × 1 level × 1 temperature × 10 completions = 30 checks.
 fn stress_cfg() -> EvalConfig {
     EvalConfig {
