@@ -29,6 +29,11 @@
 //! the same artifact are fenced absolutely by `obs_overhead --gate`, not
 //! here — a ratio floor has no meaning for a lower-is-better percentage.
 //!
+//! Each artifact is parsed once with the workspace's strict JSON parser;
+//! a malformed artifact is a failure, reported with the parse error.
+//! Gated values are looked up by key path: `hit_rate` sits under
+//! `dedup_cache`, every other gated key is top-level.
+//!
 //! A metric missing from the **fresh** artifact fails the gate (the bench
 //! stopped producing it). A metric missing from the **baseline** only
 //! warns and is skipped: that is the normal state right after a new metric
@@ -44,17 +49,35 @@
 
 use std::process::ExitCode;
 
-/// Pulls the number following `"key":` out of hand-rolled JSON. All gated
-/// keys are unique within their artifact, so a flat scan is exact.
-fn metric(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+use vgen_obs::json::Json;
+
+/// The number at `path` (a chain of object keys) in `doc`.
+fn metric(doc: &Json, path: &[&str]) -> Option<f64> {
+    path.iter().try_fold(doc, |v, key| v.get(key))?.as_f64()
 }
+
+/// Parses the artifact read from `path`. A malformed artifact is a gate
+/// failure: it is reported and counted here, and the gates that read it
+/// are skipped.
+fn parse(path: &str, text: &str, failures: &mut usize) -> Option<Json> {
+    match Json::parse(text) {
+        Ok(doc) => Some(doc),
+        Err(e) => {
+            eprintln!("FAIL {path}: not valid JSON: {e}");
+            *failures += 1;
+            None
+        }
+    }
+}
+
+/// One gated metric: label, (fresh, baseline) artifacts, key path, and
+/// whether it is a parallel-speedup metric.
+type Gate<'a> = (
+    &'a str,
+    (Option<&'a Json>, Option<&'a Json>),
+    &'a [&'a str],
+    bool,
+);
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -67,8 +90,8 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// host: a 1-core runner serializes every "parallel" sweep, so
 /// `speedup_vs_serial` is pure scheduling noise. Gating it there produces
 /// false regressions, so those metrics are skipped with a warning instead.
-fn single_core_host(fresh_sweep: &str) -> bool {
-    metric(fresh_sweep, "available_parallelism").is_none_or(|p| p <= 1.0)
+fn single_core_host(fresh_sweep: &Json) -> bool {
+    metric(fresh_sweep, &["available_parallelism"]).is_none_or(|p| p <= 1.0)
 }
 
 fn read(path: &str) -> String {
@@ -101,62 +124,52 @@ fn read_optional(path: &str, explicit: bool) -> Option<String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fresh_sim = read(flag(&args, "--sim").unwrap_or("target/experiments/BENCH_sim.json"));
-    let fresh_sweep = read(flag(&args, "--sweep").unwrap_or("target/experiments/BENCH_sweep.json"));
-    let base_sim = read(flag(&args, "--baseline-sim").unwrap_or("BENCH_baseline_sim.json"));
-    let base_sweep = read(flag(&args, "--baseline-sweep").unwrap_or("BENCH_baseline_sweep.json"));
-    let fresh_obs = read_optional(
-        flag(&args, "--obs").unwrap_or("target/experiments/BENCH_obs.json"),
-        flag(&args, "--obs").is_some(),
-    );
-    let base_obs = read_optional(
-        flag(&args, "--baseline-obs").unwrap_or("BENCH_baseline_obs.json"),
-        flag(&args, "--baseline-obs").is_some(),
-    );
+    let mut failures = 0usize;
+    let mut required = |name: &str, default: &str| {
+        let path = flag(&args, name).unwrap_or(default);
+        parse(path, &read(path), &mut failures)
+    };
+    let fresh_sim = required("--sim", "target/experiments/BENCH_sim.json");
+    let fresh_sweep = required("--sweep", "target/experiments/BENCH_sweep.json");
+    let base_sim = required("--baseline-sim", "BENCH_baseline_sim.json");
+    let base_sweep = required("--baseline-sweep", "BENCH_baseline_sweep.json");
+    let mut optional = |name: &str, default: &str| {
+        let path = flag(&args, name).unwrap_or(default);
+        read_optional(path, flag(&args, name).is_some())
+            .and_then(|text| parse(path, &text, &mut failures))
+    };
+    let fresh_obs = optional("--obs", "target/experiments/BENCH_obs.json");
+    let base_obs = optional("--baseline-obs", "BENCH_baseline_obs.json");
     let tolerance: f64 = flag(&args, "--tolerance")
         .map(|t| t.parse().expect("--tolerance takes a fraction like 0.15"))
         .unwrap_or(0.15);
 
-    // (label, fresh artifact, baseline artifact, key, parallel-only)
-    let mut gates: Vec<(&str, &str, &str, &str, bool)> = vec![
-        (
-            "min_speedup_64b",
-            &fresh_sim,
-            &base_sim,
-            "min_speedup_64b",
-            false,
-        ),
-        (
-            "min_speedup_wide",
-            &fresh_sim,
-            &base_sim,
-            "min_speedup_wide",
-            false,
-        ),
-        ("dedup_hit_rate", &fresh_sim, &base_sim, "hit_rate", false),
-        (
-            "sweep_total_checks",
-            &fresh_sweep,
-            &base_sweep,
-            "total_checks",
-            false,
-        ),
+    // An artifact that is `None` was reported already: a malformed file
+    // failed above, an absent optional one warned.
+    let sim = (fresh_sim.as_ref(), base_sim.as_ref());
+    let sweep = (fresh_sweep.as_ref(), base_sweep.as_ref());
+    let obs = (fresh_obs.as_ref(), base_obs.as_ref());
+    let gates: [Gate; 7] = [
+        ("min_speedup_64b", sim, &["min_speedup_64b"], false),
+        ("min_speedup_wide", sim, &["min_speedup_wide"], false),
+        ("dedup_hit_rate", sim, &["dedup_cache", "hit_rate"], false),
+        ("sweep_total_checks", sweep, &["total_checks"], false),
         (
             "sweep_parallel_speedup",
-            &fresh_sweep,
-            &base_sweep,
-            "max_parallel_speedup",
+            sweep,
+            &["max_parallel_speedup"],
             true,
         ),
+        ("obs_stage_coverage", obs, &["stage_coverage"], false),
+        ("obs_span_events", obs, &["span_events"], false),
     ];
-    if let (Some(fresh), Some(base)) = (&fresh_obs, &base_obs) {
-        gates.push(("obs_stage_coverage", fresh, base, "stage_coverage", false));
-        gates.push(("obs_span_events", fresh, base, "span_events", false));
-    }
 
-    let skip_parallel = single_core_host(&fresh_sweep);
-    let mut failures = 0usize;
-    for (label, fresh, base, key, parallel_only) in gates {
+    let skip_parallel = fresh_sweep.as_ref().is_none_or(single_core_host);
+    for (label, artifacts, path, parallel_only) in gates {
+        let (Some(fresh), Some(base)) = artifacts else {
+            continue;
+        };
+        let key = path.join(".");
         if parallel_only && skip_parallel {
             eprintln!(
                 "warn {label}: measuring host reports 1 core, \
@@ -164,12 +177,12 @@ fn main() -> ExitCode {
             );
             continue;
         }
-        let Some(now) = metric(fresh, key) else {
+        let Some(now) = metric(fresh, path) else {
             eprintln!("FAIL {label}: metric \"{key}\" missing from fresh artifact");
             failures += 1;
             continue;
         };
-        let Some(then) = metric(base, key) else {
+        let Some(then) = metric(base, path) else {
             eprintln!(
                 "warn {label}: metric \"{key}\" not in baseline yet, skipping \
                  (refresh baselines to start gating it)"
@@ -198,7 +211,7 @@ fn main() -> ExitCode {
         println!("bench_gate: all tracked metrics within tolerance");
         ExitCode::SUCCESS
     } else {
-        eprintln!("bench_gate: {failures} metric(s) regressed beyond tolerance");
+        eprintln!("bench_gate: {failures} gate(s) failed");
         ExitCode::FAILURE
     }
 }
@@ -207,22 +220,39 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn doc(text: &str) -> Json {
+        Json::parse(text).expect("test artifact")
+    }
+
     #[test]
-    fn metric_extracts_numbers() {
-        let json = r#"{"a": 1.5, "nested": {"b": -2}, "sci": 1.2e3, "s": "x"}"#;
-        assert_eq!(metric(json, "a"), Some(1.5));
-        assert_eq!(metric(json, "b"), Some(-2.0));
-        assert_eq!(metric(json, "sci"), Some(1200.0));
-        assert_eq!(metric(json, "missing"), None);
-        assert_eq!(metric(json, "s"), None);
+    fn metric_follows_key_paths() {
+        let json = doc(r#"{"a": 1.5, "nested": {"b": -2}, "sci": 1.2e3, "s": "x"}"#);
+        assert_eq!(metric(&json, &["a"]), Some(1.5));
+        assert_eq!(metric(&json, &["nested", "b"]), Some(-2.0));
+        assert_eq!(metric(&json, &["b"]), None, "only top-level keys match");
+        assert_eq!(metric(&json, &["sci"]), Some(1200.0));
+        assert_eq!(metric(&json, &["missing"]), None);
+        assert_eq!(metric(&json, &["s"]), None);
+        assert_eq!(metric(&json, &["a", "b"]), None);
+    }
+
+    #[test]
+    fn malformed_artifacts_fail() {
+        let mut failures = 0;
+        assert!(parse("ok.json", r#"{"hit_rate": 0.5}"#, &mut failures).is_some());
+        assert_eq!(failures, 0);
+        for bad in [r#"{"hit_rate": 01}"#, r#"{"hit_rate": 0.5"#, ""] {
+            assert!(parse("bad.json", bad, &mut failures).is_none(), "{bad}");
+        }
+        assert_eq!(failures, 3);
     }
 
     #[test]
     fn single_core_host_detection() {
-        assert!(single_core_host(r#"{"available_parallelism": 1}"#));
-        assert!(!single_core_host(r#"{"available_parallelism": 8}"#));
+        assert!(single_core_host(&doc(r#"{"available_parallelism": 1}"#)));
+        assert!(!single_core_host(&doc(r#"{"available_parallelism": 8}"#)));
         // Artifacts that predate the field are treated as 1-core: better
         // to skip the parallel gate than to fail on a missing metric.
-        assert!(single_core_host(r#"{"total_checks": 68}"#));
+        assert!(single_core_host(&doc(r#"{"total_checks": 68}"#)));
     }
 }

@@ -1,10 +1,12 @@
 //! `obs_overhead` — cost of the tracing layer on a real sweep.
 //!
-//! Runs the same evaluation sweep with tracing off and on (interleaved,
-//! best-of-N so a stray scheduling hiccup doesn't skew either side),
-//! verifies the traced run produced byte-identical records, validates the
-//! exported Chrome trace (well-formed JSON covering every pipeline stage)
-//! and writes the measured overhead to `BENCH_obs.json`.
+//! Runs the same evaluation sweep with tracing off and on, interleaved,
+//! and takes the overhead as the median over reps of each adjacent pair's
+//! time ratio: the two samples of a pair share the host's slow phases, and
+//! the median drops the odd pair a scheduling hiccup skews. It verifies
+//! the traced run produced byte-identical records, validates the exported
+//! Chrome trace (well-formed JSON covering every pipeline stage) and
+//! writes the measured overhead to `BENCH_obs.json`.
 //!
 //! A third measured variant runs traced *while a background thread drains
 //! live snapshots* every few milliseconds — the daemon's `subscribe` path
@@ -143,39 +145,38 @@ fn main() {
     // costs.
     let (baseline_run, _, _) = run_once(&cfg, false);
 
-    // Interleave plain/traced reps so clock drift and thermal effects hit
-    // both sides equally; keep the best (minimum) of each.
-    let mut plain_best = f64::INFINITY;
-    let mut traced_best = f64::INFINITY;
-    let mut snapshot_best = f64::INFINITY;
+    // Interleave plain/traced/snapshotted samples so clock drift and slow
+    // phases of the host hit all three sides of a rep alike.
+    let mut plain = Vec::with_capacity(reps);
+    let mut traced = Vec::with_capacity(reps);
+    let mut snapshotted = Vec::with_capacity(reps);
     let mut snapshots_drained = 0u64;
     let mut last_report = None;
     for _ in 0..reps {
         let (run, secs, _) = run_once(&cfg, false);
         assert_eq!(run, baseline_run, "untraced runs disagree");
-        plain_best = plain_best.min(secs);
+        plain.push(secs);
         let (run, secs, report) = run_once(&cfg, true);
         assert_eq!(
             run, baseline_run,
             "tracing changed the records — determinism broken"
         );
-        traced_best = traced_best.min(secs);
+        traced.push(secs);
         last_report = report;
         let (run, secs, drained) = run_snapshotted(&cfg);
         assert_eq!(
             run, baseline_run,
             "live snapshot drains changed the records — determinism broken"
         );
-        snapshot_best = snapshot_best.min(secs);
+        snapshotted.push(secs);
         snapshots_drained = snapshots_drained.max(drained);
     }
 
     // Self-validate the export path on the final traced report.
     let report = last_report.expect("traced rep ran");
     let trace = vgen_obs::trace::chrome_trace_json(&report);
-    assert_eq!(
-        vgen_obs::json::validate(&trace),
-        Ok(()),
+    assert!(
+        vgen_obs::json::Json::parse(&trace).is_ok(),
         "trace export is not well-formed JSON"
     );
     for stage in STAGES {
@@ -189,16 +190,17 @@ fn main() {
         );
     }
 
-    let overhead_pct = (traced_best - plain_best) / plain_best * 100.0;
-    let snapshot_overhead_pct = (snapshot_best - plain_best) / plain_best * 100.0;
+    let overhead_pct = (median_ratio(&traced, &plain) - 1.0) * 100.0;
+    let snapshot_overhead_pct = (median_ratio(&snapshotted, &plain) - 1.0) * 100.0;
+    let (plain, traced, snapshotted) = (median(plain), median(traced), median(snapshotted));
     let checks = baseline_run.records.len();
     println!(
-        "obs_overhead: {checks} records, best of {reps} samples of \
-         {SWEEPS_PER_SAMPLE} sweeps: \
-         plain {plain_best:.4}s, traced {traced_best:.4}s, overhead {overhead_pct:+.2}%"
+        "obs_overhead: {checks} records, {reps} interleaved samples of \
+         {SWEEPS_PER_SAMPLE} sweeps, medians: \
+         plain {plain:.4}s, traced {traced:.4}s, overhead {overhead_pct:+.2}%"
     );
     println!(
-        "snapshot drain: {snapshot_best:.4}s ({snapshot_overhead_pct:+.2}%), \
+        "snapshot drain: {snapshotted:.4}s ({snapshot_overhead_pct:+.2}%), \
          {snapshots_drained} snapshots drained"
     );
     println!(
@@ -212,10 +214,10 @@ fn main() {
         quick,
         checks,
         reps,
-        plain_best,
-        traced_best,
+        plain,
+        traced,
         overhead_pct,
-        snapshot_best,
+        snapshotted,
         snapshot_overhead_pct,
         &report,
     );
@@ -245,6 +247,23 @@ fn main() {
     }
 }
 
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
+}
+
+/// The median over reps of `side[i] / plain[i]`: each ratio compares two
+/// samples taken back to back.
+fn median_ratio(side: &[f64], plain: &[f64]) -> f64 {
+    median(side.iter().zip(plain).map(|(s, p)| s / p).collect())
+}
+
 /// Hand-rolled JSON (no serde in this environment): a stable, diffable
 /// shape for the overhead trajectory. `stage_coverage` and `span_events`
 /// are deterministic for a fixed workload, so `bench_gate` can hold them
@@ -255,10 +274,10 @@ fn render_json(
     quick: bool,
     checks: usize,
     reps: usize,
-    plain_best: f64,
-    traced_best: f64,
+    plain: f64,
+    traced: f64,
     overhead_pct: f64,
-    snapshot_best: f64,
+    snapshotted: f64,
     snapshot_overhead_pct: f64,
     report: &vgen_obs::ObsReport,
 ) -> String {
@@ -271,10 +290,10 @@ fn render_json(
     out.push_str(&format!("  \"records\": {checks},\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
     out.push_str(&format!("  \"sweeps_per_sample\": {SWEEPS_PER_SAMPLE},\n"));
-    out.push_str(&format!("  \"plain_seconds\": {plain_best:.6},\n"));
-    out.push_str(&format!("  \"traced_seconds\": {traced_best:.6},\n"));
+    out.push_str(&format!("  \"plain_seconds\": {plain:.6},\n"));
+    out.push_str(&format!("  \"traced_seconds\": {traced:.6},\n"));
     out.push_str(&format!("  \"overhead_pct\": {overhead_pct:.3},\n"));
-    out.push_str(&format!("  \"snapshot_seconds\": {snapshot_best:.6},\n"));
+    out.push_str(&format!("  \"snapshot_seconds\": {snapshotted:.6},\n"));
     out.push_str(&format!(
         "  \"snapshot_overhead_pct\": {snapshot_overhead_pct:.3},\n"
     ));

@@ -59,7 +59,7 @@ pub fn chrome_trace_json(report: &ObsReport) -> String {
 mod tests {
     use super::*;
     use crate::hist::Histogram;
-    use crate::json::validate;
+    use crate::json::Json;
     use crate::SpanEvent;
     use std::collections::BTreeMap;
 
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn trace_json_is_well_formed() {
         let json = chrome_trace_json(&sample_report());
-        assert_eq!(validate(&json), Ok(()), "{json}");
+        assert!(Json::parse(&json).is_ok(), "{json}");
     }
 
     #[test]
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn empty_report_is_still_valid_json() {
         let json = chrome_trace_json(&ObsReport::default());
-        assert_eq!(validate(&json), Ok(()), "{json}");
+        assert!(Json::parse(&json).is_ok(), "{json}");
         assert!(json.contains("traceEvents"));
     }
 
@@ -127,6 +127,6 @@ mod tests {
             ..ObsReport::default()
         };
         let json = chrome_trace_json(&report);
-        assert_eq!(validate(&json), Ok(()), "{json}");
+        assert!(Json::parse(&json).is_ok(), "{json}");
     }
 }

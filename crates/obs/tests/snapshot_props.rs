@@ -1,12 +1,14 @@
 //! Property tests for the snapshot algebra: `delta` must recover exactly
 //! what happened between two snapshots of one session, and `merge` must
 //! combine disjoint snapshots without losing or double-counting anything.
+//! The snapshot document must parse, whatever the snapshot holds.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use vgen_obs::hist::Histogram;
-use vgen_obs::{LaneBusy, Snapshot};
+use vgen_obs::json::Json;
+use vgen_obs::{summary, LaneBusy, Snapshot};
 
 /// Counter names are `&'static str` throughout the crate, so random
 /// counters draw from a fixed pool.
@@ -152,5 +154,54 @@ proptest! {
         prop_assert_eq!(rebuilt.hists["stage"].sum, later.hists["stage"].sum);
         prop_assert_eq!(rebuilt.dropped_events, later.dropped_events);
         prop_assert_eq!(rebuilt.at_ns, later.at_ns);
+    }
+
+    /// The daemon's `metrics_payload` and `Service` re-embed
+    /// `snapshot_json` by parsing it, and fall back to `{}` silently if
+    /// that fails. So the document must parse for every snapshot, with
+    /// every counter intact.
+    #[test]
+    fn snapshot_json_parses_with_its_counters(
+        counters in proptest::collection::vec((0usize..6, 0u64..(1 << 48)), 0..12),
+        maxima in proptest::collection::vec((0usize..6, 0u64..(1 << 48)), 0..6),
+        stages in proptest::collection::vec((0usize..6, 0u64..10_000_000_000), 0..24),
+        lanes in proptest::collection::vec((0u32..8, 1u64..1_000_000, 0u64..1_000_000), 0..8),
+        epoch in 0u64..1_000,
+        start_ns in 0u64..1_000_000,
+        wall_ns in 0u64..10_000_000_000,
+        dropped in 0u64..100,
+    ) {
+        let mut hists: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+        for &(i, v) in &stages {
+            hists.entry(NAMES[i]).or_default().record(v);
+        }
+        let mut lane_busy: BTreeMap<u32, LaneBusy> = BTreeMap::new();
+        for &(lane, busy, check) in &lanes {
+            let slot = lane_busy.entry(lane).or_default();
+            slot.busy_ns += busy;
+            slot.check_ns += check.min(busy);
+        }
+        let snap = Snapshot {
+            epoch,
+            start_ns,
+            at_ns: start_ns + wall_ns,
+            counters: counters_of(&counters),
+            maxima: maxima.iter().map(|&(i, v)| (NAMES[i], v)).collect(),
+            hists,
+            lane_busy,
+            dropped_events: dropped,
+            ..Snapshot::default()
+        };
+        let doc = Json::parse(&summary::snapshot_json(&snap));
+        prop_assert!(doc.is_ok(), "{:?}", doc);
+        let doc = doc.expect("checked");
+        let Some(Json::Obj(parsed)) = doc.get("counters") else {
+            return Err(TestCaseError::Fail(format!("no counters object: {doc:?}")));
+        };
+        prop_assert_eq!(parsed.len(), snap.counters.len());
+        for (name, n) in parsed {
+            prop_assert_eq!(n.as_u64(), snap.counters.get(name.as_str()).copied(), "{}", name);
+        }
+        prop_assert_eq!(doc.get("epoch").and_then(Json::as_u64), Some(epoch));
     }
 }

@@ -8,7 +8,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
+use vgen_obs::json::Json;
 
 /// The terminal result of one request.
 #[derive(Debug)]

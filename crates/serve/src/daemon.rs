@@ -29,9 +29,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vgen_core::guard::run_on_check_thread;
+use vgen_obs::json::Json;
 use vgen_obs::CancelToken;
 
-use crate::json::Json;
 use crate::proto::{parse_request, render_event, Event, Request, RequestEnvelope};
 use crate::service::{EventSink, Service};
 
@@ -473,7 +473,9 @@ fn serve_connection<R, W>(
             break;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            break;
+            let message = "request line is not valid UTF-8".to_string();
+            respond(&writer, 0, &Event::Error { message });
+            continue;
         };
         if line.trim().is_empty() {
             continue;
@@ -669,6 +671,158 @@ mod tests {
         let out = String::from_utf8(out).expect("utf-8 events");
         assert!(!out.contains("line_too_long"), "{out}");
         assert!(out.contains("\"id\":3"), "{out}");
+    }
+
+    /// Feeds `lines` to one in-memory connection and returns its event
+    /// lines.
+    fn serve_lines(lines: &[Vec<u8>]) -> Vec<String> {
+        let mut input = Vec::new();
+        for line in lines {
+            input.extend_from_slice(line);
+            input.push(b'\n');
+        }
+        let writer = Arc::new(LineWriter {
+            inner: Mutex::new(Vec::new()),
+        });
+        serve_connection(
+            &input[..],
+            Arc::clone(&writer),
+            Arc::new(Shutdown::default()),
+            LiveState::default(),
+            0,
+        );
+        let out = writer.inner.lock().expect("writer lock").clone();
+        String::from_utf8(out)
+            .expect("utf-8 events")
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// What the daemon owes one request line.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Owed {
+        /// A blank line: skipped unanswered.
+        Nothing,
+        /// One `error` event.
+        Error,
+        /// One `done` event.
+        Done,
+        /// A request that starts a thread or stops the connection; the
+        /// property leaves these out.
+        Work,
+    }
+
+    fn owed(line: &[u8]) -> Owed {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let Ok(text) = std::str::from_utf8(line) else {
+            return Owed::Error;
+        };
+        if text.trim().is_empty() {
+            return Owed::Nothing;
+        }
+        match parse_request(text).map(|envelope| envelope.body) {
+            // No request is in flight, so every cancel is refused.
+            Err(_) | Ok(Request::Cancel { .. }) => Owed::Error,
+            Ok(Request::Ping | Request::Metrics) => Owed::Done,
+            Ok(_) => Owed::Work,
+        }
+    }
+
+    /// Requests that, mutated or not, never start a sweep.
+    const LIGHT: [&[u8]; 3] = [
+        br#"{"id":1,"cmd":"ping"}"#,
+        br#"{"id":2,"cmd":"cancel","target":9}"#,
+        br#"{"id":3,"cmd":"subscribe","count":0}"#,
+    ];
+
+    /// Applies `(position, byte, op)` edits to `seed`: op 0 overwrites a
+    /// byte, 1 inserts one, 2 deletes one. Newlines become spaces, so the
+    /// result stays one line.
+    fn mutate(seed: &[u8], edits: &[(usize, u8, u8)]) -> Vec<u8> {
+        let mut line = seed.to_vec();
+        for &(at, byte, op) in edits {
+            let byte = if byte == b'\n' { b' ' } else { byte };
+            match op {
+                0 if !line.is_empty() => {
+                    let at = at % line.len();
+                    line[at] = byte;
+                }
+                1 => line.insert(at % (line.len() + 1), byte),
+                _ if !line.is_empty() => {
+                    line.remove(at % line.len());
+                }
+                _ => {}
+            }
+        }
+        line
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Every line a client sends, however hostile, gets exactly one
+        /// well-formed answer (an `error` event when it is rejected) and
+        /// panics nothing.
+        #[test]
+        fn every_hostile_line_gets_one_well_formed_answer(
+            noise in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+                0..6,
+            ),
+            mutants in proptest::collection::vec(
+                (
+                    0usize..3,
+                    proptest::collection::vec(
+                        (
+                            proptest::prelude::any::<usize>(),
+                            proptest::prelude::any::<u8>(),
+                            0u8..3,
+                        ),
+                        1..4,
+                    ),
+                ),
+                0..10,
+            ),
+        ) {
+            let mut lines: Vec<Vec<u8>> = noise
+                .into_iter()
+                .map(|l| l.into_iter().map(|b| if b == b'\n' { b' ' } else { b }).collect())
+                .collect();
+            lines.extend(mutants.iter().map(|(seed, edits)| mutate(LIGHT[*seed], edits)));
+            lines.retain(|l| owed(l) != Owed::Work);
+            let expected: Vec<Owed> = lines.iter().map(|l| owed(l)).filter(|o| *o != Owed::Nothing).collect();
+            let answers = serve_lines(&lines);
+            proptest::prop_assert_eq!(answers.len(), expected.len(), "{:?}", answers);
+            for (answer, owed) in answers.iter().zip(expected) {
+                let event = Json::parse(answer);
+                proptest::prop_assert!(event.is_ok(), "not JSON: {}", answer);
+                let event = event.expect("checked");
+                let kind = event.get("event").and_then(Json::as_str);
+                proptest::prop_assert_eq!(kind, Some(if owed == Owed::Error { "error" } else { "done" }), "{}", answer);
+            }
+        }
+    }
+
+    #[test]
+    fn non_rfc_numbers_and_bytes_are_refused_with_an_error() {
+        let lines: Vec<Vec<u8>> = [
+            &br#"{"id":01,"cmd":"ping"}"#[..],
+            br#"{"id":1.,"cmd":"ping"}"#,
+            b"{\"id\":1,\"cmd\":\"p\xffing\"}",
+            br#"{"id":4,"cmd":"ping"}"#,
+        ]
+        .iter()
+        .map(|l| l.to_vec())
+        .collect();
+        let answers = serve_lines(&lines);
+        assert_eq!(answers.len(), 4, "{answers:?}");
+        for answer in &answers[..3] {
+            let event = Json::parse(answer).expect("event is JSON");
+            assert_eq!(event.get("event").and_then(Json::as_str), Some("error"));
+            assert_eq!(event.get("id").and_then(Json::as_u64), Some(0));
+        }
+        assert_eq!(answers[3], r#"{"id":4,"event":"done","payload":"pong"}"#);
     }
 
     /// Serializes the tests that count or hold the process-wide thread

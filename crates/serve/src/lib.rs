@@ -3,10 +3,10 @@
 //! The one-shot CLI pays full process startup (and a cold dedup cache)
 //! per sweep. This crate turns the eval pipeline into a daemon: a
 //! [`Service`] facade that the `vgen serve` daemon (and `vgen eval`
-//! itself) call, a line-delimited JSON protocol ([`proto`]) with zero
-//! external dependencies ([`json`] is a self-contained parser/renderer),
-//! a unix-socket/stdio transport ([`daemon`]), and a per-shard journal
-//! layout with a deterministic merge ([`shard`]).
+//! itself) call, a line-delimited JSON protocol ([`proto`]) over the
+//! workspace's one strict parser/renderer ([`Json`], from
+//! `vgen_obs::json`), a unix-socket/stdio transport ([`daemon`]), and a
+//! per-shard journal layout with a deterministic merge ([`shard`]).
 //!
 //! Invariant held everywhere: a sweep routed through the service — at any
 //! shard count, any jobs count, either transport — produces reports and
@@ -18,14 +18,12 @@
 
 pub mod client;
 pub mod daemon;
-pub mod json;
 pub mod proto;
 pub mod service;
 pub mod shard;
 
 pub use client::{request_over_unix, ClientOutcome};
 pub use daemon::{serve_stdio, serve_unix, DaemonOptions};
-pub use json::Json;
 pub use proto::{
     parse_request, render_event, CheckRequest, EvalRequest, Event, LintRequest, Request,
     RequestEnvelope, SimRequest,
@@ -35,3 +33,4 @@ pub use shard::{
     canonical_prefix, discover_shard_files, remove_shard_files, seed_shard_journals,
     shard_journal_path, write_journal, CanonicalPrefix,
 };
+pub use vgen_obs::json::Json;

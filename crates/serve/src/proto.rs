@@ -17,7 +17,7 @@
 //! events. Unknown request fields are ignored (forward compatibility);
 //! unknown commands get an `error` event, not a dropped connection.
 
-use crate::json::Json;
+use vgen_obs::json::Json;
 
 /// A parsed request line: the client-chosen id plus the command body.
 #[derive(Debug, Clone, PartialEq)]
@@ -516,8 +516,7 @@ mod tests {
         for e in &events {
             let line = render_event(42, e);
             assert!(!line.contains('\n'), "one line: {line}");
-            vgen_obs::json::validate(&line).expect("valid JSON");
-            let v = Json::parse(&line).expect("reparse");
+            let v = Json::parse(&line).expect("valid JSON");
             assert_eq!(v.get("id").and_then(Json::as_u64), Some(42));
             assert!(v.get("event").is_some());
         }

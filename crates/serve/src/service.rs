@@ -25,11 +25,11 @@ use vgen_core::{
 };
 use vgen_corpus::CorpusSource;
 use vgen_lm::{CompletionEngine, FamilyEngine, ModelFamily, ModelId, Tuning};
+use vgen_obs::json::Json;
 use vgen_obs::CancelToken;
 use vgen_problems::PromptLevel;
 use vgen_sim::SimConfig;
 
-use crate::json::Json;
 use crate::proto::{CheckRequest, EvalRequest, Event, LintRequest, SimRequest};
 use crate::shard;
 

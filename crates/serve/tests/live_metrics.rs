@@ -2,11 +2,14 @@
 //! subscriber sees epoch-monotone snapshots with non-decreasing sweep
 //! progress while a sharded eval runs, and a one-shot `metrics` request
 //! answers with the full payload (snapshot JSON + request table +
-//! Prometheus text that passes the strict line validator).
+//! Prometheus text that passes the strict line validator), both while the
+//! sweep is in flight and after it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vgen_serve::{serve_unix, DaemonOptions, Json};
@@ -36,29 +39,38 @@ fn connect(socket: &Path) -> UnixStream {
     }
 }
 
-/// Sends one request line and returns every event line up to (and
-/// including) the terminal one.
-fn roundtrip(socket: &Path, request: &str) -> Vec<Json> {
+/// Sends one request line and streams its events as they arrive, up to
+/// (and including) the terminal one, from the returned reader thread.
+fn stream(socket: &Path, request: &str) -> (mpsc::Receiver<Json>, JoinHandle<()>) {
     let stream = connect(socket);
     let mut write_half = stream.try_clone().expect("clone stream");
     writeln!(write_half, "{request}").expect("send request");
-    let mut events = Vec::new();
-    for line in BufReader::new(stream).lines() {
-        let line = line.expect("read event line");
-        if line.trim().is_empty() {
-            continue;
+    let (events, received) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in BufReader::new(stream).lines() {
+            let line = line.expect("read event line");
+            if line.trim().is_empty() {
+                continue;
+            }
+            let parsed = Json::parse(&line).expect("event line parses");
+            let terminal = matches!(
+                parsed.get("event").and_then(Json::as_str),
+                Some("done" | "error" | "cancelled")
+            );
+            if events.send(parsed).is_err() || terminal {
+                break;
+            }
         }
-        let parsed = Json::parse(&line).expect("event line parses");
-        let kind = parsed
-            .get("event")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        events.push(parsed);
-        if matches!(kind.as_str(), "done" | "error" | "cancelled") {
-            break;
-        }
-    }
+    });
+    (received, reader)
+}
+
+/// Sends one request line and returns every event up to (and including)
+/// the terminal one.
+fn roundtrip(socket: &Path, request: &str) -> Vec<Json> {
+    let (events, reader) = stream(socket, request);
+    let events = events.iter().collect();
+    reader.join().expect("event reader");
     events
 }
 
@@ -84,27 +96,41 @@ fn subscriber_sees_monotone_snapshots_during_a_sharded_sweep() {
     };
 
     // Subscriber first, so its frames bracket the eval below. The chaos
-    // delay stretches each check ~20ms, keeping the sweep in flight for
-    // several 40ms frames.
-    let subscriber = {
-        let socket = socket.clone();
-        std::thread::spawn(move || {
-            roundtrip(
-                &socket,
-                r#"{"id": 7, "cmd": "subscribe", "interval_ms": 50, "count": 12}"#,
-            )
-        })
-    };
+    // delay stretches each check by 100ms, keeping the sweep in flight for
+    // several 50ms frames.
+    let (subscriber, subscriber_reader) = stream(
+        &socket,
+        r#"{"id": 7, "cmd": "subscribe", "interval_ms": 50, "count": 12}"#,
+    );
 
     let eval_request = format!(
         concat!(
             r#"{{"id": 1, "cmd": "eval", "journal": "{}", "problems": [5, 7], "#,
             r#""levels": "LM", "temperatures": [0.5], "ns": [3], "shards": 2, "#,
-            r#""jobs": 2, "chaos": "check.delay:20%1", "check_timeout": 5.0}}"#
+            r#""jobs": 2, "chaos": "check.delay:100%1", "check_timeout": 5.0}}"#
         ),
         journal.display()
     );
-    let eval_events = roundtrip(&socket, &eval_request);
+    let eval = {
+        let socket = socket.clone();
+        std::thread::spawn(move || roundtrip(&socket, &eval_request))
+    };
+
+    // The first frame that shows the sweep part-way through triggers a
+    // one-shot `metrics` request, answered while the eval is in flight.
+    let mut frames = Vec::new();
+    let mut mid_sweep = None;
+    for frame in subscriber.iter() {
+        if let (None, Some(m)) = (&mid_sweep, frame.get("metrics")) {
+            let done = counter(m, "sweep.items_done");
+            if 0 < done && done < counter(m, "sweep.items_total") {
+                mid_sweep = Some(roundtrip(&socket, r#"{"id": 4, "cmd": "metrics"}"#));
+            }
+        }
+        frames.push(frame);
+    }
+    subscriber_reader.join().expect("subscriber reader");
+    let eval_events = eval.join().expect("eval client thread");
     let terminal = eval_events.last().expect("eval terminal event");
     assert_eq!(
         terminal.get("event").and_then(Json::as_str),
@@ -113,7 +139,6 @@ fn subscriber_sees_monotone_snapshots_during_a_sharded_sweep() {
         terminal.render()
     );
 
-    let frames = subscriber.join().expect("subscriber thread");
     let metrics_frames: Vec<&Json> = frames
         .iter()
         .filter(|e| e.get("event").and_then(Json::as_str) == Some("metrics"))
@@ -149,6 +174,36 @@ fn subscriber_sees_monotone_snapshots_during_a_sharded_sweep() {
         *done.last().expect("frames") > 0,
         "the sweep must be visible in the stream: {done:?}"
     );
+
+    // The mid-sweep snapshot: the sweep is visible in it, and its
+    // exposition is well-formed.
+    let events = mid_sweep.expect("a frame caught the sweep in flight");
+    assert_eq!(events.len(), 1, "metrics is a single terminal event");
+    assert_eq!(events[0].get("event").and_then(Json::as_str), Some("done"));
+    let payload = events[0].get("payload").expect("metrics payload");
+    assert!(payload.get("epoch").and_then(Json::as_u64).unwrap_or(0) >= 1);
+    let counters = payload.get("counters").expect("counters");
+    for name in ["serve.requests", "sweep.items_done", "sweep.items_total"] {
+        assert!(counters.get(name).is_some(), "counter {name} missing");
+    }
+    assert!(counter(payload, "sweep.items_done") >= 1);
+    assert!(
+        matches!(payload.get("requests"), Some(Json::Arr(r)) if !r.is_empty()),
+        "the in-flight eval is in the request table: {}",
+        payload.render()
+    );
+    assert!(payload.get("stages").is_some(), "per-stage histograms");
+    let prom = payload
+        .get("prom")
+        .and_then(Json::as_str)
+        .expect("prom exposition");
+    vgen_obs::prom::validate(prom).expect("exposition passes the strict validator");
+    for needle in [
+        "vgen_sweep_items_done_total",
+        "vgen_stage_duration_seconds_bucket",
+    ] {
+        assert!(prom.contains(needle), "exposition lacks {needle}:\n{prom}");
+    }
 
     // One-shot snapshot after the sweep: full payload, valid exposition.
     let events = roundtrip(&socket, r#"{"id": 2, "cmd": "metrics"}"#);
