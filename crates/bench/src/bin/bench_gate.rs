@@ -30,9 +30,9 @@
 //! here — a ratio floor has no meaning for a lower-is-better percentage.
 //!
 //! Each artifact is parsed once with the workspace's strict JSON parser;
-//! a malformed artifact is a failure, reported with the parse error.
-//! Gated values are looked up by key path: `hit_rate` sits under
-//! `dedup_cache`, every other gated key is top-level.
+//! a malformed artifact fails the gate at once, reported with the parse
+//! error. Gated values are looked up by dotted key path: `hit_rate` sits
+//! under `dedup_cache`, every other gated key is top-level.
 //!
 //! A metric missing from the **fresh** artifact fails the gate (the bench
 //! stopped producing it). A metric missing from the **baseline** only
@@ -51,33 +51,19 @@ use std::process::ExitCode;
 
 use vgen_obs::json::Json;
 
-/// The number at `path` (a chain of object keys) in `doc`.
-fn metric(doc: &Json, path: &[&str]) -> Option<f64> {
-    path.iter().try_fold(doc, |v, key| v.get(key))?.as_f64()
+/// The number at `path` in `doc`: object keys joined by `.`.
+fn metric(doc: &Json, path: &str) -> Option<f64> {
+    path.split('.').try_fold(doc, |v, key| v.get(key))?.as_f64()
 }
 
-/// Parses the artifact read from `path`. A malformed artifact is a gate
-/// failure: it is reported and counted here, and the gates that read it
-/// are skipped.
-fn parse(path: &str, text: &str, failures: &mut usize) -> Option<Json> {
-    match Json::parse(text) {
-        Ok(doc) => Some(doc),
-        Err(e) => {
-            eprintln!("FAIL {path}: not valid JSON: {e}");
-            *failures += 1;
-            None
-        }
-    }
+/// Parses the artifact read from `path`. A malformed artifact fails the
+/// gate at once, reported with the parse error.
+fn parse(path: &str, text: &str) -> Json {
+    Json::parse(text).unwrap_or_else(|e| {
+        eprintln!("FAIL {path}: not valid JSON: {e}");
+        std::process::exit(1);
+    })
 }
-
-/// One gated metric: label, (fresh, baseline) artifacts, key path, and
-/// whether it is a parallel-speedup metric.
-type Gate<'a> = (
-    &'a str,
-    (Option<&'a Json>, Option<&'a Json>),
-    &'a [&'a str],
-    bool,
-);
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -91,7 +77,7 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// `speedup_vs_serial` is pure scheduling noise. Gating it there produces
 /// false regressions, so those metrics are skipped with a warning instead.
 fn single_core_host(fresh_sweep: &Json) -> bool {
-    metric(fresh_sweep, &["available_parallelism"]).is_none_or(|p| p <= 1.0)
+    metric(fresh_sweep, "available_parallelism").is_none_or(|p| p <= 1.0)
 }
 
 fn read(path: &str) -> String {
@@ -124,19 +110,17 @@ fn read_optional(path: &str, explicit: bool) -> Option<String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut failures = 0usize;
-    let mut required = |name: &str, default: &str| {
+    let required = |name: &str, default: &str| {
         let path = flag(&args, name).unwrap_or(default);
-        parse(path, &read(path), &mut failures)
+        parse(path, &read(path))
     };
     let fresh_sim = required("--sim", "target/experiments/BENCH_sim.json");
     let fresh_sweep = required("--sweep", "target/experiments/BENCH_sweep.json");
     let base_sim = required("--baseline-sim", "BENCH_baseline_sim.json");
     let base_sweep = required("--baseline-sweep", "BENCH_baseline_sweep.json");
-    let mut optional = |name: &str, default: &str| {
+    let optional = |name: &str, default: &str| {
         let path = flag(&args, name).unwrap_or(default);
-        read_optional(path, flag(&args, name).is_some())
-            .and_then(|text| parse(path, &text, &mut failures))
+        read_optional(path, flag(&args, name).is_some()).map(|text| parse(path, &text))
     };
     let fresh_obs = optional("--obs", "target/experiments/BENCH_obs.json");
     let base_obs = optional("--baseline-obs", "BENCH_baseline_obs.json");
@@ -144,32 +128,52 @@ fn main() -> ExitCode {
         .map(|t| t.parse().expect("--tolerance takes a fraction like 0.15"))
         .unwrap_or(0.15);
 
-    // An artifact that is `None` was reported already: a malformed file
-    // failed above, an absent optional one warned.
-    let sim = (fresh_sim.as_ref(), base_sim.as_ref());
-    let sweep = (fresh_sweep.as_ref(), base_sweep.as_ref());
-    let obs = (fresh_obs.as_ref(), base_obs.as_ref());
-    let gates: [Gate; 7] = [
-        ("min_speedup_64b", sim, &["min_speedup_64b"], false),
-        ("min_speedup_wide", sim, &["min_speedup_wide"], false),
-        ("dedup_hit_rate", sim, &["dedup_cache", "hit_rate"], false),
-        ("sweep_total_checks", sweep, &["total_checks"], false),
+    // (label, fresh artifact, baseline artifact, key path, parallel-only)
+    let mut gates: Vec<(&str, &Json, &Json, &str, bool)> = vec![
+        (
+            "min_speedup_64b",
+            &fresh_sim,
+            &base_sim,
+            "min_speedup_64b",
+            false,
+        ),
+        (
+            "min_speedup_wide",
+            &fresh_sim,
+            &base_sim,
+            "min_speedup_wide",
+            false,
+        ),
+        (
+            "dedup_hit_rate",
+            &fresh_sim,
+            &base_sim,
+            "dedup_cache.hit_rate",
+            false,
+        ),
+        (
+            "sweep_total_checks",
+            &fresh_sweep,
+            &base_sweep,
+            "total_checks",
+            false,
+        ),
         (
             "sweep_parallel_speedup",
-            sweep,
-            &["max_parallel_speedup"],
+            &fresh_sweep,
+            &base_sweep,
+            "max_parallel_speedup",
             true,
         ),
-        ("obs_stage_coverage", obs, &["stage_coverage"], false),
-        ("obs_span_events", obs, &["span_events"], false),
     ];
+    if let (Some(fresh), Some(base)) = (&fresh_obs, &base_obs) {
+        gates.push(("obs_stage_coverage", fresh, base, "stage_coverage", false));
+        gates.push(("obs_span_events", fresh, base, "span_events", false));
+    }
 
-    let skip_parallel = fresh_sweep.as_ref().is_none_or(single_core_host);
-    for (label, artifacts, path, parallel_only) in gates {
-        let (Some(fresh), Some(base)) = artifacts else {
-            continue;
-        };
-        let key = path.join(".");
+    let skip_parallel = single_core_host(&fresh_sweep);
+    let mut failures = 0usize;
+    for (label, fresh, base, key, parallel_only) in gates {
         if parallel_only && skip_parallel {
             eprintln!(
                 "warn {label}: measuring host reports 1 core, \
@@ -177,12 +181,12 @@ fn main() -> ExitCode {
             );
             continue;
         }
-        let Some(now) = metric(fresh, path) else {
+        let Some(now) = metric(fresh, key) else {
             eprintln!("FAIL {label}: metric \"{key}\" missing from fresh artifact");
             failures += 1;
             continue;
         };
-        let Some(then) = metric(base, path) else {
+        let Some(then) = metric(base, key) else {
             eprintln!(
                 "warn {label}: metric \"{key}\" not in baseline yet, skipping \
                  (refresh baselines to start gating it)"
@@ -211,7 +215,7 @@ fn main() -> ExitCode {
         println!("bench_gate: all tracked metrics within tolerance");
         ExitCode::SUCCESS
     } else {
-        eprintln!("bench_gate: {failures} gate(s) failed");
+        eprintln!("bench_gate: {failures} metric(s) regressed beyond tolerance");
         ExitCode::FAILURE
     }
 }
@@ -227,24 +231,13 @@ mod tests {
     #[test]
     fn metric_follows_key_paths() {
         let json = doc(r#"{"a": 1.5, "nested": {"b": -2}, "sci": 1.2e3, "s": "x"}"#);
-        assert_eq!(metric(&json, &["a"]), Some(1.5));
-        assert_eq!(metric(&json, &["nested", "b"]), Some(-2.0));
-        assert_eq!(metric(&json, &["b"]), None, "only top-level keys match");
-        assert_eq!(metric(&json, &["sci"]), Some(1200.0));
-        assert_eq!(metric(&json, &["missing"]), None);
-        assert_eq!(metric(&json, &["s"]), None);
-        assert_eq!(metric(&json, &["a", "b"]), None);
-    }
-
-    #[test]
-    fn malformed_artifacts_fail() {
-        let mut failures = 0;
-        assert!(parse("ok.json", r#"{"hit_rate": 0.5}"#, &mut failures).is_some());
-        assert_eq!(failures, 0);
-        for bad in [r#"{"hit_rate": 01}"#, r#"{"hit_rate": 0.5"#, ""] {
-            assert!(parse("bad.json", bad, &mut failures).is_none(), "{bad}");
-        }
-        assert_eq!(failures, 3);
+        assert_eq!(metric(&json, "a"), Some(1.5));
+        assert_eq!(metric(&json, "nested.b"), Some(-2.0));
+        assert_eq!(metric(&json, "b"), None, "only top-level keys match");
+        assert_eq!(metric(&json, "sci"), Some(1200.0));
+        assert_eq!(metric(&json, "missing"), None);
+        assert_eq!(metric(&json, "s"), None);
+        assert_eq!(metric(&json, "a.b"), None);
     }
 
     #[test]

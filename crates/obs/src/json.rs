@@ -25,10 +25,6 @@ use std::fmt::Write as _;
 /// anything deeper is hostile input.
 pub const MAX_DEPTH: usize = 64;
 
-/// Object size up to which the parser looks for a repeated key by
-/// scanning the members read so far.
-const SCAN_KEYS: usize = 16;
-
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -410,9 +406,7 @@ impl Parser<'_> {
         self.enter(depth)?;
         self.expect(b'{')?;
         let mut members: Vec<(String, Json)> = Vec::new();
-        // Small objects check for a repeated key by scanning; past
-        // `SCAN_KEYS` members the keys go into a set, so an object with
-        // many keys still parses in linear time.
+        // The keys read so far, so a repeated key is found in linear time.
         let mut keys: HashSet<String> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -422,15 +416,7 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            let repeated = if members.len() < SCAN_KEYS {
-                members.iter().any(|(k, _)| *k == key)
-            } else {
-                if keys.is_empty() {
-                    keys.extend(members.iter().map(|(k, _)| k.clone()));
-                }
-                !keys.insert(key.clone())
-            };
-            if repeated {
+            if !keys.insert(key.clone()) {
                 return Err(format!("duplicate key `{key}`"));
             }
             self.skip_ws();
@@ -544,7 +530,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_rejected_in_objects_of_any_size() {
-        for n in [2, SCAN_KEYS, SCAN_KEYS + 1, 3 * SCAN_KEYS] {
+        for n in [1, 2, 16, 48] {
             let members: Vec<String> = (0..n).map(|i| format!("\"k{i}\":{i}")).collect();
             let unique = format!("{{{}}}", members.join(","));
             assert!(Json::parse(&unique).is_ok(), "{unique}");
