@@ -48,7 +48,7 @@ pub use report::{
 };
 pub use sweep::{
     config_fingerprint, journal_header, read_journal, read_journal_recovering, run_engine,
-    run_engine_journaled, run_engine_parallel, run_engine_sweep, run_engine_sweep_sharded,
-    run_engine_sweep_stats, EvalConfig, EvalRun, FsyncPolicy, Record, RecordObserver,
-    RecoveryReport, ShardSpec, SweepHooks, SweepOptions, SweepStats, UnsupportedJournalVersion,
+    run_engine_journaled, run_engine_parallel, run_engine_sweep, run_engine_sweep_stats,
+    run_engine_sweep_with_hooks, EvalConfig, EvalRun, FsyncPolicy, Record, RecordObserver,
+    RecoveryReport, SweepHooks, SweepOptions, SweepStats, UnsupportedJournalVersion,
 };

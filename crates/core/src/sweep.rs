@@ -387,64 +387,6 @@ impl SweepOptions {
     }
 }
 
-/// Which slice of a sweep's check phase this executor instance owns.
-///
-/// Sharding is by canonical grid position, round-robin: shard `k` of `n`
-/// owns positions `{k, k+n, k+2n, …}`. The generate phase still walks the
-/// *full* grid on every shard (serial generation is what pins the engine's
-/// RNG stream), so the records a shard produces are byte-identical to the
-/// corresponding subsequence of a single-shard run — which is what makes
-/// the per-shard journals mergeable back into the exact single-journal
-/// byte stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// This shard's index, `0 <= index < count`.
-    pub index: u32,
-    /// Total number of shards. `0` or `1` both mean "unsharded".
-    pub count: u32,
-}
-
-impl ShardSpec {
-    /// The unsharded spec: one shard owning every position.
-    pub fn single() -> Self {
-        ShardSpec { index: 0, count: 1 }
-    }
-
-    /// Whether this spec is effectively unsharded.
-    pub fn is_single(&self) -> bool {
-        self.count <= 1
-    }
-
-    /// Whether this shard owns canonical grid position `pos`.
-    pub fn owns(&self, pos: usize) -> bool {
-        self.is_single() || pos % self.count as usize == self.index as usize
-    }
-
-    /// Rejects out-of-range specs (`index >= count` when sharded).
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidInput`] with a message naming the bad spec.
-    pub fn validate(&self) -> io::Result<()> {
-        if !self.is_single() && self.index >= self.count {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "shard index {} out of range for {} shards",
-                    self.index, self.count
-                ),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for ShardSpec {
-    fn default() -> Self {
-        Self::single()
-    }
-}
-
 /// Shared callback invoked for each fresh [`Record`] with
 /// `(record, done, total)`; see [`SweepHooks::observer`].
 pub type RecordObserver = std::sync::Arc<dyn Fn(&Record, usize, usize) + Send + Sync>;
@@ -455,8 +397,9 @@ pub type RecordObserver = std::sync::Arc<dyn Fn(&Record, usize, usize) + Send + 
 #[derive(Clone, Default)]
 pub struct SweepHooks {
     /// Called once per freshly produced record, in canonical order, with
-    /// `(record, done, total)` where `done`/`total` count this shard's
-    /// records. Not called for records replayed from a resumed journal.
+    /// `(record, done, total)` where `done`/`total` count the grid's
+    /// records, resumed ones included. Not called for records replayed
+    /// from a resumed journal.
     pub observer: Option<RecordObserver>,
     /// Cooperative cancellation: polled on every merge-loop wakeup (at
     /// least every 50 ms). When it fires, the sweep stops issuing
@@ -484,7 +427,7 @@ impl SweepHooks {
         } else {
             vgen_obs::counter_add("sweep.items_fail", 1);
         }
-        // The observing thread (a shard supervisor draining the reorder
+        // The observing thread (the sweep's caller, draining the reorder
         // buffer) records no spans, so its periodic self-flush never arms;
         // drain per record so live snapshots track progress. No-op when
         // recording is off, one uncontended lock otherwise.
@@ -504,10 +447,9 @@ impl std::fmt::Debug for SweepHooks {
     }
 }
 
-/// One flattened unit of work: a single completion to check, tagged with
-/// its canonical position in the grid walk.
+/// One flattened unit of work: a single completion to check. Its index in
+/// the generated vector is its canonical position in the grid walk.
 struct WorkItem {
-    pos: usize,
     problem: &'static Problem,
     level: PromptLevel,
     temperature: f64,
@@ -720,7 +662,6 @@ impl SweepStats {
 /// and across worker counts.
 fn generate_items(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Vec<WorkItem> {
     let mut items = Vec::new();
-    let mut pos = 0usize;
     for &pid in &config.problem_ids {
         let prob = problem(pid).unwrap_or_else(|| panic!("unknown problem id {pid}"));
         for &level in &config.levels {
@@ -728,14 +669,12 @@ fn generate_items(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Vec
                 for &n in &config.ns {
                     for completion in engine.generate(prob, level, t, n) {
                         items.push(WorkItem {
-                            pos,
                             problem: prob,
                             level,
                             temperature: t,
                             n,
                             completion,
                         });
-                        pos += 1;
                     }
                 }
             }
@@ -836,10 +775,10 @@ pub fn config_fingerprint(config: &EvalConfig) -> u64 {
     fnv1a(s.as_bytes())
 }
 
-/// Renders the header line a current-format (v3) journal starts with,
-/// optionally shard-tagged. Shared with the eval service, which writes
-/// seeded shard journals and merged journals that must be byte-identical
-/// to what the executor itself writes.
+/// Renders the header line a current-format (v3) journal starts with.
+/// The executor writes `shard: None`. `Some((i, n))` puts a `shard=i/n`
+/// tag between fingerprint and engine, which [`read_journal_recovering`]
+/// refuses as a malformed fingerprint.
 pub fn journal_header(fp: u64, engine: &str, shard: Option<(u32, u32)>) -> String {
     match shard {
         Some((i, n)) => {
@@ -857,9 +796,6 @@ pub struct RecoveryReport {
     /// Lines dropped after the valid prefix: the first torn/corrupt line
     /// and everything after it. `0` for a clean journal.
     pub dropped_lines: usize,
-    /// `(index, count)` when the header declares this a shard journal
-    /// (`shard=index/count`), `None` for an ordinary single journal.
-    pub shard: Option<(u32, u32)>,
 }
 
 /// Reads a journal file: header validation plus all well-formed record
@@ -922,30 +858,12 @@ pub fn read_journal_recovering(
             "not a vgen journal",
         ));
     };
-    let (fp_and_shard, engine) = rest
+    let (fp_hex, engine) = rest
         .split_once(" engine=")
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed journal header"))?;
-    // The shard tag sits *between* fingerprint and engine so that a
-    // pre-shard build handed a shard journal fails loudly ("malformed
-    // journal fingerprint") instead of silently resuming a fraction of the
-    // grid as if it were the whole run.
-    let (fp_hex, shard) = match fp_and_shard.split_once(" shard=") {
-        Some((f, s)) => {
-            let parsed = s.split_once('/').and_then(|(i, n)| {
-                let i: u32 = i.parse().ok()?;
-                let n: u32 = n.parse().ok()?;
-                (n > 1 && i < n).then_some((i, n))
-            });
-            let Some(pair) = parsed else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed journal shard tag `{s}`"),
-                ));
-            };
-            (f, Some(pair))
-        }
-        None => (fp_and_shard, None),
-    };
+    // A shard-tagged header (`shard=i/n` between fingerprint and engine)
+    // holds a fraction of the grid; it fails here as a malformed
+    // fingerprint rather than resuming as if it were the whole run.
     let fp = u64::from_str_radix(fp_hex, 16)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "malformed journal fingerprint"))?;
     let mut records = Vec::new();
@@ -973,7 +891,6 @@ pub fn read_journal_recovering(
     let report = RecoveryReport {
         kept: records.len(),
         dropped_lines: dropped,
-        shard,
     };
     Ok((engine.to_string(), fp, records, report))
 }
@@ -1178,25 +1095,11 @@ pub fn run_engine_sweep_stats(
     journal: Option<(&Path, bool)>,
     opts: &SweepOptions,
 ) -> io::Result<(EvalRun, SweepStats)> {
-    run_engine_sweep_sharded(
-        engine,
-        config,
-        journal,
-        opts,
-        ShardSpec::single(),
-        &SweepHooks::default(),
-    )
+    run_engine_sweep_with_hooks(engine, config, journal, opts, &SweepHooks::default())
 }
 
-/// [`run_engine_sweep_stats`] generalised over sharding and per-run hooks
-/// — the substrate the eval service (`vgen-serve`) builds on.
-///
-/// With a non-single [`ShardSpec`] the generate phase still walks the full
-/// grid (pinning the engine RNG stream), but only positions the shard owns
-/// are checked and journaled; the journal header gains a `shard=k/n` tag
-/// and the returned [`EvalRun`] holds only the shard's records, in
-/// canonical order. Merging the shard journals round-robin reconstructs
-/// the exact byte stream a single-shard run writes.
+/// [`run_engine_sweep_stats`] with per-run hooks — the substrate the eval
+/// service (`vgen-serve`) builds on.
 ///
 /// [`SweepHooks::observer`] streams each fresh record; [`SweepHooks::cancel`]
 /// stops the sweep between checks, leaving the journal a valid resumable
@@ -1204,21 +1107,15 @@ pub fn run_engine_sweep_stats(
 ///
 /// # Errors
 ///
-/// As for [`run_engine_sweep_stats`], plus [`io::ErrorKind::InvalidInput`]
-/// for an out-of-range shard spec, [`io::ErrorKind::InvalidData`] when
-/// resuming a journal whose shard tag does not match, and
-/// [`io::ErrorKind::Interrupted`] when the cancel token fires (the journal
-/// is finished cleanly first).
-pub fn run_engine_sweep_sharded(
+/// As for [`run_engine_sweep_stats`], plus [`io::ErrorKind::Interrupted`]
+/// when the cancel token fires (the journal is finished cleanly first).
+pub fn run_engine_sweep_with_hooks(
     engine: &mut dyn CompletionEngine,
     config: &EvalConfig,
     journal: Option<(&Path, bool)>,
     opts: &SweepOptions,
-    shard: ShardSpec,
     hooks: &SweepHooks,
 ) -> io::Result<(EvalRun, SweepStats)> {
-    shard.validate()?;
-    let shard_tag = (!shard.is_single()).then_some((shard.index, shard.count));
     let name = engine.name();
     let fp = config_fingerprint(config);
     let mut prior: Vec<Record> = Vec::new();
@@ -1239,20 +1136,6 @@ pub fn run_engine_sweep_sharded(
                     format!("journal config fingerprint {jfp:016x} != {fp:016x}"),
                 ));
             }
-            if recovery.shard != shard_tag {
-                let found = match recovery.shard {
-                    Some((i, n)) => format!("shard {i}/{n}"),
-                    None => "unsharded".to_string(),
-                };
-                let want = match shard_tag {
-                    Some((i, n)) => format!("shard {i}/{n}"),
-                    None => "unsharded".to_string(),
-                };
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("journal is {found}, this run is {want}"),
-                ));
-            }
             stats.repaired_lines = recovery.dropped_lines;
             if recovery.dropped_lines > 0 {
                 vgen_obs::counter_add("journal.repair", recovery.dropped_lines as u64);
@@ -1262,7 +1145,7 @@ pub fn run_engine_sweep_sharded(
         // (Re)write header + surviving records; on resume this also
         // truncates any torn trailing suffix left by a kill.
         let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{}", journal_header(fp, &name, shard_tag))?;
+        writeln!(f, "{}", journal_header(fp, &name, None))?;
         for r in &prior {
             writeln!(f, "{}", r.to_journal_line())?;
         }
@@ -1274,16 +1157,10 @@ pub fn run_engine_sweep_sharded(
         ));
     }
 
-    let mut items = generate_items(engine, config);
-    if !shard.is_single() {
-        // The full grid was generated (above) to keep the engine RNG
-        // stream shard-independent; this shard only checks what it owns.
-        items.retain(|it| shard.owns(it.pos));
-    }
+    let items = generate_items(engine, config);
     let total = items.len();
-    // Advertise this shard's slice of the grid to the metrics plane: the
-    // per-shard contributions sum to the full grid, and resumed records
-    // count as done without re-observation.
+    // Advertise the grid to the metrics plane; resumed records count as
+    // done without re-observation.
     vgen_obs::counter_add("sweep.items_total", total as u64);
     // The fingerprint pins the grid, so a well-formed journal never holds
     // more than `total` records; clamp anyway so a hand-edited journal
@@ -1291,9 +1168,9 @@ pub fn run_engine_sweep_sharded(
     prior.truncate(total);
     let done_prior = prior.len();
     vgen_obs::counter_add("sweep.items_done", done_prior as u64);
-    // This thread may push no spans of its own (shard supervisors mostly
-    // wait on the pool), so drain the totals to the accumulator now
-    // rather than at thread exit — live snapshots need them up front.
+    // This thread may push no spans of its own (it mostly waits on the
+    // pool), so drain the totals to the accumulator now rather than at
+    // thread exit — live snapshots need them up front.
     vgen_obs::flush();
     stats.resumed_records = done_prior;
     let mut progress = Progress::new(opts.progress, total, done_prior);
@@ -1318,19 +1195,19 @@ pub fn run_engine_sweep_sharded(
     let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
     let mut outstanding: BTreeSet<usize> = BTreeSet::new();
     let mut submitted = 0usize;
-    for (dense, item) in items.into_iter().enumerate().skip(done_prior) {
+    for (pos, item) in items.into_iter().enumerate().skip(done_prior) {
         let mut source = None;
         if use_cache {
             let (key, assembled) = source_keys.of(&item);
             match leader_of.entry(key) {
                 Entry::Occupied(leader) => {
-                    followers.entry(*leader.get()).or_default().push(dense);
+                    followers.entry(*leader.get()).or_default().push(pos);
                     stats.cache_hits += 1;
                     vgen_obs::counter_add("dedup.hit", 1);
                     continue;
                 }
                 Entry::Vacant(slot) => {
-                    slot.insert(dense);
+                    slot.insert(pos);
                 }
             }
             // A text seen before maps to a key that already has a leader,
@@ -1338,14 +1215,9 @@ pub fn run_engine_sweep_sharded(
             source = assembled;
         }
         let policy = opts.policy.clone();
-        outstanding.insert(dense);
-        // Pool and reorder-buffer indices are the *dense* per-shard
-        // positions (the reorder buffer requires contiguity); chaos stays
-        // keyed by the canonical grid position (`item.pos`) so injected
-        // faults land on the same records at any shard count. Unsharded,
-        // the two coincide.
-        pool.submit(dense, move || {
-            if task_panic_fires(&policy.chaos, item.pos) {
+        outstanding.insert(pos);
+        pool.submit(pos, move || {
+            if task_panic_fires(&policy.chaos, pos) {
                 panic!("chaos: injected pool-task panic");
             }
             check_item(&item, source, sim, &policy)
@@ -2143,92 +2015,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_partition_the_record_stream() {
-        let cfg = small_cfg();
-        let whole = run_engine(&mut cg16_ft_engine(), &cfg);
-        for count in [2u32, 4] {
-            let mut merged: Vec<Option<Record>> = vec![None; whole.records.len()];
-            for index in 0..count {
-                let (part, _) = run_engine_sweep_sharded(
-                    &mut cg16_ft_engine(),
-                    &cfg,
-                    None,
-                    &SweepOptions::serial(),
-                    ShardSpec { index, count },
-                    &SweepHooks::default(),
-                )
-                .expect("sharded run");
-                for (i, rec) in part.records.into_iter().enumerate() {
-                    merged[index as usize + i * count as usize] = Some(rec);
-                }
-            }
-            let merged: Vec<Record> = merged.into_iter().map(|r| r.expect("covered")).collect();
-            assert_eq!(merged, whole.records, "shard count {count}");
-        }
-    }
-
-    #[test]
-    fn sharded_parallel_matches_serial_shard() {
-        let cfg = small_cfg();
-        let shard = ShardSpec { index: 1, count: 2 };
-        let (serial, _) = run_engine_sweep_sharded(
-            &mut cg16_ft_engine(),
-            &cfg,
-            None,
-            &SweepOptions::serial(),
-            shard,
-            &SweepHooks::default(),
-        )
-        .expect("serial shard");
-        let (par, _) = run_engine_sweep_sharded(
-            &mut cg16_ft_engine(),
-            &cfg,
-            None,
-            &SweepOptions::parallel(3),
-            shard,
-            &SweepHooks::default(),
-        )
-        .expect("parallel shard");
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn shard_journal_header_tags_and_validates() {
-        let path = temp_journal("shardtag");
-        let cfg = small_cfg();
-        let shard = ShardSpec { index: 1, count: 3 };
-        run_engine_sweep_sharded(
-            &mut cg16_ft_engine(),
-            &cfg,
-            Some((&path, false)),
-            &SweepOptions::serial(),
-            shard,
-            &SweepHooks::default(),
-        )
-        .expect("sharded journaled run");
-        let (_, fp, recs, recovery) = read_journal_recovering(&path).expect("read shard journal");
-        assert_eq!(fp, config_fingerprint(&cfg));
-        assert_eq!(recovery.shard, Some((1, 3)));
-        assert_eq!(recs.len(), 10, "shard 1/3 of a 30-position grid");
-        // Resuming under a different shard spec is refused...
-        let err = run_engine_sweep_sharded(
-            &mut cg16_ft_engine(),
-            &cfg,
-            Some((&path, true)),
-            &SweepOptions::serial(),
-            ShardSpec { index: 0, count: 3 },
-            &SweepHooks::default(),
-        )
-        .expect_err("shard mismatch");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // ...and so is resuming a shard journal as an unsharded one.
-        let err = run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true)
-            .expect_err("unsharded resume of shard journal");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn observer_streams_every_fresh_record_in_order() {
         let cfg = small_cfg();
         let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
@@ -2243,12 +2029,11 @@ mod tests {
         };
         for jobs in [1, 3] {
             seen.lock().expect("observer lock").clear();
-            let (run, _) = run_engine_sweep_sharded(
+            let (run, _) = run_engine_sweep_with_hooks(
                 &mut cg16_ft_engine(),
                 &cfg,
                 None,
                 &SweepOptions::parallel(jobs),
-                ShardSpec::single(),
                 &hooks,
             )
             .expect("observed run");
@@ -2278,12 +2063,11 @@ mod tests {
             })),
             cancel: Some(token),
         };
-        let err = run_engine_sweep_sharded(
+        let err = run_engine_sweep_with_hooks(
             &mut cg16_ft_engine(),
             &cfg,
             Some((&path, false)),
             &SweepOptions::serial(),
-            ShardSpec::single(),
             &hooks,
         )
         .expect_err("cancelled sweep");

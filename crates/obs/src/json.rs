@@ -447,7 +447,7 @@ mod tests {
     fn roundtrips_protocol_shapes() {
         let cases = [
             r#"{"id":1,"cmd":"ping"}"#,
-            r#"{"id":2,"cmd":"eval","journal":"/tmp/j.log","shards":4,"resume":true}"#,
+            r#"{"id":2,"cmd":"eval","journal":"/tmp/j.log","jobs":4,"resume":true}"#,
             r#"{"a":[1,2.5,-3,null,true,false,"x"],"b":{"c":{}},"d":[]}"#,
             r#"{"s":"quote \" backslash \\ newline \n tab \t"}"#,
         ];

@@ -12,7 +12,8 @@
 //! [`Snapshot::delta`] of two snapshots taken an interval apart yields the
 //! activity *in that interval* — rates (checks/s, sim steps/s) fall out by
 //! dividing by [`Snapshot::wall_ns`]. [`Snapshot::merge`] is the inverse
-//! direction: combining disjoint snapshots (e.g. per-shard) into one.
+//! direction: combining snapshots of disjoint windows (a base snapshot
+//! plus a later delta) into one.
 
 use std::collections::BTreeMap;
 

@@ -87,9 +87,9 @@ proptest! {
         prop_assert_eq!(rebuilt.nonzero_buckets(), hall.nonzero_buckets());
     }
 
-    /// Merging snapshots whose lanes are disjoint (the per-shard case)
-    /// keeps every lane's busy time intact: the union of keys, no
-    /// cross-lane bleed, totals preserved.
+    /// Merging snapshots whose lanes are disjoint keeps every lane's busy
+    /// time intact: the union of keys, no cross-lane bleed, totals
+    /// preserved.
     #[test]
     fn merge_keeps_disjoint_lanes_disjoint(
         left in proptest::collection::vec((0u32..8, 1u64..1_000, 0u64..1_000), 0..8),

@@ -15,12 +15,12 @@
 //! its lifetime, feeding the live metrics plane: `metrics` answers with
 //! one epoch-stamped snapshot (JSON + Prometheus text), `subscribe`
 //! streams one per interval, and a [`LiveState`] table tracks every
-//! in-flight request's progress (per-shard done counts, pass/fail/fault
-//! tallies) from the same progress events clients see. Recording is
+//! in-flight request's progress (done counts, pass/fail/fault tallies)
+//! from the same progress events clients see. Recording is
 //! write-only from the pipeline's view, so a served run stays
 //! byte-identical to an unserved one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -61,8 +61,8 @@ impl<W: Write + Send> LineWriter<W> {
 }
 
 /// Adapts a [`LineWriter`] into the per-request [`EventSink`] the service
-/// streams through. Owns the writer handle: the service's shard threads
-/// outlive any particular borrow.
+/// streams through. Owns the writer handle, because the sweep's record
+/// observer holds the sink for the whole request.
 struct WireSink<W: Write + Send> {
     writer: Arc<LineWriter<W>>,
     id: u64,
@@ -112,8 +112,6 @@ struct LiveRequest {
     pass: u64,
     fail: u64,
     fault: u64,
-    /// Records landed per shard (sharded evals only).
-    shards: BTreeMap<u32, u64>,
 }
 
 /// Daemon-global table of in-flight work, shared by every connection —
@@ -136,7 +134,6 @@ impl LiveState {
             pass: 0,
             fail: 0,
             fault: 0,
-            shards: BTreeMap::new(),
         });
         vgen_obs::counter_add("serve.requests", 1);
         vgen_obs::gauge_max("serve.active", reqs.len() as u64);
@@ -160,7 +157,6 @@ impl LiveState {
         let Event::Progress {
             done,
             total,
-            shard,
             outcome,
         } = event
         else {
@@ -172,14 +168,10 @@ impl LiveState {
         };
         req.done = (*done).max(req.done);
         req.total = *total;
-        if let Some(s) = shard {
-            *req.shards.entry(*s).or_insert(0) += 1;
-        }
         match *outcome {
-            Some("pass") => req.pass += 1,
-            Some("fault") => req.fault += 1,
-            Some(_) => req.fail += 1,
-            None => {}
+            "pass" => req.pass += 1,
+            "fault" => req.fault += 1,
+            _ => req.fail += 1,
         }
     }
 
@@ -204,17 +196,6 @@ impl LiveState {
                     if r.done > 0 && r.total > r.done {
                         let eta = elapsed_s * (r.total - r.done) as f64 / r.done as f64;
                         members.push(("eta_s".to_string(), Json::Num(eta)));
-                    }
-                    if !r.shards.is_empty() {
-                        members.push((
-                            "shards".to_string(),
-                            Json::Obj(
-                                r.shards
-                                    .iter()
-                                    .map(|(&s, &n)| (s.to_string(), Json::Num(n as f64)))
-                                    .collect(),
-                            ),
-                        ));
                     }
                     Json::Obj(members)
                 })

@@ -55,8 +55,7 @@ pub enum Request {
 /// options, mirroring the `vgen eval` CLI flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalRequest {
-    /// Journal path; required (sharded execution and resume both key off
-    /// it).
+    /// Journal path; required (resume keys off it).
     pub journal: String,
     pub resume: bool,
     /// Model name as in `ModelId` display form, e.g. `CodeGen-16B`.
@@ -65,10 +64,8 @@ pub struct EvalRequest {
     pub tuning: String,
     /// Paper-scale grid (`paper_n10`) instead of the quick grid.
     pub full: bool,
-    /// Worker threads per shard; `0` = auto.
+    /// Worker threads; `0` = auto.
     pub jobs: usize,
-    /// Shard count for the check phase; `1` = unsharded.
-    pub shards: u32,
     pub dedup: bool,
     /// Per-check wall-clock timeout in seconds.
     pub check_timeout: Option<f64>,
@@ -102,7 +99,6 @@ impl Default for EvalRequest {
             tuning: "ft".to_string(),
             full: false,
             jobs: 1,
-            shards: 1,
             dedup: true,
             check_timeout: None,
             retries: 0,
@@ -153,14 +149,11 @@ pub enum Event {
     /// The request parsed and started executing.
     Accepted { cmd: &'static str },
     /// A fresh record landed: `done`/`total` count the whole request;
-    /// `shard` says which shard produced it (absent unsharded); `outcome`
-    /// classifies the record (`pass`/`fail`/`fault`, absent when the
-    /// emitter has no record in hand).
+    /// `outcome` classifies the record (`pass`/`fail`/`fault`).
     Progress {
         done: usize,
         total: usize,
-        shard: Option<u32>,
-        outcome: Option<&'static str>,
+        outcome: &'static str,
     },
     /// A `vgen-obs` metrics snapshot (object payload): the final one for
     /// an `eval --metrics` request, or one frame of a `subscribe` stream.
@@ -199,18 +192,12 @@ pub fn render_event(id: u64, event: &Event) -> String {
         Event::Progress {
             done,
             total,
-            shard,
             outcome,
         } => {
             tag(&mut members, "progress");
             members.push(("done".to_string(), Json::Num(*done as f64)));
             members.push(("total".to_string(), Json::Num(*total as f64)));
-            if let Some(s) = shard {
-                members.push(("shard".to_string(), Json::Num(*s as f64)));
-            }
-            if let Some(o) = outcome {
-                members.push(("outcome".to_string(), Json::str(*o)));
-            }
+            members.push(("outcome".to_string(), Json::str(*outcome)));
         }
         Event::Metrics { metrics } => {
             tag(&mut members, "metrics");
@@ -353,7 +340,6 @@ pub fn parse_request(line: &str) -> Result<RequestEnvelope, String> {
                 tuning: str_field(&v, "tuning", &d.tuning)?,
                 full: bool_field(&v, "full", d.full)?,
                 jobs: uint_field(&v, "jobs", d.jobs as u64)? as usize,
-                shards: uint_field(&v, "shards", u64::from(d.shards))? as u32,
                 dedup: bool_field(&v, "dedup", d.dedup)?,
                 check_timeout,
                 retries: uint_field(&v, "retries", u64::from(d.retries))? as u32,
@@ -423,11 +409,11 @@ mod tests {
             panic!("not eval")
         };
         assert_eq!(e.journal, "/tmp/x.log");
-        assert_eq!(e.shards, 1);
+        assert_eq!(e.jobs, 1);
         assert!(e.dedup);
 
         let env = parse_request(
-            r#"{"id":9,"cmd":"eval","journal":"j","shards":4,"jobs":2,"resume":true,
+            r#"{"id":9,"cmd":"eval","journal":"j","jobs":2,"resume":true,
                 "model":"CodeGen-2B","tuning":"pt","dedup":false,
                 "problems":[1,2,6],"temperatures":[0.1,0.7],"ns":[5],"levels":"LM",
                 "check_timeout":2.5,"retries":1,"chaos":"check.delay:0.5:20","chaos_seed":7,
@@ -437,7 +423,7 @@ mod tests {
         let Request::Eval(e) = env.body else {
             panic!("not eval")
         };
-        assert_eq!(e.shards, 4);
+        assert_eq!(e.jobs, 2);
         assert_eq!(e.problems.as_deref(), Some(&[1u8, 2, 6][..]));
         assert_eq!(e.levels.as_deref(), Some("LM"));
         assert_eq!(e.check_timeout, Some(2.5));
@@ -499,8 +485,7 @@ mod tests {
             Event::Progress {
                 done: 3,
                 total: 30,
-                shard: Some(1),
-                outcome: Some("pass"),
+                outcome: "pass",
             },
             Event::Log {
                 message: "resumed 7 record(s)".to_string(),

@@ -1,16 +1,11 @@
 //! The library-level `Service`: every operation the daemon (and the CLI,
 //! which is a thin client of this API) can execute.
 //!
-//! The eval path is the heart: it reuses the core sweep executor
-//! ([`vgen_core::run_engine_sweep_sharded`]) unchanged for a single
-//! shard, and for `shards > 1` runs one executor per shard — each with
-//! its own freshly built engine (the family engine derives every cell's
-//! RNG from `(seed, model, problem, level, temperature, n)`, so
-//! regenerating per shard is byte-identical to generating once) — then
-//! merges the per-shard journals back into the exact single-journal byte
-//! stream. Byte-identical reports and journals versus the one-shot CLI
-//! path, at any shard and jobs count, is the invariant the parity tests
-//! and the `serve-smoke` CI job hold.
+//! The eval path is the heart: it runs the core sweep executor
+//! ([`vgen_core::run_engine_sweep_with_hooks`]) unchanged, streaming each
+//! record as a progress event. Byte-identical reports and journals versus
+//! the one-shot CLI path, at any jobs count, is the invariant the parity
+//! tests and the `serve-smoke` CI job hold.
 
 use std::io;
 use std::path::Path;
@@ -19,19 +14,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vgen_core::{
-    config_fingerprint, render_eval_summary, run_engine_sweep_sharded, supervised_check_completion,
+    render_eval_summary, run_engine_sweep_with_hooks, supervised_check_completion,
     sweep_stats_json, ChaosSpec, CheckOutcome, CheckPolicy, EvalConfig, EvalRun, FsyncPolicy,
-    Record, ShardSpec, SweepHooks, SweepOptions, SweepStats,
+    Record, SweepHooks, SweepOptions, SweepStats,
 };
 use vgen_corpus::CorpusSource;
-use vgen_lm::{CompletionEngine, FamilyEngine, ModelFamily, ModelId, Tuning};
+use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_obs::json::Json;
 use vgen_obs::CancelToken;
 use vgen_problems::PromptLevel;
 use vgen_sim::SimConfig;
 
 use crate::proto::{CheckRequest, EvalRequest, Event, LintRequest, SimRequest};
-use crate::shard;
 
 /// Receives the event stream of one request. Implementations must be
 /// cheap and non-blocking-ish: events are emitted from worker threads
@@ -53,14 +47,14 @@ impl EventSink for NullSink {
 /// What an eval request produced.
 #[derive(Debug)]
 pub struct EvalOutcome {
-    /// The full run (merged across shards). `None` when cancelled.
+    /// The full run. `None` when cancelled.
     pub run: Option<EvalRun>,
     /// The rendered stdout report — byte-identical to the one-shot CLI's.
     /// `None` when cancelled.
     pub report: Option<String>,
-    /// Aggregate sweep stats (summed across shards).
+    /// Sweep stats.
     pub stats: SweepStats,
-    /// Records completed (merged canonical prefix length when cancelled).
+    /// Records completed (the last progress count when cancelled).
     pub done: usize,
     /// Grid size: the record count a complete run produces.
     pub total: usize,
@@ -75,19 +69,6 @@ pub struct EvalOutcome {
 /// in-flight tokens keyed by request id).
 #[derive(Debug, Default)]
 pub struct Service;
-
-/// Everything needed to build one engine instance (per shard).
-#[derive(Clone, Copy)]
-struct EngineParams {
-    model: ModelId,
-    seed: u64,
-}
-
-impl EngineParams {
-    fn build(&self) -> FamilyEngine {
-        FamilyEngine::new(self.model, CorpusSource::GithubOnly, self.seed)
-    }
-}
 
 fn parse_levels(tags: &str) -> Result<Vec<PromptLevel>, String> {
     let mut levels = Vec::new();
@@ -117,9 +98,9 @@ fn parse_level_one(tag: &str) -> Result<PromptLevel, String> {
     }
 }
 
-/// Resolves an eval request into the engine parameters, grid config and
-/// sweep options — the exact translation the CLI used to do inline.
-fn resolve_eval(req: &EvalRequest) -> Result<(EngineParams, EvalConfig, SweepOptions), String> {
+/// Resolves an eval request into the engine, grid config and sweep
+/// options — the exact translation the CLI used to do inline.
+fn resolve_eval(req: &EvalRequest) -> Result<(FamilyEngine, EvalConfig, SweepOptions), String> {
     let tuning = match req.tuning.as_str() {
         "ft" | "fine-tuned" => Tuning::FineTuned,
         "pt" | "pretrained" => Tuning::Pretrained,
@@ -192,14 +173,12 @@ fn resolve_eval(req: &EvalRequest) -> Result<(EngineParams, EvalConfig, SweepOpt
         fsync: FsyncPolicy::parse(&req.fsync)?,
         stall_timeout: None,
     };
-    Ok((
-        EngineParams {
-            model: ModelId::new(family, tuning),
-            seed: req.seed,
-        },
-        config,
-        opts,
-    ))
+    let engine = FamilyEngine::new(
+        ModelId::new(family, tuning),
+        CorpusSource::GithubOnly,
+        req.seed,
+    );
+    Ok((engine, config, opts))
 }
 
 /// The record count a complete run over `config` produces. The family
@@ -210,41 +189,6 @@ fn grid_total(config: &EvalConfig) -> usize {
         * config.levels.len()
         * config.temperatures.len()
         * config.ns.iter().sum::<usize>()
-}
-
-/// A progress observer shared by every shard of one request: global done
-/// counter, per-`progress_every` events.
-struct ProgressFan {
-    sink: Arc<dyn EventSink>,
-    done: AtomicUsize,
-    total: usize,
-    every: usize,
-}
-
-impl ProgressFan {
-    fn emit(&self, done: usize, shard: Option<u32>, outcome: Option<&'static str>) {
-        if done.is_multiple_of(self.every) || done == self.total {
-            self.sink.event(&Event::Progress {
-                done,
-                total: self.total,
-                shard,
-                outcome,
-            });
-        }
-    }
-
-    /// Sharded ticks: each shard thread bumps the shared counter.
-    fn tick(&self, shard: Option<u32>, outcome: Option<&'static str>) {
-        let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
-        self.emit(done, shard, outcome);
-    }
-
-    /// Single-shard ticks: the executor already counts resumed records
-    /// into `done`, so we adopt its figure instead of re-counting.
-    fn tick_at(&self, done: usize, outcome: Option<&'static str>) {
-        self.done.store(done, Ordering::SeqCst);
-        self.emit(done, None, outcome);
-    }
 }
 
 /// The `outcome` tag a record carries on its progress event.
@@ -258,9 +202,73 @@ fn record_outcome(rec: &Record) -> &'static str {
     }
 }
 
+/// The sweep behind [`Service::eval`]: every fresh record becomes a
+/// progress event (each `progress_every`-th one, and the last).
+fn run_sweep(
+    req: &EvalRequest,
+    engine: &mut FamilyEngine,
+    config: &EvalConfig,
+    opts: &SweepOptions,
+    cancel: &CancelToken,
+    sink: &Arc<dyn EventSink>,
+) -> Result<EvalOutcome, String> {
+    let total = grid_total(config);
+    let every = req.progress_every.max(1) as usize;
+    // The last `done` observed, which a cancelled outcome reports.
+    let done_at = Arc::new(AtomicUsize::new(0));
+    let hooks = SweepHooks {
+        observer: Some({
+            let sink = Arc::clone(sink);
+            let done_at = Arc::clone(&done_at);
+            Arc::new(move |rec: &Record, done, _total| {
+                done_at.store(done, Ordering::SeqCst);
+                if done.is_multiple_of(every) || done == total {
+                    sink.event(&Event::Progress {
+                        done,
+                        total,
+                        outcome: record_outcome(rec),
+                    });
+                }
+            })
+        }),
+        cancel: Some(cancel.clone()),
+    };
+    match run_engine_sweep_with_hooks(
+        engine,
+        config,
+        Some((Path::new(&req.journal), req.resume)),
+        opts,
+        &hooks,
+    ) {
+        Ok((run, stats)) => {
+            let done = run.records.len();
+            let report = render_eval_summary(&run, &req.journal);
+            Ok(EvalOutcome {
+                run: Some(run),
+                report: Some(report),
+                stats,
+                done,
+                total,
+                cancelled: false,
+                obs: None,
+            })
+        }
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(EvalOutcome {
+            run: None,
+            report: None,
+            stats: SweepStats::default(),
+            done: done_at.load(Ordering::SeqCst),
+            total,
+            cancelled: true,
+            obs: None,
+        }),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
 impl Service {
-    /// Runs a full eval sweep: single- or multi-shard, journaled,
-    /// streaming progress to `sink`, honouring `cancel` between checks.
+    /// Runs a full eval sweep: journaled, streaming progress to `sink`,
+    /// honouring `cancel` between checks.
     ///
     /// # Errors
     ///
@@ -274,10 +282,7 @@ impl Service {
         cancel: &CancelToken,
         sink: &Arc<dyn EventSink>,
     ) -> Result<EvalOutcome, String> {
-        let (params, config, opts) = resolve_eval(req)?;
-        if req.shards == 0 {
-            return Err("`shards` must be at least 1".to_string());
-        }
+        let (mut engine, config, opts) = resolve_eval(req)?;
         let journal = Path::new(&req.journal);
         if !req.resume
             && std::fs::metadata(journal)
@@ -302,11 +307,7 @@ impl Service {
             vgen_obs::enable();
         }
         let live_before = (req.metrics && !owns_session).then(vgen_obs::snapshot);
-        let outcome = if req.shards <= 1 {
-            self.eval_single(req, params, &config, &opts, cancel, sink)
-        } else {
-            self.eval_sharded(req, params, &config, &opts, cancel, sink)
-        };
+        let outcome = run_sweep(req, &mut engine, &config, &opts, cancel, sink);
         let obs = owns_session.then(vgen_obs::collect);
         let mut outcome = outcome?;
         if let Some(report) = &obs {
@@ -328,252 +329,6 @@ impl Service {
                 .map_err(|e| format!("cannot write `{stats_path}`: {e}"))?;
         }
         Ok(outcome)
-    }
-
-    fn eval_single(
-        &self,
-        req: &EvalRequest,
-        params: EngineParams,
-        config: &EvalConfig,
-        opts: &SweepOptions,
-        cancel: &CancelToken,
-        sink: &Arc<dyn EventSink>,
-    ) -> Result<EvalOutcome, String> {
-        let journal = Path::new(&req.journal);
-        let mut engine = params.build();
-        // A previous sharded run may have left shard journals behind;
-        // resuming unsharded folds their canonical prefix into the main
-        // journal first (shard-count changes compose, satellite
-        // requirement), then re-checks everything past it.
-        if req.resume {
-            let fp = config_fingerprint(config);
-            let name = engine.name();
-            let shard_files = shard::discover_shard_files(journal).map_err(|e| e.to_string())?;
-            if !shard_files.is_empty() {
-                let prefix =
-                    shard::canonical_prefix(journal, &name, fp).map_err(|e| e.to_string())?;
-                sink.event(&Event::Log {
-                    message: format!(
-                        "folded {} shard journal(s) into a {}-record canonical prefix",
-                        prefix.shard_files,
-                        prefix.records.len()
-                    ),
-                });
-                shard::write_journal(journal, &name, fp, None, &prefix.records)
-                    .map_err(|e| e.to_string())?;
-                shard::remove_shard_files(journal).map_err(|e| e.to_string())?;
-            }
-        }
-        let total = grid_total(config);
-        let fan = Arc::new(ProgressFan {
-            sink: Arc::clone(sink),
-            done: AtomicUsize::new(0),
-            total,
-            every: req.progress_every.max(1) as usize,
-        });
-        let hooks = SweepHooks {
-            observer: Some({
-                let fan = Arc::clone(&fan);
-                Arc::new(move |rec: &Record, done, _total| {
-                    fan.tick_at(done, Some(record_outcome(rec)));
-                })
-            }),
-            cancel: Some(cancel.clone()),
-        };
-        match run_engine_sweep_sharded(
-            &mut engine,
-            config,
-            Some((journal, req.resume)),
-            opts,
-            ShardSpec::single(),
-            &hooks,
-        ) {
-            Ok((run, stats)) => {
-                let done = run.records.len();
-                let report = render_eval_summary(&run, &req.journal);
-                Ok(EvalOutcome {
-                    run: Some(run),
-                    report: Some(report),
-                    stats,
-                    done,
-                    total,
-                    cancelled: false,
-                    obs: None,
-                })
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(EvalOutcome {
-                run: None,
-                report: None,
-                stats: SweepStats::default(),
-                done: fan.done.load(Ordering::SeqCst),
-                total,
-                cancelled: true,
-                obs: None,
-            }),
-            Err(e) => Err(e.to_string()),
-        }
-    }
-
-    fn eval_sharded(
-        &self,
-        req: &EvalRequest,
-        params: EngineParams,
-        config: &EvalConfig,
-        opts: &SweepOptions,
-        cancel: &CancelToken,
-        sink: &Arc<dyn EventSink>,
-    ) -> Result<EvalOutcome, String> {
-        let journal = Path::new(&req.journal);
-        let count = req.shards;
-        let fp = config_fingerprint(config);
-        let name = params.build().name();
-        // Resume: fold whatever survives on disk — main journal and shard
-        // files of any count — into the canonical prefix, then deal it
-        // back out to this run's shard count. Fresh: the guard above
-        // ensured the main journal is absent/empty; stale shard files are
-        // removed by the seeding step.
-        let prefix = if req.resume {
-            let prefix = shard::canonical_prefix(journal, &name, fp).map_err(|e| e.to_string())?;
-            if prefix.shard_files > 0 || !prefix.records.is_empty() {
-                sink.event(&Event::Log {
-                    message: format!(
-                        "resuming from a {}-record canonical prefix ({} shard journal(s) on disk)",
-                        prefix.records.len(),
-                        prefix.shard_files
-                    ),
-                });
-            }
-            prefix.records
-        } else {
-            Vec::new()
-        };
-        // When the on-disk shard files already form exactly this run's
-        // group, reuse them as-is: each is a valid per-shard prefix, and
-        // skipping the re-seed keeps records *beyond* the canonical prefix
-        // (shards progress unevenly, so the slowest shard's gap would
-        // otherwise truncate the others' completed work). Any other layout
-        // — different count, partial group, stale extras — is re-dealt
-        // from the merged prefix.
-        let files = shard::discover_shard_files(journal).map_err(|e| e.to_string())?;
-        let same_group = files.len() == count as usize && files.iter().all(|&(_, _, n)| n == count);
-        if !(req.resume && same_group) {
-            shard::seed_shard_journals(journal, &name, fp, &prefix, count)
-                .map_err(|e| e.to_string())?;
-        }
-
-        let total = grid_total(config);
-        let fan = Arc::new(ProgressFan {
-            sink: Arc::clone(sink),
-            done: AtomicUsize::new(prefix.len()),
-            total,
-            every: req.progress_every.max(1) as usize,
-        });
-        // One executor per shard, on its own thread, with its own engine.
-        let results: Vec<Result<(EvalRun, SweepStats), io::Error>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for index in 0..count {
-                let shard_path = shard::shard_journal_path(journal, index, count);
-                let fan = Arc::clone(&fan);
-                let cancel = cancel.clone();
-                let opts = opts.clone();
-                let config = config.clone();
-                handles.push(scope.spawn(move || {
-                    let mut engine = params.build();
-                    let hooks = SweepHooks {
-                        observer: Some(Arc::new(move |rec: &Record, _done, _total| {
-                            fan.tick(Some(index), Some(record_outcome(rec)));
-                        })),
-                        cancel: Some(cancel),
-                    };
-                    run_engine_sweep_sharded(
-                        &mut engine,
-                        &config,
-                        // Seeded above, so every shard run is a resume of
-                        // its (possibly empty) prefix.
-                        Some((&shard_path, true)),
-                        &opts,
-                        ShardSpec { index, count },
-                        &hooks,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(io::Error::other("shard thread panicked")))
-                })
-                .collect()
-        });
-
-        let mut stats = SweepStats::default();
-        let mut cancelled = false;
-        let mut first_error: Option<String> = None;
-        for r in &results {
-            match r {
-                Ok((_, s)) => {
-                    stats.checks_run += s.checks_run;
-                    stats.cache_hits += s.cache_hits;
-                    stats.resumed_records += s.resumed_records;
-                    stats.repaired_lines += s.repaired_lines;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => cancelled = true,
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e.to_string());
-                    }
-                }
-            }
-        }
-
-        // Merge whatever landed. On a complete merge the shard files are
-        // folded into the main journal (byte-identical to a one-shot run)
-        // and deleted; otherwise the merged prefix is written to the main
-        // journal for visibility but the shard files stay — they hold
-        // beyond-prefix records a later resume can still use.
-        let merged = shard::canonical_prefix(journal, &name, fp).map_err(|e| e.to_string())?;
-        let complete = merged.records.len() == total && first_error.is_none() && !cancelled;
-        shard::write_journal(journal, &name, fp, None, &merged.records)
-            .map_err(|e| e.to_string())?;
-        if complete {
-            shard::remove_shard_files(journal).map_err(|e| e.to_string())?;
-        }
-        if let Some(e) = first_error {
-            return Err(format!("shard failed: {e}"));
-        }
-        if cancelled {
-            return Ok(EvalOutcome {
-                run: None,
-                report: None,
-                stats: SweepStats::default(),
-                done: merged.records.len(),
-                total,
-                cancelled: true,
-                obs: None,
-            });
-        }
-        if merged.records.len() != total {
-            return Err(format!(
-                "merge reconstructed {} of {} record(s) — shard journals incomplete",
-                merged.records.len(),
-                total
-            ));
-        }
-        let run = EvalRun {
-            engine: name,
-            records: merged.records,
-        };
-        let report = render_eval_summary(&run, &req.journal);
-        let done = run.records.len();
-        Ok(EvalOutcome {
-            run: Some(run),
-            report: Some(report),
-            stats,
-            done,
-            total,
-            cancelled: false,
-            obs: None,
-        })
     }
 
     /// Checks one completion against one problem, under per-request

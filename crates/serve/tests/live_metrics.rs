@@ -1,6 +1,6 @@
 //! The live metrics plane, end to end over the unix transport: a
 //! subscriber sees epoch-monotone snapshots with non-decreasing sweep
-//! progress while a sharded eval runs, and a one-shot `metrics` request
+//! progress while a parallel eval runs, and a one-shot `metrics` request
 //! answers with the full payload (snapshot JSON + request table +
 //! Prometheus text that passes the strict line validator), both while the
 //! sweep is in flight and after it.
@@ -83,7 +83,7 @@ fn counter(metrics: &Json, name: &str) -> u64 {
 }
 
 #[test]
-fn subscriber_sees_monotone_snapshots_during_a_sharded_sweep() {
+fn subscriber_sees_monotone_snapshots_during_a_parallel_sweep() {
     let dir = tempdir("subscribe");
     let socket = dir.join("daemon.sock");
     let journal = dir.join("sweep.log");
@@ -106,7 +106,7 @@ fn subscriber_sees_monotone_snapshots_during_a_sharded_sweep() {
     let eval_request = format!(
         concat!(
             r#"{{"id": 1, "cmd": "eval", "journal": "{}", "problems": [5, 7], "#,
-            r#""levels": "LM", "temperatures": [0.5], "ns": [3], "shards": 2, "#,
+            r#""levels": "LM", "temperatures": [0.5], "ns": [3], "#,
             r#""jobs": 2, "chaos": "check.delay:100%1", "check_timeout": 5.0}}"#
         ),
         journal.display()

@@ -1,9 +1,9 @@
 //! The service invariant, end to end: an eval routed through
-//! [`vgen_serve::Service`] — at any shard count and any jobs count —
-//! produces reports and journals byte-identical to
-//! the single-shard path, a killed/cancelled run resumes to the same
-//! bytes (even across a shard-count change), and a wedged request
-//! degrades to timeout records instead of an error.
+//! [`vgen_serve::Service`] produces reports and journals byte-identical
+//! at any jobs count, a cancelled run resumes to the same bytes (even at
+//! a different jobs count), a journal this build cannot resume is
+//! refused untouched, and a wedged request degrades to timeout records
+//! instead of an error.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,38 +48,27 @@ fn sink_null() -> Arc<dyn EventSink> {
     Arc::new(NullSink)
 }
 
-/// Reports (modulo the embedded journal path) across shard/jobs
-/// combinations, and journal bytes, must all match the baseline.
+/// Reports (modulo the embedded journal path) and journal bytes must
+/// match across jobs counts.
 #[test]
-fn sharded_service_runs_are_byte_identical_to_single_shard() {
+fn service_runs_are_byte_identical_across_jobs() {
     let dir = tempdir("parity");
     let base_journal = dir.join("base.log");
     let mut base_req = small_req(&base_journal);
     base_req.jobs = 1;
     let (base_report, base_bytes) = run(&base_req);
     let base_report = base_report.replace(&base_req.journal, "J");
-    for (shards, jobs) in [(1u32, 2usize), (2, 1), (2, 2), (4, 1), (4, 3)] {
-        let journal = dir.join(format!("s{shards}j{jobs}.log"));
+    for jobs in [2usize, 3] {
+        let journal = dir.join(format!("j{jobs}.log"));
         let mut req = small_req(&journal);
-        req.shards = shards;
         req.jobs = jobs;
         let (report, bytes) = run(&req);
         assert_eq!(
             report.replace(&req.journal, "J"),
             base_report,
-            "report diverged at shards={shards} jobs={jobs}"
+            "report diverged at jobs={jobs}"
         );
-        assert_eq!(
-            bytes, base_bytes,
-            "journal diverged at shards={shards} jobs={jobs}"
-        );
-        // Complete runs fold everything into the main journal.
-        assert!(
-            vgen_serve::discover_shard_files(&journal)
-                .expect("discover")
-                .is_empty(),
-            "shard files must be cleaned up after a complete run"
-        );
+        assert_eq!(bytes, base_bytes, "journal diverged at jobs={jobs}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -102,11 +91,11 @@ impl EventSink for CancelAfter {
     }
 }
 
-/// Cancelling a sharded run mid-flight leaves journals a later run — with
-/// a *different* shard count — resumes to the exact bytes of an
+/// Cancelling a run mid-flight leaves a journal a later run — with a
+/// *different* jobs count — resumes to the exact bytes of an
 /// uninterrupted run.
 #[test]
-fn cancelled_sharded_run_resumes_across_a_shard_count_change() {
+fn cancelled_run_resumes_at_a_different_jobs_count() {
     let dir = tempdir("cancel-resume");
     let ref_journal = dir.join("ref.log");
     let (ref_report, ref_bytes) = run(&small_req(&ref_journal));
@@ -114,7 +103,7 @@ fn cancelled_sharded_run_resumes_across_a_shard_count_change() {
 
     let journal = dir.join("sweep.log");
     let mut req = small_req(&journal);
-    req.shards = 3;
+    req.jobs = 3;
     let cancel = CancelToken::unlimited();
     let sink: Arc<dyn EventSink> = Arc::new(CancelAfter {
         cancel: cancel.clone(),
@@ -131,7 +120,7 @@ fn cancelled_sharded_run_resumes_across_a_shard_count_change() {
     );
 
     let mut resume = small_req(&journal);
-    resume.shards = 2;
+    resume.jobs = 2;
     resume.resume = true;
     let outcome = Service
         .eval(&resume, &CancelToken::unlimited(), &sink_null())
@@ -193,7 +182,6 @@ fn progress_events_cover_the_whole_grid() {
     let dir = tempdir("progress");
     let journal = dir.join("p.log");
     let mut req = small_req(&journal);
-    req.shards = 2;
     req.jobs = 2;
     let sink = Arc::new(Collect(Mutex::new(Vec::new())));
     let outcome = Service
@@ -210,5 +198,67 @@ fn progress_events_cover_the_whole_grid() {
     sorted.sort_unstable();
     assert_eq!(sorted, (1..=outcome.total).collect::<Vec<_>>());
     assert!(events.iter().all(|&(_, t)| t == outcome.total));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A journal whose header carries a `shard=i/n` tag holds a fraction of
+/// the grid. Resuming it is refused as a malformed header, and the file is
+/// left exactly as it was.
+#[test]
+fn shard_tagged_journal_is_refused_on_resume_and_left_unmodified() {
+    let dir = tempdir("shard-tag");
+    let journal = dir.join("sweep.log");
+    run(&small_req(&journal));
+    let (name, fp, _) = vgen_core::read_journal(&journal).expect("read journal");
+    let text = std::fs::read_to_string(&journal).expect("journal");
+    let (_, records) = text.split_once('\n').expect("header line");
+    let tagged = format!(
+        "{}\n{records}",
+        vgen_core::journal_header(fp, &name, Some((1, 3)))
+    );
+    std::fs::write(&journal, &tagged).expect("write tagged journal");
+
+    let mut resume = small_req(&journal);
+    resume.resume = true;
+    let err = Service
+        .eval(&resume, &CancelToken::unlimited(), &sink_null())
+        .expect_err("a shard-tagged journal must not resume");
+    assert!(err.contains("malformed journal fingerprint"), "{err}");
+    assert_eq!(
+        std::fs::read_to_string(&journal).expect("journal"),
+        tagged,
+        "a refused journal must be left unmodified"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stray `<journal>.shard0of2` sibling is neither read nor deleted: a
+/// fresh run next to it writes the ordinary journal, and resuming that
+/// journal ignores the sibling too.
+#[test]
+fn stray_shard_sibling_is_neither_read_nor_deleted() {
+    let dir = tempdir("stray-shard");
+    let ref_journal = dir.join("ref.log");
+    let (ref_report, ref_bytes) = run(&small_req(&ref_journal));
+
+    let journal = dir.join("sweep.log");
+    let stray = dir.join("sweep.log.shard0of2");
+    let stray_bytes = "not a journal\n";
+    std::fs::write(&stray, stray_bytes).expect("write stray file");
+    let req = small_req(&journal);
+    let (report, bytes) = run(&req);
+    assert_eq!(
+        report.replace(&req.journal, "J"),
+        ref_report.replace(&*ref_journal.to_string_lossy(), "J")
+    );
+    assert_eq!(bytes, ref_bytes);
+    let mut resume = small_req(&journal);
+    resume.resume = true;
+    let (_, resumed_bytes) = run(&resume);
+    assert_eq!(resumed_bytes, ref_bytes);
+    assert_eq!(
+        std::fs::read_to_string(&stray).expect("stray file kept"),
+        stray_bytes
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

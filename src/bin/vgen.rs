@@ -83,7 +83,7 @@ USAGE:
                                           stops after N frames (default:
                                           until ^C)
   vgen eval --journal <path> [--resume] [--model NAME] [--tuning ft|pt] [--full]
-            [--jobs N] [--shards N] [--no-dedup] [--trace FILE] [--metrics]
+            [--jobs N] [--no-dedup] [--trace FILE] [--metrics]
             [--progress auto|always|never]
             [--check-timeout SECS] [--retries N] [--fsync never|every|interval:N]
             [--chaos SPEC] [--chaos-seed N]
@@ -126,13 +126,7 @@ USAGE:
                                           <journal>.metrics.json;
                                           --progress controls the stderr
                                           progress line (default: auto,
-                                          shown only on a TTY);
-                                          --shards N splits the check phase
-                                          across N per-shard journals merged
-                                          deterministically — reports and
-                                          journals stay byte-identical at
-                                          every shard count, and --resume
-                                          composes with a changed N
+                                          shown only on a TTY)
 ";
 
 /// Flags that take no value (everything else consumes the next argument).
@@ -401,21 +395,31 @@ fn cmd_eval(rest: &[&String]) -> Result<(), String> {
         },
         Err(_) => full.clone(),
     };
-    let outcome = vgen::core::check::check_source(p, &src, vgen::sim::SimConfig::default());
+    // Check and synthesis both run under the panic guard, so a harness
+    // bug prints as a fault instead of aborting the CLI.
+    let (outcome, _) = vgen::core::supervised_check_source(
+        p,
+        &src,
+        vgen::sim::SimConfig::default(),
+        &vgen::core::CheckPolicy::default(),
+    );
     use vgen::core::check::CheckOutcome::*;
-    let (compiled, synth, functional) = match &outcome {
-        Pass => (true, vgen::synth::synthesize_source(&src).is_ok(), true),
-        FunctionalFail | SimulationFail(_) => {
-            (true, vgen::synth::synthesize_source(&src).is_ok(), false)
-        }
-        CompileFail(_) | HarnessFault(_) | Timeout(_) => (false, false, false),
+    let compiled = matches!(outcome, Pass | FunctionalFail | SimulationFail(_));
+    let functional = outcome == Pass;
+    let synth = if compiled {
+        vgen::core::catch_harness_fault(|| vgen::synth::synthesize_source(&src).is_ok())
+    } else {
+        Ok(false)
     };
     println!("problem {id}: {}", p.name);
     println!("  compiles:     {}", yesno(compiled));
-    println!("  synthesizes:  {}", yesno(synth));
+    println!("  synthesizes:  {}", yesno(synth == Ok(true)));
     println!("  functional:   {}", yesno(functional));
     if let CompileFail(m) | SimulationFail(m) | HarnessFault(m) = &outcome {
         println!("  detail: {m}");
+    }
+    if let Err(m) = &synth {
+        println!("  synthesis harness fault: {m}");
     }
     if functional {
         Ok(())
@@ -467,14 +471,6 @@ fn cmd_eval_grid(rest: &[&String], journal: &str) -> Result<(), String> {
             .map_err(|_| format!("bad --chaos-seed `{seed}` (use an unsigned integer)"))?,
         None => 0,
     };
-    let shards: u32 = match flag_value(rest, "--shards") {
-        None => 1,
-        Some(n) => n
-            .parse::<u32>()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or_else(|| format!("bad --shards `{n}` (use a positive integer)"))?,
-    };
     let trace_path = flag_value(rest, "--trace");
     let metrics = has_flag(rest, "--metrics");
     let req = EvalRequest {
@@ -486,7 +482,6 @@ fn cmd_eval_grid(rest: &[&String], journal: &str) -> Result<(), String> {
         tuning: flag_value(rest, "--tuning").unwrap_or("ft").to_string(),
         full: has_flag(rest, "--full"),
         jobs: parse_jobs(flag_value(rest, "--jobs"))?,
-        shards,
         dedup: !has_flag(rest, "--no-dedup"),
         check_timeout,
         retries,
@@ -505,8 +500,8 @@ fn cmd_eval_grid(rest: &[&String], journal: &str) -> Result<(), String> {
         levels: None,
     };
     // Execution details go to stderr; the stdout report stays
-    // byte-identical across worker counts, shard counts and cache
-    // settings (the CI determinism gate diffs it).
+    // byte-identical across worker counts and cache settings (the CI
+    // determinism gate diffs it).
     let opts_probe = vgen::core::SweepOptions {
         jobs: req.jobs,
         ..Default::default()
@@ -809,14 +804,6 @@ fn render_top_frame(metrics: &vgen::serve::Json, socket: &str) -> String {
                     rnum("fail") as u64,
                     rnum("fault") as u64,
                 ));
-                if let Some(Json::Obj(shards)) = r.get("shards") {
-                    for (shard, n) in shards {
-                        out.push_str(&format!(
-                            "         shard {shard}: {} records\n",
-                            n.as_u64().unwrap_or(0)
-                        ));
-                    }
-                }
             }
         }
         _ => out.push_str("  (idle)\n"),

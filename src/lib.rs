@@ -21,8 +21,8 @@
 //! * [`obs`] — zero-dependency structured tracing and metrics (spans,
 //!   counters, histograms) with Chrome-trace and summary exports,
 //! * [`serve`] — the long-lived eval service: a line-delimited JSON
-//!   protocol over unix socket or stdio, sharded journals with a
-//!   deterministic merge, per-request supervision and cancellation.
+//!   protocol over unix socket or stdio, with per-request supervision
+//!   and cancellation.
 //!
 //! ```
 //! use vgen::core::check::{check_completion, CheckOutcome};

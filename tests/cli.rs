@@ -194,6 +194,39 @@ fn eval_fails_wrong_candidate() {
     assert!(text.contains("functional:   no"));
 }
 
+/// Every benchmark reference solution scores a pass through the guarded
+/// single-file path, printing the verdict lines and nothing else.
+#[test]
+fn eval_scores_every_reference_solution_through_the_guard() {
+    for p in vgen::problems::problems() {
+        let src = p.reference_source();
+        let path = write_temp(&format!("reference{:02}.v", p.id), &src);
+        let out = vgen()
+            .args(["eval", path.to_str().expect("utf8"), "--problem"])
+            .arg(p.id.to_string())
+            .output()
+            .expect("run");
+        assert!(
+            out.status.success(),
+            "problem {}: {}",
+            p.id,
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let synth = if vgen::synth::synthesize_source(&src).is_ok() {
+            "yes"
+        } else {
+            "no"
+        };
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            format!(
+                "problem {}: {}\n  compiles:     yes\n  synthesizes:  {synth}\n  functional:   yes\n",
+                p.id, p.name
+            )
+        );
+    }
+}
+
 /// Runs a journaled grid sweep in its own directory (so the `journal:`
 /// line of the report is identical across runs) and returns
 /// (stdout bytes, journal bytes).

@@ -11,7 +11,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use vgen::core::{
-    read_journal_recovering, run_engine_sweep_stats, EvalConfig, EvalRun, SweepOptions,
+    config_fingerprint, journal_header, read_journal_recovering, run_engine_sweep_stats,
+    EvalConfig, EvalRun, SweepOptions,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
 use vgen::problems::{Problem, PromptLevel};
@@ -138,6 +139,42 @@ fn resume_matches_reference(
         "resumed journal bytes diverged from reference"
     );
     Ok(())
+}
+
+/// A journal whose header carries a `shard=i/n` tag (between fingerprint
+/// and engine) holds only a fraction of the grid. Resume refuses it as a
+/// malformed header and leaves the file exactly as it was.
+#[test]
+fn shard_tagged_journal_is_refused_on_resume_and_left_unmodified() {
+    let (_, bytes, header_len) = reference();
+    let header = journal_header(
+        config_fingerprint(&cfg()),
+        &PaletteEngine { cursor: 0 }.name(),
+        Some((1, 3)),
+    );
+    let mut tagged = format!("{header}\n").into_bytes();
+    tagged.extend_from_slice(&bytes[*header_len..]);
+    let path = scratch_path("shard-tagged");
+    std::fs::write(&path, &tagged).expect("write tagged journal");
+
+    let err = run_engine_sweep_stats(
+        &mut PaletteEngine { cursor: 0 },
+        &cfg(),
+        Some((&path, true)),
+        &SweepOptions::default(),
+    )
+    .expect_err("a shard-tagged journal must not resume");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("malformed journal fingerprint"),
+        "{err}"
+    );
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        tagged,
+        "a refused journal must be left unmodified"
+    );
+    let _ = std::fs::remove_file(&path);
 }
 
 proptest! {

@@ -124,6 +124,40 @@ fn metrics_sidecars_are_valid_json() {
     assert!(stats.contains("\"hit_rate\""));
 }
 
+/// The obs-smoke CI sweep's flags: injected soft timeouts that heal on
+/// retry. The trace and both sidecars of such a run must parse under the
+/// strict RFC 8259 parser.
+#[test]
+fn chaos_run_trace_and_sidecars_are_valid_json() {
+    let flags = [
+        "--chaos",
+        "check.timeout:1%5",
+        "--chaos-seed",
+        "7",
+        "--retries",
+        "1",
+        "--trace",
+        "trace.json",
+        "--metrics",
+    ];
+    let (_, _, dir) = sweep("chaos-artifacts", "4", &flags);
+    for file in [
+        "trace.json",
+        "sweep.log.metrics.json",
+        "sweep.log.stats.json",
+    ] {
+        let text = std::fs::read_to_string(dir.join(file)).expect(file);
+        if let Err(e) = vgen::obs::json::Json::parse(&text) {
+            panic!("{file} is not well-formed JSON: {e}");
+        }
+    }
+    let metrics = std::fs::read_to_string(dir.join("sweep.log.metrics.json")).expect("metrics");
+    assert!(
+        metrics.contains("\"guard.chaos\""),
+        "the chaos run injected no faults: {metrics}"
+    );
+}
+
 #[test]
 fn metrics_flag_prints_summary_to_stderr_not_stdout() {
     let dir = std::env::temp_dir().join("vgen-obs-tests").join("stderr");
