@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vgen_bench::write_artifact;
-use vgen_core::{run_engine_parallel, EvalConfig, EvalRun};
+use vgen_core::{run_engine, EvalConfig, EvalRun};
 use vgen_corpus::CorpusSource;
 use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_problems::PromptLevel;
@@ -81,7 +81,7 @@ fn config(quick: bool) -> EvalConfig {
 /// [`SWEEPS_PER_SAMPLE`] identical sweeps, each with a fresh engine;
 /// returns the last run.
 fn sweeps(cfg: &EvalConfig) -> EvalRun {
-    let sweep = || run_engine_parallel(&mut engine(), cfg, 1).expect("sweep");
+    let sweep = || run_engine(&mut engine(), cfg);
     (1..SWEEPS_PER_SAMPLE).fold(sweep(), |_, _| sweep())
 }
 

@@ -28,7 +28,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use vgen_bench::write_artifact;
-use vgen_core::{run_engine_sweep_stats, EvalConfig, SweepOptions, SweepStats};
+use vgen_core::{run_engine_sweep, EvalConfig, SweepHooks, SweepOptions, SweepStats};
 use vgen_corpus::CorpusSource;
 use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_problems::PromptLevel;
@@ -308,14 +308,15 @@ fn measure_dedup(quick: bool) -> DedupSample {
     };
     // Warm-up: builds the mutant banks both timed sweeps then take from the
     // memo, so the cache-on sweep does not pay for them alone.
-    run_engine_sweep_stats(&mut sweep_engine(), &cfg, None, &on).expect("warm-up sweep");
+    let hooks = SweepHooks::default();
+    run_engine_sweep(&mut sweep_engine(), &cfg, None, &on, &hooks).expect("warm-up sweep");
     let start = Instant::now();
     let (run_on, stats) =
-        run_engine_sweep_stats(&mut sweep_engine(), &cfg, None, &on).expect("cached sweep");
+        run_engine_sweep(&mut sweep_engine(), &cfg, None, &on, &hooks).expect("cached sweep");
     let seconds_cache_on = start.elapsed().as_secs_f64();
     let start = Instant::now();
     let (run_off, _) =
-        run_engine_sweep_stats(&mut sweep_engine(), &cfg, None, &off).expect("uncached sweep");
+        run_engine_sweep(&mut sweep_engine(), &cfg, None, &off, &hooks).expect("uncached sweep");
     let seconds_cache_off = start.elapsed().as_secs_f64();
     assert_eq!(run_on, run_off, "dedup cache changed sweep results");
     DedupSample {

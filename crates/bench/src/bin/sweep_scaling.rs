@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use vgen_bench::write_artifact;
-use vgen_core::{run_engine_parallel, EvalConfig, EvalRun, SweepOptions};
+use vgen_core::{run_engine, run_engine_sweep, EvalConfig, EvalRun, SweepHooks, SweepOptions};
 use vgen_corpus::CorpusSource;
 use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_problems::PromptLevel;
@@ -64,7 +64,12 @@ fn measure(cfg: &EvalConfig, jobs: usize, reps: usize) -> (EvalRun, f64) {
     let mut run = None;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let r = run_engine_parallel(&mut engine(), cfg, jobs).expect("sweep");
+        let opts = SweepOptions {
+            jobs,
+            ..SweepOptions::default()
+        };
+        let (r, _) = run_engine_sweep(&mut engine(), cfg, None, &opts, &SweepHooks::default())
+            .expect("sweep");
         best = best.min(start.elapsed().as_secs_f64());
         run = Some(r);
     }
@@ -91,7 +96,7 @@ fn main() {
     // Warm-up: the first sweep in a process builds the mutant banks, which
     // every later sweep takes from the memo. Untimed, so the serial point
     // does not pay for them alone.
-    run_engine_parallel(&mut engine(), &cfg, 1).expect("warm-up sweep");
+    run_engine(&mut engine(), &cfg);
     let (baseline_run, baseline_secs) = measure(&cfg, 1, reps);
     let total_checks = baseline_run.records.len();
     let mut samples = Vec::new();

@@ -257,28 +257,9 @@ pub fn check_completion(
     completion: &str,
     config: SimConfig,
 ) -> CheckResult {
-    check_completion_cancellable(
-        problem,
-        level,
-        completion,
-        config,
-        &CancelToken::unlimited(),
-    )
-}
-
-/// [`check_completion`] under a cooperative [`CancelToken`]. The token is
-/// threaded through the parser, elaborator and scheduler; once it trips,
-/// whichever stage is running unwinds and the outcome becomes
-/// [`CheckOutcome::Timeout`] ([`TimeoutKind::Soft`]) instead of a verdict.
-pub fn check_completion_cancellable(
-    problem: &Problem,
-    level: PromptLevel,
-    completion: &str,
-    config: SimConfig,
-    cancel: &CancelToken,
-) -> CheckResult {
     let source = assemble(problem, level, completion);
-    let (outcome, lint) = check_source_cancellable(problem, &source, config, cancel);
+    let (outcome, lint) =
+        check_source_cancellable(problem, &source, config, &CancelToken::unlimited());
     CheckResult {
         outcome,
         source,
@@ -286,27 +267,17 @@ pub fn check_completion_cancellable(
     }
 }
 
-/// Checks an already-assembled candidate source.
-pub fn check_source(problem: &Problem, source: &str, config: SimConfig) -> CheckOutcome {
-    check_source_with_lint(problem, source, config).0
-}
-
-/// [`check_source`] that also returns lint tallies whenever the source
+/// Checks an already-assembled candidate source under a cooperative
+/// [`CancelToken`]: the outcome, plus lint tallies whenever the source
 /// parses (even if it later fails elaboration or simulation — the lint
-/// rules are total over any parsed AST). Runs inside the same call so a
-/// sweep pays one parse per candidate, shared by lint, elaboration and
-/// simulation against the once-per-process testbench parse, and the
-/// [guard](crate::guard::guarded_check_completion) covers the lint stage
-/// too.
-pub fn check_source_with_lint(
-    problem: &Problem,
-    source: &str,
-    config: SimConfig,
-) -> (CheckOutcome, Option<LintCounts>) {
-    check_source_cancellable(problem, source, config, &CancelToken::unlimited())
-}
-
-/// [`check_source_with_lint`] under a cooperative [`CancelToken`].
+/// rules are total over any parsed AST). One parse per candidate is
+/// shared by lint, elaboration and simulation against the once-per-process
+/// testbench parse, and the
+/// [guard](crate::guard::supervised_check_source) covers the lint stage
+/// too. The token is threaded through the parser, elaborator and
+/// scheduler; once it trips, whichever stage is running unwinds and the
+/// outcome becomes [`CheckOutcome::Timeout`] ([`TimeoutKind::Soft`])
+/// instead of a verdict.
 pub fn check_source_cancellable(
     problem: &Problem,
     source: &str,
@@ -541,10 +512,11 @@ mod tests {
     fn compile_fail_after_parse_still_lints() {
         // Parses, but defines the wrong module name: the lint stage still
         // ran over the AST.
-        let (outcome, lint) = check_source_with_lint(
+        let (outcome, lint) = check_source_cancellable(
             p(2),
             "module wrong_name(input a, output y);\nassign y = a;\nendmodule",
             SimConfig::default(),
+            &CancelToken::unlimited(),
         );
         assert!(matches!(outcome, CheckOutcome::CompileFail(_)));
         assert!(lint.is_some());

@@ -197,36 +197,16 @@ impl CheckPolicy {
 }
 
 /// [`check_completion`](crate::check::check_completion) with fault
-/// isolation and the default (deadline-less) [`CheckPolicy`]: the check
-/// runs with a known 8 MiB stack — inline when the caller is a sweep pool
-/// worker or another thread with that stack, on a cached check thread
-/// otherwise — so classification never depends on how much stack the
-/// *caller* happens to have left, and a panic anywhere in the
-/// assemble/parse/elaborate/simulate stack yields
-/// [`CheckOutcome::HarnessFault`] instead of unwinding into the caller.
-///
-/// ```
-/// use vgen_core::guard::guarded_check_completion;
-/// use vgen_problems::{problem, PromptLevel};
-/// use vgen_sim::SimConfig;
-///
-/// let p = problem(2).expect("problem");
-/// let r = guarded_check_completion(p, PromptLevel::Low, "endmodule", SimConfig::default());
-/// assert!(!r.outcome.passed());
-/// ```
-pub fn guarded_check_completion(
-    problem: &'static Problem,
-    level: PromptLevel,
-    completion: &str,
-    config: SimConfig,
-) -> CheckResult {
-    supervised_check_completion(problem, level, completion, config, &CheckPolicy::default())
-}
-
-/// [`guarded_check_completion`] under an explicit [`CheckPolicy`]: adds
-/// wall-clock deadline supervision (soft/hard timeout classification, see
-/// the module docs), bounded retry for timeouts, and deterministic fault
-/// injection.
+/// isolation under a [`CheckPolicy`]. The check runs with a known 8 MiB
+/// stack — inline when the caller is a sweep pool worker or another
+/// thread with that stack, on a cached check thread otherwise — so
+/// classification never depends on how much stack the *caller* happens to
+/// have left, and a panic anywhere in the assemble/parse/elaborate/simulate
+/// stack yields [`CheckOutcome::HarnessFault`] instead of unwinding into
+/// the caller. The policy adds wall-clock deadline supervision (soft/hard
+/// timeout classification, see the module docs), bounded retry for
+/// timeouts, and deterministic fault injection; `CheckPolicy::default()`
+/// has none of them.
 ///
 /// The completion is assembled once, under [`catch_harness_fault`], and
 /// the assembled source is what [`supervised_check_source`] checks and
@@ -241,6 +221,22 @@ pub fn guarded_check_completion(
 /// borrowed data must therefore live forever (problems do: they come from
 /// the static problem table) or be owned by the thread (the source is
 /// copied in).
+///
+/// ```
+/// use vgen_core::guard::{supervised_check_completion, CheckPolicy};
+/// use vgen_problems::{problem, PromptLevel};
+/// use vgen_sim::SimConfig;
+///
+/// let p = problem(2).expect("problem");
+/// let r = supervised_check_completion(
+///     p,
+///     PromptLevel::Low,
+///     "endmodule",
+///     SimConfig::default(),
+///     &CheckPolicy::default(),
+/// );
+/// assert!(!r.outcome.passed());
+/// ```
 pub fn supervised_check_completion(
     problem: &'static Problem,
     level: PromptLevel,
@@ -567,11 +563,12 @@ mod tests {
 
     #[test]
     fn normal_checks_are_unaffected() {
-        let r = guarded_check_completion(
+        let r = supervised_check_completion(
             p(),
             PromptLevel::Low,
             "assign y = a & b;\nendmodule",
             SimConfig::default(),
+            &CheckPolicy::default(),
         );
         assert!(r.outcome.passed());
     }
@@ -736,11 +733,12 @@ mod tests {
         );
         // The caller's thread keeps working: a fresh check succeeds while
         // the abandoned one is still asleep.
-        let r = guarded_check_completion(
+        let r = supervised_check_completion(
             p(),
             PromptLevel::Low,
             "assign y = a & b;\nendmodule",
             SimConfig::default(),
+            &CheckPolicy::default(),
         );
         assert!(r.outcome.passed());
     }

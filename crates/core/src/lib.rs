@@ -38,17 +38,15 @@ pub use chaos::{ChaosSite, ChaosSpec};
 pub use check::{check_completion, CheckOutcome, CheckResult, FaultKind, TimeoutKind};
 pub use experiments::{evaluate_all_models, evaluate_model};
 pub use guard::{
-    catch_harness_fault, guarded_check_completion, supervised_check_completion,
-    supervised_check_source, CheckPolicy,
+    catch_harness_fault, supervised_check_completion, supervised_check_source, CheckPolicy,
 };
-pub use metrics::{pass_fraction, Tally};
+pub use metrics::Tally;
 pub use pool::{ReorderBuffer, WorkerPool};
 pub use report::{
     headline_stats, render_eval_summary, render_fault_summary, sweep_stats_json, Headline, ModelRun,
 };
 pub use sweep::{
-    config_fingerprint, journal_header, read_journal, read_journal_recovering, run_engine,
-    run_engine_journaled, run_engine_parallel, run_engine_sweep, run_engine_sweep_stats,
-    run_engine_sweep_with_hooks, EvalConfig, EvalRun, FsyncPolicy, Record, RecordObserver,
-    RecoveryReport, SweepHooks, SweepOptions, SweepStats, UnsupportedJournalVersion,
+    config_fingerprint, journal_header, read_journal_recovering, run_engine, run_engine_sweep,
+    EvalConfig, EvalRun, FsyncPolicy, Record, RecordObserver, RecoveryReport, SweepHooks,
+    SweepOptions, SweepStats, UnsupportedJournalVersion,
 };

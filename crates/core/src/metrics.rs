@@ -7,16 +7,6 @@
 //! the proportion of completions that compile. For functional tests, this
 //! metric is the fraction of the k code samples that pass").
 
-/// Fraction of `passed` outcomes — the paper's Pass@(scenario·n).
-///
-/// Returns 0.0 for an empty slice.
-pub fn pass_fraction(outcomes: &[bool]) -> f64 {
-    if outcomes.is_empty() {
-        return 0.0;
-    }
-    outcomes.iter().filter(|&&b| b).count() as f64 / outcomes.len() as f64
-}
-
 /// Aggregated counts for one cell of a results table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
@@ -38,13 +28,6 @@ impl Tally {
         if passed {
             self.passed += 1;
         }
-    }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: Tally) {
-        self.total += other.total;
-        self.compiled += other.compiled;
-        self.passed += other.passed;
     }
 
     /// Compile Pass@(scenario·n).
@@ -71,13 +54,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pass_fraction_basic() {
-        assert_eq!(pass_fraction(&[true, false, true, true]), 0.75);
-        assert_eq!(pass_fraction(&[]), 0.0);
-        assert_eq!(pass_fraction(&[false]), 0.0);
-    }
-
-    #[test]
     fn tally_rates() {
         let mut t = Tally::default();
         t.record(true, true);
@@ -87,11 +63,6 @@ mod tests {
         assert_eq!(t.total, 4);
         assert_eq!(t.compile_rate(), 0.75);
         assert_eq!(t.functional_rate(), 0.5);
-        let mut u = Tally::default();
-        u.record(true, false);
-        u.merge(t);
-        assert_eq!(u.total, 5);
-        assert_eq!(u.compiled, 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   `spawn_check_thread`, so a deadline-free check runs inline on the
 //!   worker that takes it.
 //! * **Panic isolation** — each task runs under
-//!   [`catch_harness_fault`](crate::guard::catch_harness_fault), the same
+//!   [`catch_harness_fault`], the same
 //!   machinery that guards individual checks, so a panicking task yields
 //!   an `Err(message)` result instead of killing its worker.
 //!

@@ -5,8 +5,8 @@
 //! Every check runs under the panic guard ([`crate::guard`]), so a harness
 //! bug on one hostile completion costs one [`Record`] (marked `fault`),
 //! not the sweep. Long sweeps can additionally journal each record to disk
-//! as it is produced ([`run_engine_journaled`]) and resume after a crash or
-//! kill without repeating completed checks.
+//! as it is produced ([`run_engine_sweep`]'s `journal` argument) and
+//! resume after a crash or kill without repeating completed checks.
 //!
 //! ## Execution model
 //!
@@ -21,10 +21,10 @@
 //!    runs.
 //! 2. **Check** (pooled at any `--jobs`): each work item is one
 //!    compile+simulate check. Items are dispatched to a
-//!    [`WorkerPool`](crate::pool::WorkerPool) of
+//!    [`WorkerPool`] of
 //!    [`SweepOptions::jobs`] workers sharing one FIFO queue, which run
 //!    each check inline, and
-//!    results flow through a [`ReorderBuffer`](crate::pool::ReorderBuffer)
+//!    results flow through a [`ReorderBuffer`]
 //!    back into canonical order, so journal lines, reports and Pass@k
 //!    aggregates are byte-identical regardless of worker count or
 //!    completion order. Journal lines are written by a single dedicated
@@ -50,7 +50,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::io::{self, IsTerminal, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -298,8 +298,8 @@ impl FsyncPolicy {
     }
 }
 
-/// Execution options for a sweep: worker count, progress reporting, dedup,
-/// per-check supervision and journal durability.
+/// Execution options for a sweep: worker count, dedup, per-check
+/// supervision and journal durability.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Worker threads of the sweep's pool; `0` means "use
@@ -308,10 +308,6 @@ pub struct SweepOptions {
     /// and results are merged through a deterministic reorder buffer, so
     /// any value produces byte-identical reports and journals.
     pub jobs: usize,
-    /// Emit a periodic one-line progress/throughput counter to stderr
-    /// from the merge loop. Callers should gate this on stdout being a
-    /// TTY ([`SweepOptions::progress_auto`]) so CI logs stay clean.
-    pub progress: bool,
     /// Completion-dedup cache (on by default): completions that assemble
     /// to the same source for the same problem are compiled and simulated
     /// once, and every duplicate replays the cached outcome. Checks are
@@ -340,7 +336,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             jobs: 1,
-            progress: false,
             dedup: true,
             policy: CheckPolicy::default(),
             fsync: FsyncPolicy::Never,
@@ -350,31 +345,11 @@ impl Default for SweepOptions {
 }
 
 impl SweepOptions {
-    /// One pool worker, no progress output (the historical behaviour).
-    pub fn serial() -> Self {
-        Self::default()
-    }
-
-    /// Parallel execution with `jobs` workers (`0` = auto), no progress.
-    pub fn parallel(jobs: usize) -> Self {
-        SweepOptions {
-            jobs,
-            ..Self::default()
-        }
-    }
-
     /// The default worker count: the machine's available parallelism.
     pub fn auto_jobs() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-
-    /// Whether progress output should be enabled by default: only when
-    /// stdout is a terminal (an interactive run), never into CI logs or
-    /// redirected reports.
-    pub fn progress_auto() -> bool {
-        io::stdout().is_terminal()
     }
 
     /// The worker count this configuration resolves to.
@@ -690,24 +665,10 @@ fn generate_items(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Vec
 /// inspected here — pass a config without 25 for that model, as the bench
 /// binaries do, mirroring §IV-B).
 pub fn run_engine(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> EvalRun {
-    run_engine_sweep(engine, config, None, &SweepOptions::serial())
+    let opts = SweepOptions::default();
+    run_engine_sweep(engine, config, None, &opts, &SweepHooks::default())
         .expect("in-memory serial sweep cannot fail")
-}
-
-/// [`run_engine`] with `jobs` checker workers (`0` = auto). Produces
-/// records identical to [`run_engine`]'s.
-///
-/// # Errors
-///
-/// None in practice for in-memory runs: a stalled worker pool degrades to
-/// hard-timeout stall records rather than failing the sweep (see
-/// [`SweepOptions::stall_timeout`]).
-pub fn run_engine_parallel(
-    engine: &mut dyn CompletionEngine,
-    config: &EvalConfig,
-    jobs: usize,
-) -> io::Result<EvalRun> {
-    run_engine_sweep(engine, config, None, &SweepOptions::parallel(jobs))
+        .0
 }
 
 /// Journal format marker (first token of the header line), the only
@@ -798,22 +759,13 @@ pub struct RecoveryReport {
     pub dropped_lines: usize,
 }
 
-/// Reads a journal file: header validation plus all well-formed record
-/// lines. Returns `(engine_name, config_fingerprint, records)`.
-///
-/// # Errors
-///
-/// As for [`read_journal_recovering`], which this wraps (discarding the
-/// [`RecoveryReport`]).
-pub fn read_journal(path: &Path) -> io::Result<(String, u64, Vec<Record>)> {
-    read_journal_recovering(path).map(|(name, fp, recs, _)| (name, fp, recs))
-}
-
-/// [`read_journal`] that also reports what recovery did: how many records
-/// form the longest valid prefix and how many trailing lines were dropped
-/// as torn or corrupt. Recovery never trusts anything after the first bad
-/// line — a checksum mismatch means the tail can no longer be attributed
-/// to the canonical record stream, so resuming re-checks it instead.
+/// Reads a journal file: header validation plus its longest valid prefix
+/// of records. Returns `(engine_name, config_fingerprint, records,
+/// report)`, where the [`RecoveryReport`] says how many records form that
+/// prefix and how many trailing lines were dropped as torn or corrupt.
+/// Recovery never trusts anything after the first bad line — a checksum
+/// mismatch means the tail can no longer be attributed to the canonical
+/// record stream, so resuming re-checks it instead.
 ///
 /// # Errors
 ///
@@ -893,33 +845,6 @@ pub fn read_journal_recovering(
         dropped_lines: dropped,
     };
     Ok((engine.to_string(), fp, records, report))
-}
-
-/// Like [`run_engine`], but appends every record to a line-oriented journal
-/// at `path` as it is produced, and — when `resume` is true and `path`
-/// already holds a journal for the same engine and config — skips the
-/// checks for records already journaled, reusing them verbatim.
-///
-/// The engine is still queried for every grid cell on resume, so a resumed
-/// run produces byte-identical records to an uninterrupted one.
-///
-/// # Errors
-///
-/// I/O errors reading/writing the journal, or
-/// [`io::ErrorKind::InvalidData`] when resuming against a journal whose
-/// engine name or config fingerprint does not match.
-pub fn run_engine_journaled(
-    engine: &mut dyn CompletionEngine,
-    config: &EvalConfig,
-    path: &Path,
-    resume: bool,
-) -> io::Result<EvalRun> {
-    run_engine_sweep(
-        engine,
-        config,
-        Some((path, resume)),
-        &SweepOptions::serial(),
-    )
 }
 
 /// Default for [`SweepOptions::stall_timeout`]: how long the merge loop
@@ -1011,105 +936,34 @@ impl JournalWriter {
     }
 }
 
-/// Periodic progress/throughput line, emitted from the merge loop.
-struct Progress {
-    enabled: bool,
-    total: usize,
-    done: usize,
-    completed_this_run: usize,
-    started: Instant,
-    last_print: Instant,
-}
-
-impl Progress {
-    const PRINT_EVERY: Duration = Duration::from_millis(250);
-
-    fn new(enabled: bool, total: usize, already_done: usize) -> Self {
-        let now = Instant::now();
-        Progress {
-            enabled,
-            total,
-            done: already_done,
-            completed_this_run: 0,
-            started: now,
-            // Backdate so the first completed check prints immediately.
-            last_print: now - Self::PRINT_EVERY,
-        }
-    }
-
-    fn tick(&mut self) {
-        self.done += 1;
-        self.completed_this_run += 1;
-        if !self.enabled {
-            return;
-        }
-        if self.last_print.elapsed() >= Self::PRINT_EVERY || self.done == self.total {
-            let rate =
-                self.completed_this_run as f64 / self.started.elapsed().as_secs_f64().max(1e-9);
-            eprint!(
-                "\r[eval] {}/{} checks  {:.1} checks/s   ",
-                self.done, self.total, rate
-            );
-            self.last_print = Instant::now();
-        }
-    }
-
-    fn finish(&self) {
-        if self.enabled && self.completed_this_run > 0 {
-            eprintln!();
-        }
-    }
-}
-
-/// The unified sweep executor behind [`run_engine`],
-/// [`run_engine_parallel`] and [`run_engine_journaled`]: generate phase,
-/// optional journal (with resume), and a pooled check phase merged
-/// deterministically. See the module docs for the execution model.
+/// The sweep executor: generate phase, optional journal (with resume),
+/// and a pooled check phase merged deterministically. See the module docs
+/// for the execution model. Returns the run and its [`SweepStats`]
+/// (checks executed vs dedup-cache hits); [`run_engine`] is the in-memory
+/// serial shorthand.
+///
+/// With `journal = Some((path, resume))`, every record is appended to a
+/// line-oriented journal at `path` as it is produced; when `resume` is
+/// true and `path` already holds a journal for the same engine and
+/// config, the checks for records already journaled are skipped and those
+/// records reused verbatim. The engine is still queried for every grid
+/// cell on resume, so a resumed run produces byte-identical records to an
+/// uninterrupted one.
+///
+/// [`SweepHooks::observer`] streams each fresh record;
+/// [`SweepHooks::cancel`] stops the sweep between checks, leaving the
+/// journal a valid resumable prefix.
 ///
 /// # Errors
 ///
-/// I/O errors reading/writing the journal, or
-/// [`io::ErrorKind::InvalidData`] when resuming against a mismatched or
-/// unsupported journal. A stalled worker pool is *not* an error: the
-/// outstanding items are recorded as hard-timeout faults and the sweep
-/// completes.
+/// I/O errors reading/writing the journal;
+/// [`io::ErrorKind::InvalidData`] when resuming against a journal whose
+/// engine name or config fingerprint does not match, or that is
+/// unsupported; [`io::ErrorKind::Interrupted`] when the cancel token
+/// fires (the journal is finished cleanly first). A stalled worker pool
+/// is *not* an error: the outstanding items are recorded as hard-timeout
+/// faults and the sweep completes.
 pub fn run_engine_sweep(
-    engine: &mut dyn CompletionEngine,
-    config: &EvalConfig,
-    journal: Option<(&Path, bool)>,
-    opts: &SweepOptions,
-) -> io::Result<EvalRun> {
-    run_engine_sweep_stats(engine, config, journal, opts).map(|(run, _)| run)
-}
-
-/// [`run_engine_sweep`] that additionally reports [`SweepStats`] (checks
-/// executed vs dedup-cache hits). The returned [`EvalRun`] is identical to
-/// [`run_engine_sweep`]'s for the same inputs.
-///
-/// # Errors
-///
-/// As for [`run_engine_sweep`].
-pub fn run_engine_sweep_stats(
-    engine: &mut dyn CompletionEngine,
-    config: &EvalConfig,
-    journal: Option<(&Path, bool)>,
-    opts: &SweepOptions,
-) -> io::Result<(EvalRun, SweepStats)> {
-    run_engine_sweep_with_hooks(engine, config, journal, opts, &SweepHooks::default())
-}
-
-/// [`run_engine_sweep_stats`] with per-run hooks — the substrate the eval
-/// service (`vgen-serve`) builds on.
-///
-/// [`SweepHooks::observer`] streams each fresh record; [`SweepHooks::cancel`]
-/// stops the sweep between checks, leaving the journal a valid resumable
-/// prefix.
-///
-/// # Errors
-///
-/// As for [`run_engine_sweep_stats`], plus [`io::ErrorKind::Interrupted`]
-/// when the cancel token fires (the journal is finished cleanly first).
-pub fn run_engine_sweep_with_hooks(
     engine: &mut dyn CompletionEngine,
     config: &EvalConfig,
     journal: Option<(&Path, bool)>,
@@ -1173,7 +1027,6 @@ pub fn run_engine_sweep_with_hooks(
     // thread exit — live snapshots need them up front.
     vgen_obs::flush();
     stats.resumed_records = done_prior;
-    let mut progress = Progress::new(opts.progress, total, done_prior);
     let mut records = prior;
     // The dedup cache is never seeded from resumed (prior) records:
     // duplicates of prior completions simply get checked again.
@@ -1244,7 +1097,6 @@ pub fn run_engine_sweep_with_hooks(
         }
         hooks.observe(&rec, records.len() + 1, total);
         records.push(rec);
-        progress.tick();
     };
     'recv: for _received in 0..submitted {
         let waited = Instant::now();
@@ -1326,7 +1178,6 @@ pub fn run_engine_sweep_with_hooks(
         pool.shutdown();
     }
 
-    progress.finish();
     if interrupted {
         // Finish the journal writer cleanly first: everything already
         // recorded stays a valid contiguous prefix for --resume.
@@ -1713,6 +1564,20 @@ mod tests {
         assert_eq!(a, config_fingerprint(&small_cfg()));
     }
 
+    /// One sweep of `engine` over `cfg` on `jobs` workers, with no hooks.
+    fn sweep(
+        engine: &mut dyn CompletionEngine,
+        cfg: &EvalConfig,
+        journal: Option<(&Path, bool)>,
+        jobs: usize,
+    ) -> io::Result<EvalRun> {
+        let opts = SweepOptions {
+            jobs,
+            ..SweepOptions::default()
+        };
+        run_engine_sweep(engine, cfg, journal, &opts, &SweepHooks::default()).map(|(run, _)| run)
+    }
+
     fn temp_journal(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "vgen-journal-test-{}-{tag}.log",
@@ -1726,10 +1591,10 @@ mod tests {
         let cfg = small_cfg();
         let plain = run_engine(&mut cg16_ft_engine(), &cfg);
         let journaled =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("journaled run");
+            sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("journaled run");
         assert_eq!(plain, journaled);
         // And the journal itself replays to the same records.
-        let (name, fp, recs) = read_journal(&path).expect("read back");
+        let (name, fp, recs, _) = read_journal_recovering(&path).expect("read back");
         assert_eq!(name, plain.engine);
         assert_eq!(fp, config_fingerprint(&cfg));
         assert_eq!(recs, plain.records);
@@ -1740,8 +1605,7 @@ mod tests {
     fn killed_journal_resumes_to_identical_totals() {
         let path = temp_journal("resume");
         let cfg = small_cfg();
-        let full =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
+        let full = sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("full run");
         // Simulate a kill partway through: keep the header, the first 11
         // records, and a torn 12th line.
         let text = std::fs::read_to_string(&path).expect("journal text");
@@ -1749,7 +1613,7 @@ mod tests {
         kept.push("2,B,L,0.1"); // torn final write
         std::fs::write(&path, kept.join("\n")).expect("truncate");
         let resumed =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true).expect("resumed run");
+            sweep(&mut cg16_ft_engine(), &cfg, Some((&path, true)), 1).expect("resumed run");
         assert_eq!(resumed, full);
         assert_eq!(
             resumed.tally(|_| true).functional_rate(),
@@ -1762,11 +1626,11 @@ mod tests {
     fn resume_rejects_mismatched_config() {
         let path = temp_journal("mismatch");
         let cfg = small_cfg();
-        run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("seed journal");
+        sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("seed journal");
         let mut other = cfg.clone();
         other.temperatures = vec![0.5];
-        let err = run_engine_journaled(&mut cg16_ft_engine(), &other, &path, true)
-            .expect_err("must reject");
+        let err =
+            sweep(&mut cg16_ft_engine(), &other, Some((&path, true)), 1).expect_err("must reject");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(&path);
     }
@@ -1776,8 +1640,7 @@ mod tests {
         let cfg = small_cfg();
         let serial = run_engine(&mut cg16_ft_engine(), &cfg);
         for jobs in [2, 4, 7] {
-            let par =
-                run_engine_parallel(&mut cg16_ft_engine(), &cfg, jobs).expect("parallel sweep");
+            let par = sweep(&mut cg16_ft_engine(), &cfg, None, jobs).expect("parallel sweep");
             assert_eq!(serial, par, "jobs={jobs} diverged from serial");
         }
     }
@@ -1787,20 +1650,10 @@ mod tests {
         let cfg = small_cfg();
         let p1 = temp_journal("bytes-serial");
         let p4 = temp_journal("bytes-parallel");
-        let serial = run_engine_sweep(
-            &mut cg16_ft_engine(),
-            &cfg,
-            Some((&p1, false)),
-            &SweepOptions::serial(),
-        )
-        .expect("serial journaled");
-        let par = run_engine_sweep(
-            &mut cg16_ft_engine(),
-            &cfg,
-            Some((&p4, false)),
-            &SweepOptions::parallel(4),
-        )
-        .expect("parallel journaled");
+        let serial =
+            sweep(&mut cg16_ft_engine(), &cfg, Some((&p1, false)), 1).expect("serial journaled");
+        let par =
+            sweep(&mut cg16_ft_engine(), &cfg, Some((&p4, false)), 4).expect("parallel journaled");
         assert_eq!(serial, par);
         let b1 = std::fs::read(&p1).expect("serial journal bytes");
         let b4 = std::fs::read(&p4).expect("parallel journal bytes");
@@ -1813,28 +1666,18 @@ mod tests {
     fn killed_parallel_journal_resumes_to_identical_totals() {
         let path = temp_journal("parallel-resume");
         let cfg = small_cfg();
-        let full = run_engine_sweep(
-            &mut cg16_ft_engine(),
-            &cfg,
-            Some((&path, false)),
-            &SweepOptions::parallel(4),
-        )
-        .expect("full parallel run");
+        let full =
+            sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 4).expect("full parallel run");
         // Simulate a kill partway through: header, 9 records, torn line.
         let text = std::fs::read_to_string(&path).expect("journal text");
         let mut kept: Vec<&str> = text.lines().take(10).collect();
         kept.push("1,B,L,0.7"); // torn final write
         std::fs::write(&path, kept.join("\n")).expect("truncate");
-        let resumed = run_engine_sweep(
-            &mut cg16_ft_engine(),
-            &cfg,
-            Some((&path, true)),
-            &SweepOptions::parallel(3),
-        )
-        .expect("resumed parallel run");
+        let resumed = sweep(&mut cg16_ft_engine(), &cfg, Some((&path, true)), 3)
+            .expect("resumed parallel run");
         assert_eq!(resumed, full);
         // The resumed journal replays to the full record set.
-        let (_, _, recs) = read_journal(&path).expect("read back");
+        let (_, _, recs, _) = read_journal_recovering(&path).expect("read back");
         assert_eq!(recs, full.records);
         let _ = std::fs::remove_file(&path);
     }
@@ -1852,7 +1695,7 @@ mod tests {
     fn pre_v3_journal_resume_fails_fast_with_a_rerun_hint() {
         let path = temp_journal("pre-v3");
         let cfg = small_cfg();
-        run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
+        sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("full run");
         let text = std::fs::read_to_string(&path).expect("journal text");
         for (version, stripped) in [("1", 3), ("2", 2)] {
             // Downgrade the on-disk journal: old magic in the header, record
@@ -1865,7 +1708,7 @@ mod tests {
             let mut old = vec![header];
             old.extend(lines.take(11).map(|l| strip_fields(l, stripped)));
             std::fs::write(&path, old.join("\n")).expect("write old journal");
-            let err = run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true)
+            let err = sweep(&mut cg16_ft_engine(), &cfg, Some((&path, true)), 1)
                 .expect_err("old journals must not resume");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             let typed = err
@@ -1891,8 +1734,7 @@ mod tests {
     fn torn_record_line_is_dropped_on_recovery() {
         let path = temp_journal("torn-v3");
         let cfg = small_cfg();
-        let full =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
+        let full = sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("full run");
         let text = std::fs::read_to_string(&path).expect("journal text");
         let lines: Vec<&str> = text.lines().collect();
         // Tear a record line before its last two fields.
@@ -1904,7 +1746,7 @@ mod tests {
         assert_eq!(report.kept, 4);
         assert_eq!(report.dropped_lines, 1);
         let resumed =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true).expect("resumed run");
+            sweep(&mut cg16_ft_engine(), &cfg, Some((&path, true)), 1).expect("resumed run");
         assert_eq!(resumed, full);
         let _ = std::fs::remove_file(&path);
     }
@@ -1913,8 +1755,7 @@ mod tests {
     fn corrupt_middle_line_truncates_to_longest_valid_prefix() {
         let path = temp_journal("bitrot");
         let cfg = small_cfg();
-        let full =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full run");
+        let full = sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("full run");
         let text = std::fs::read_to_string(&path).expect("journal text");
         let mut lines: Vec<String> = text.lines().map(|s| s.to_string()).collect();
         let total_records = lines.len() - 1;
@@ -1932,7 +1773,7 @@ mod tests {
         assert_eq!(&recs[..], &full.records[..6]);
         // And a resume from the repaired prefix completes correctly.
         let resumed =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true).expect("resumed run");
+            sweep(&mut cg16_ft_engine(), &cfg, Some((&path, true)), 1).expect("resumed run");
         assert_eq!(resumed, full);
         let _ = std::fs::remove_file(&path);
     }
@@ -1945,7 +1786,7 @@ mod tests {
             "# vgen-journal-v9 fingerprint=0000000000000000 engine=x\n",
         )
         .expect("write future journal");
-        let err = read_journal(&path).expect_err("must reject");
+        let err = read_journal_recovering(&path).expect_err("must reject");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let msg = err.to_string();
         assert!(
@@ -1991,25 +1832,26 @@ mod tests {
     #[test]
     fn jobs_zero_resolves_to_available_parallelism() {
         assert!(SweepOptions::auto_jobs() >= 1);
-        assert_eq!(
-            SweepOptions::parallel(0).effective_jobs(),
-            SweepOptions::auto_jobs()
-        );
-        assert_eq!(SweepOptions::parallel(3).effective_jobs(), 3);
-        assert_eq!(SweepOptions::serial().effective_jobs(), 1);
+        let jobs = |jobs| SweepOptions {
+            jobs,
+            ..SweepOptions::default()
+        };
+        assert_eq!(jobs(0).effective_jobs(), SweepOptions::auto_jobs());
+        assert_eq!(jobs(3).effective_jobs(), 3);
+        assert_eq!(SweepOptions::default().effective_jobs(), 1);
     }
 
     #[test]
     fn resume_rejects_mismatched_engine() {
         let path = temp_journal("engine");
         let cfg = small_cfg();
-        run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("seed journal");
+        sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("seed journal");
         let mut other = FamilyEngine::new(
             ModelId::new(ModelFamily::CodeGen16B, Tuning::Pretrained),
             CorpusSource::GithubOnly,
             42,
         );
-        let err = run_engine_journaled(&mut other, &cfg, &path, true).expect_err("must reject");
+        let err = sweep(&mut other, &cfg, Some((&path, true)), 1).expect_err("must reject");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let _ = std::fs::remove_file(&path);
     }
@@ -2029,14 +1871,12 @@ mod tests {
         };
         for jobs in [1, 3] {
             seen.lock().expect("observer lock").clear();
-            let (run, _) = run_engine_sweep_with_hooks(
-                &mut cg16_ft_engine(),
-                &cfg,
-                None,
-                &SweepOptions::parallel(jobs),
-                &hooks,
-            )
-            .expect("observed run");
+            let opts = SweepOptions {
+                jobs,
+                ..SweepOptions::default()
+            };
+            let (run, _) = run_engine_sweep(&mut cg16_ft_engine(), &cfg, None, &opts, &hooks)
+                .expect("observed run");
             let events = seen.lock().expect("observer lock");
             assert_eq!(events.len(), run.records.len(), "jobs {jobs}");
             for (i, (rec, done, total)) in events.iter().enumerate() {
@@ -2051,7 +1891,7 @@ mod tests {
     fn cancelled_sweep_leaves_resumable_prefix() {
         let path = temp_journal("cancel");
         let cfg = small_cfg();
-        let full = run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, false).expect("full");
+        let full = sweep(&mut cg16_ft_engine(), &cfg, Some((&path, false)), 1).expect("full");
         let _ = std::fs::remove_file(&path);
         let token = vgen_obs::CancelToken::unlimited();
         let trip = token.clone();
@@ -2063,11 +1903,11 @@ mod tests {
             })),
             cancel: Some(token),
         };
-        let err = run_engine_sweep_with_hooks(
+        let err = run_engine_sweep(
             &mut cg16_ft_engine(),
             &cfg,
             Some((&path, false)),
-            &SweepOptions::serial(),
+            &SweepOptions::default(),
             &hooks,
         )
         .expect_err("cancelled sweep");
@@ -2081,8 +1921,7 @@ mod tests {
         );
         assert_eq!(recs[..], full.records[..recs.len()]);
         // Resume completes the cancelled run to byte-identical records.
-        let resumed =
-            run_engine_journaled(&mut cg16_ft_engine(), &cfg, &path, true).expect("resume");
+        let resumed = sweep(&mut cg16_ft_engine(), &cfg, Some((&path, true)), 1).expect("resume");
         assert_eq!(resumed, full);
         let _ = std::fs::remove_file(&path);
     }

@@ -8,10 +8,16 @@
 //! a netlist with no error diagnostics (no latches, no timing controls, no
 //! memories, single drivers).
 
+use std::sync::mpsc;
+
 use vgen_lm::engine::CompletionEngine;
-use vgen_problems::problem;
+use vgen_problems::{problem, Problem};
+use vgen_sim::SimConfig;
 
 use crate::check::{assemble, CheckOutcome};
+use crate::guard::{
+    catch_harness_fault, run_on_check_thread, supervised_check_source, CheckPolicy,
+};
 use crate::sweep::EvalConfig;
 
 /// Pass counts for the three-tier check of one engine.
@@ -65,27 +71,52 @@ pub fn synth_sweep(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Sy
                 for &n in &config.ns {
                     for c in engine.generate(prob, level, t, n) {
                         let source = assemble(prob, level, &c.text);
-                        let outcome = crate::check::check_source(prob, &source, config.sim);
+                        let (outcome, synth) = check_tiers(prob, &source, config.sim);
                         tally.total += 1;
-                        if !outcome.compiled() {
-                            continue;
-                        }
-                        tally.compiled += 1;
-                        if matches!(outcome, CheckOutcome::Pass) {
-                            tally.functional += 1;
-                        }
-                        if pid == 10 {
-                            continue;
-                        }
-                        if vgen_synth::synthesize_source(&source).is_ok() {
-                            tally.synthesizable += 1;
-                        }
+                        tally.compiled += usize::from(outcome.compiled());
+                        tally.functional += usize::from(outcome.passed());
+                        tally.synthesizable += usize::from(pid != 10 && synth == Ok(true));
                     }
                 }
             }
         }
     }
     tally
+}
+
+/// The three tiers of one assembled source: its check outcome, and whether
+/// it synthesizes (`Ok(false)` when it did not compile, `Err` with the
+/// message of a panic in synthesis).
+///
+/// Both run on a cached check thread, so they get a check's 8 MiB stack
+/// whatever the caller's: the check under the guard
+/// ([`supervised_check_source`] with the default policy), synthesis under
+/// [`catch_harness_fault`]. A panic costs the candidate the tier it
+/// panicked in; with no thread to run on, the outcome is a harness fault.
+pub fn check_tiers(
+    prob: &'static Problem,
+    source: &str,
+    sim: SimConfig,
+) -> (CheckOutcome, Result<bool, String>) {
+    let (tx, rx) = mpsc::channel();
+    let source = source.to_string();
+    let sent = run_on_check_thread(move || {
+        let (outcome, _) = supervised_check_source(prob, &source, sim, &CheckPolicy::default());
+        let synth = if outcome.compiled() {
+            catch_harness_fault(|| vgen_synth::synthesize_source(&source).is_ok())
+        } else {
+            Ok(false)
+        };
+        let _ = tx.send((outcome, synth));
+    });
+    match sent.map(|()| rx.recv()) {
+        Ok(Ok(tiers)) => tiers,
+        Ok(Err(e)) => (CheckOutcome::HarnessFault(e.to_string()), Ok(false)),
+        Err(e) => (
+            CheckOutcome::HarnessFault(format!("cannot spawn checker thread: {e}")),
+            Ok(false),
+        ),
+    }
 }
 
 #[cfg(test)]

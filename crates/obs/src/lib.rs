@@ -9,7 +9,7 @@
 //! * **Spans** — [`span`] returns an RAII guard that records a named,
 //!   monotonic-clock-stamped interval when dropped. Nested spans nest in
 //!   the trace; every span also feeds a per-stage duration
-//!   [`Histogram`](hist::Histogram).
+//!   [`Histogram`].
 //! * **Counters and maxima** — [`counter_add`] accumulates event counts
 //!   (cache hits, scheduler steps, harness faults); [`gauge_max`] tracks a
 //!   high-water mark (scheduler queue depth).
@@ -21,7 +21,7 @@
 //!
 //! ## Recording architecture
 //!
-//! Instrumentation writes only to a **thread-local** [`ThreadRecorder`]:
+//! Instrumentation writes only to a **thread-local** `ThreadRecorder`:
 //! a bounded span buffer plus small name-keyed counter/histogram tables.
 //! The hot path takes no lock and touches no shared cache line. When a
 //! thread exits (or [`collect`] runs, for the calling thread) its recorder
@@ -35,7 +35,7 @@
 //!
 //! Nothing here feeds back into pipeline output: recording is write-only
 //! from the pipeline's perspective, and the sweep's reports/journals are
-//! produced from [`Record`]s alone. Enabling tracing therefore cannot
+//! produced from its records alone. Enabling tracing therefore cannot
 //! change a byte of report or journal output — a property CI enforces.
 //!
 //! When disabled (the default), every entry point is a single relaxed
@@ -389,7 +389,7 @@ pub fn enable() {
 /// without ending the session or retiring the recorder's lane.
 ///
 /// Call at points where buffered data must become visible to concurrent
-/// [`snapshot`] readers *now* — e.g. before a supervisor detaches a
+/// [`snapshot()`] readers *now* — e.g. before a supervisor detaches a
 /// hard-timed-out checker thread.
 pub fn flush() {
     if !is_enabled() {
@@ -440,7 +440,7 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// The id the most recent [`snapshot`] was stamped with (0 before the
+/// The id the most recent [`snapshot()`] was stamped with (0 before the
 /// first snapshot of a session).
 pub fn epoch() -> u64 {
     SNAPSHOT_EPOCH.load(Ordering::Relaxed)

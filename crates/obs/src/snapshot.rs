@@ -4,16 +4,14 @@
 //! instant: counters, maxima, per-stage histograms and per-lane busy time
 //! — everything except the span event buffer, so taking one is cheap and
 //! independent of session length. Snapshots are produced by
-//! [`crate::snapshot`] (live, mid-session) or [`Snapshot::from_report`]
+//! [`crate::snapshot()`] (live, mid-session) or [`Snapshot::from_report`]
 //! (end of run), and both the `<journal>.metrics.json` sidecar and the
 //! daemon's `metrics`/`subscribe` endpoints render from this one type.
 //!
 //! Because every aggregate grows monotonically within a session,
 //! [`Snapshot::delta`] of two snapshots taken an interval apart yields the
 //! activity *in that interval* — rates (checks/s, sim steps/s) fall out by
-//! dividing by [`Snapshot::wall_ns`]. [`Snapshot::merge`] is the inverse
-//! direction: combining snapshots of disjoint windows (a base snapshot
-//! plus a later delta) into one.
+//! dividing by [`Snapshot::wall_ns`].
 
 use std::collections::BTreeMap;
 
@@ -117,39 +115,6 @@ impl Snapshot {
         }
     }
 
-    /// Merges `other` into `self`: counters, histograms, busy time and
-    /// dropped-counts add; maxima take the max; the time window becomes
-    /// the union; the epoch takes the max; lane names extend (longer
-    /// list wins per index when both name a lane).
-    pub fn merge(&mut self, other: &Snapshot) {
-        self.epoch = self.epoch.max(other.epoch);
-        self.start_ns = self.start_ns.min(other.start_ns);
-        self.at_ns = self.at_ns.max(other.at_ns);
-        for (&name, &n) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += n;
-        }
-        for (&name, &v) in &other.maxima {
-            let slot = self.maxima.entry(name).or_insert(0);
-            *slot = (*slot).max(v);
-        }
-        for (&name, h) in &other.hists {
-            self.hists.entry(name).or_default().merge(h);
-        }
-        for (&lane, &busy) in &other.lane_busy {
-            let slot = self.lane_busy.entry(lane).or_default();
-            slot.busy_ns += busy.busy_ns;
-            slot.check_ns += busy.check_ns;
-        }
-        for (i, name) in other.lanes.iter().enumerate() {
-            if i >= self.lanes.len() {
-                self.lanes.push(name.clone());
-            } else if self.lanes[i].is_empty() {
-                self.lanes[i] = name.clone();
-            }
-        }
-        self.dropped_events += other.dropped_events;
-    }
-
     /// Lanes that carried work, with the busy time used for utilization:
     /// `check` time when any lane ran checks (nested stage spans run
     /// inside a check and would double-count), all-span time otherwise.
@@ -210,40 +175,6 @@ mod tests {
         b.start_ns = 100;
         b.at_ns = 450;
         assert_eq!(b.delta(&a).wall_ns(), 250);
-    }
-
-    #[test]
-    fn merge_adds_and_maxes() {
-        let mut a = snap(1, &[("x", 3)]);
-        a.maxima.insert("depth", 4);
-        let mut h = Histogram::new();
-        h.record(10);
-        a.hists.insert("parse", h.clone());
-        a.lane_busy.insert(
-            0,
-            LaneBusy {
-                busy_ns: 5,
-                check_ns: 0,
-            },
-        );
-        let mut b = snap(3, &[("x", 2), ("y", 1)]);
-        b.maxima.insert("depth", 9);
-        b.hists.insert("parse", h);
-        b.lane_busy.insert(
-            1,
-            LaneBusy {
-                busy_ns: 7,
-                check_ns: 7,
-            },
-        );
-        a.merge(&b);
-        assert_eq!(a.epoch, 3);
-        assert_eq!(a.counters["x"], 5);
-        assert_eq!(a.counters["y"], 1);
-        assert_eq!(a.maxima["depth"], 9);
-        assert_eq!(a.hists["parse"].count, 2);
-        assert_eq!(a.lane_busy[&0].busy_ns, 5);
-        assert_eq!(a.lane_busy[&1].check_ns, 7);
     }
 
     #[test]

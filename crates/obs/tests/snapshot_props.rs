@@ -1,7 +1,6 @@
 //! Property tests for the snapshot algebra: `delta` must recover exactly
-//! what happened between two snapshots of one session, and `merge` must
-//! combine disjoint snapshots without losing or double-counting anything.
-//! The snapshot document must parse, whatever the snapshot holds.
+//! what happened between two snapshots of one session, no more and no
+//! less. The snapshot document must parse, whatever the snapshot holds.
 
 use std::collections::BTreeMap;
 
@@ -87,40 +86,12 @@ proptest! {
         prop_assert_eq!(rebuilt.nonzero_buckets(), hall.nonzero_buckets());
     }
 
-    /// Merging snapshots whose lanes are disjoint keeps every lane's busy
-    /// time intact: the union of keys, no cross-lane bleed, totals
-    /// preserved.
+    /// Round trip: a delta added to its base gives the later snapshot's
+    /// aggregates back (counters, histogram count and sum, dropped
+    /// events), and its window runs from the base's `at_ns` to the later
+    /// snapshot's.
     #[test]
-    fn merge_keeps_disjoint_lanes_disjoint(
-        left in proptest::collection::vec((0u32..8, 1u64..1_000, 0u64..1_000), 0..8),
-        right in proptest::collection::vec((8u32..16, 1u64..1_000, 0u64..1_000), 0..8),
-    ) {
-        let lanes_of = |rows: &[(u32, u64, u64)]| {
-            let mut m: BTreeMap<u32, LaneBusy> = BTreeMap::new();
-            for &(lane, busy, check) in rows {
-                let slot = m.entry(lane).or_default();
-                slot.busy_ns += busy;
-                slot.check_ns += check.min(busy);
-            }
-            m
-        };
-        let la = lanes_of(&left);
-        let lb = lanes_of(&right);
-        let mut merged = Snapshot { lane_busy: la.clone(), ..Snapshot::default() };
-        merged.merge(&Snapshot { lane_busy: lb.clone(), ..Snapshot::default() });
-        prop_assert_eq!(merged.lane_busy.len(), la.len() + lb.len());
-        for (lane, busy) in la.iter().chain(lb.iter()) {
-            let got = &merged.lane_busy[lane];
-            prop_assert_eq!(got.busy_ns, busy.busy_ns);
-            prop_assert_eq!(got.check_ns, busy.check_ns);
-        }
-    }
-
-    /// Round trip: merging a delta back onto its base reproduces the
-    /// later snapshot's aggregates (counters, histogram counts/sums,
-    /// busy time, dropped events).
-    #[test]
-    fn merging_a_delta_onto_its_base_restores_the_later_snapshot(
+    fn a_delta_added_to_its_base_restores_the_later_snapshot(
         base in proptest::collection::vec((0usize..6, 0u64..100), 0..10),
         inc in proptest::collection::vec((0usize..6, 1u64..100), 0..10),
         hist_a in proptest::collection::vec(0u64..100_000, 0..12),
@@ -147,13 +118,18 @@ proptest! {
         }
         later.dropped_events += drop_b;
 
-        let mut rebuilt = earlier.clone();
-        rebuilt.merge(&later.delta(&earlier));
-        prop_assert_eq!(&rebuilt.counters, &later.counters);
-        prop_assert_eq!(rebuilt.hists["stage"].count, later.hists["stage"].count);
-        prop_assert_eq!(rebuilt.hists["stage"].sum, later.hists["stage"].sum);
-        prop_assert_eq!(rebuilt.dropped_events, later.dropped_events);
-        prop_assert_eq!(rebuilt.at_ns, later.at_ns);
+        let d = later.delta(&earlier);
+        let count = |m: &BTreeMap<&'static str, u64>, name| m.get(name).copied().unwrap_or(0);
+        for (&name, &n) in &later.counters {
+            prop_assert_eq!(count(&earlier.counters, name) + count(&d.counters, name), n);
+        }
+        prop_assert!(d.counters.keys().all(|name| later.counters.contains_key(name)));
+        let (dcount, dsum) = d.hists.get("stage").map_or((0, 0), |h| (h.count, h.sum));
+        prop_assert_eq!(earlier.hists["stage"].count + dcount, later.hists["stage"].count);
+        prop_assert_eq!(earlier.hists["stage"].sum + dsum, later.hists["stage"].sum);
+        prop_assert_eq!(earlier.dropped_events + d.dropped_events, later.dropped_events);
+        prop_assert_eq!(d.start_ns, earlier.at_ns);
+        prop_assert_eq!(d.at_ns, later.at_ns);
     }
 
     /// The daemon's `metrics_payload` and `Service` re-embed

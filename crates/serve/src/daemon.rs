@@ -14,7 +14,7 @@
 //! The daemon also owns a process-wide `vgen-obs` recording session for
 //! its lifetime, feeding the live metrics plane: `metrics` answers with
 //! one epoch-stamped snapshot (JSON + Prometheus text), `subscribe`
-//! streams one per interval, and a [`LiveState`] table tracks every
+//! streams one per interval, and a `LiveState` table tracks every
 //! in-flight request's progress (done counts, pass/fail/fault tallies)
 //! from the same progress events clients see. Recording is
 //! write-only from the pipeline's view, so a served run stays

@@ -2,7 +2,7 @@
 //! which is a thin client of this API) can execute.
 //!
 //! The eval path is the heart: it runs the core sweep executor
-//! ([`vgen_core::run_engine_sweep_with_hooks`]) unchanged, streaming each
+//! ([`vgen_core::run_engine_sweep`]) unchanged, streaming each
 //! record as a progress event. Byte-identical reports and journals versus
 //! the one-shot CLI path, at any jobs count, is the invariant the parity
 //! tests and the `serve-smoke` CI job hold.
@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vgen_core::{
-    render_eval_summary, run_engine_sweep_with_hooks, supervised_check_completion,
-    sweep_stats_json, ChaosSpec, CheckOutcome, CheckPolicy, EvalConfig, EvalRun, FsyncPolicy,
-    Record, SweepHooks, SweepOptions, SweepStats,
+    render_eval_summary, run_engine_sweep, supervised_check_completion, sweep_stats_json,
+    ChaosSpec, CheckOutcome, CheckPolicy, EvalConfig, EvalRun, FsyncPolicy, Record, SweepHooks,
+    SweepOptions, SweepStats,
 };
 use vgen_corpus::CorpusSource;
 use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
@@ -167,7 +167,6 @@ fn resolve_eval(req: &EvalRequest) -> Result<(FamilyEngine, EvalConfig, SweepOpt
     }
     let opts = SweepOptions {
         jobs: req.jobs,
-        progress: false, // streaming progress goes through the sink
         dedup: req.dedup,
         policy,
         fsync: FsyncPolicy::parse(&req.fsync)?,
@@ -233,7 +232,7 @@ fn run_sweep(
         }),
         cancel: Some(cancel.clone()),
     };
-    match run_engine_sweep_with_hooks(
+    match run_engine_sweep(
         engine,
         config,
         Some((Path::new(&req.journal), req.resume)),

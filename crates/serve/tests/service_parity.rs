@@ -209,7 +209,7 @@ fn shard_tagged_journal_is_refused_on_resume_and_left_unmodified() {
     let dir = tempdir("shard-tag");
     let journal = dir.join("sweep.log");
     run(&small_req(&journal));
-    let (name, fp, _) = vgen_core::read_journal(&journal).expect("read journal");
+    let (name, fp, _, _) = vgen_core::read_journal_recovering(&journal).expect("read journal");
     let text = std::fs::read_to_string(&journal).expect("journal");
     let (_, records) = text.split_once('\n').expect("header line");
     let tagged = format!(

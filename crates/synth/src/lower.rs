@@ -62,6 +62,19 @@ pub struct SynthResult {
     pub warnings: Vec<Diagnostic>,
 }
 
+/// Longest chain of nets, each read by the driver of the next, that
+/// lowering accepts. An input, an undriven net or a register output starts
+/// a chain; a combinational net extends the longest chain it reads by one.
+/// The verdict depends only on the module, never on the order nets are
+/// resolved in.
+///
+/// Nets resolve recursively, with 16 KiB (an `assign`) to 32 KiB (an
+/// `always @*` block) of stack per net in an unoptimised build and 1–2 KiB
+/// in an optimised one, so this keeps the worst chain to half of the 8 MiB
+/// stack a guarded check runs on; a longer chain is refused as a resource
+/// limit instead of overflowing the stack.
+pub const MAX_RESOLVE_DEPTH: usize = 128;
+
 /// Synthesizes one module (no hierarchy) into a word-level netlist.
 ///
 /// # Errors
@@ -69,7 +82,8 @@ pub struct SynthResult {
 /// Returns [`SynthError`] for non-synthesizable constructs: delays and
 /// event controls inside bodies, `while`/`forever`/non-constant loops,
 /// memories, instances, latch inference, multiple drivers, mixed
-/// edge/level sensitivity, and unknown identifiers.
+/// edge/level sensitivity, and unknown identifiers; and for a chain of
+/// more than [`MAX_RESOLVE_DEPTH`] nets.
 ///
 /// ```
 /// use vgen_synth::synthesize;
@@ -92,6 +106,13 @@ fn err(message: impl Into<String>, span: Span) -> SynthError {
         message: message.into(),
         span,
     }
+}
+
+fn chain_too_long(name: &str, span: Span) -> SynthError {
+    err(
+        format!("combinational chain longer than {MAX_RESOLVE_DEPTH} nets at `{name}`"),
+        span,
+    )
 }
 
 #[derive(Debug, Clone)]
@@ -172,7 +193,13 @@ struct Lowerer<'a> {
     seq_qs: Vec<Option<HashMap<String, NetId>>>,
     seq_lowered: Vec<bool>,
     resolved: HashMap<String, NetId>,
-    resolving: Vec<String>,
+    /// Length of the longest chain ending at each resolved net (see
+    /// [`MAX_RESOLVE_DEPTH`]); a resolved net missing here is a register
+    /// output, a chain of one.
+    chain_lens: HashMap<String, usize>,
+    /// Nets being resolved, outermost first, each with the longest chain
+    /// among the nets its driver has read so far.
+    resolving: Vec<(String, usize)>,
     warnings: Vec<Diagnostic>,
     tmp: u32,
 }
@@ -194,6 +221,7 @@ impl<'a> Lowerer<'a> {
             seq_qs: Vec::new(),
             seq_lowered: Vec::new(),
             resolved: HashMap::new(),
+            chain_lens: HashMap::new(),
             resolving: Vec::new(),
             warnings: Vec::new(),
             tmp: 0,
@@ -587,7 +615,10 @@ impl<'a> Lowerer<'a> {
     // ------------------------------------------------------------ resolution
 
     fn resolve_all(&mut self) -> Result<(), SynthError> {
-        let names: Vec<String> = self.sigs.keys().cloned().collect();
+        // Name order, so that which of several errors is reported does
+        // not vary from run to run.
+        let mut names: Vec<String> = self.sigs.keys().cloned().collect();
+        names.sort_unstable();
         for name in names {
             self.net_of(&name, Span::default())?;
         }
@@ -604,14 +635,22 @@ impl<'a> Lowerer<'a> {
     /// demand (memoized).
     fn net_of(&mut self, name: &str, span: Span) -> Result<NetId, SynthError> {
         if let Some(&n) = self.resolved.get(name) {
+            let len = self.chain_lens.get(name).copied().unwrap_or(1);
+            self.extend_chain(len);
             return Ok(n);
         }
-        if self.resolving.iter().any(|r| r == name) {
+        if self.resolving.iter().any(|(r, _)| r == name) {
             return Err(err(format!("combinational loop through `{name}`"), span));
+        }
+        // Each net on the stack is read by the one below it, so one more
+        // makes the outermost net's chain longer than the limit: refuse
+        // before the recursion goes deeper.
+        if self.resolving.len() >= MAX_RESOLVE_DEPTH {
+            return Err(chain_too_long(name, span));
         }
         let info = self.sig(name, span)?;
         let driver = self.drivers.get(name).cloned_kind();
-        self.resolving.push(name.to_string());
+        self.resolving.push((name.to_string(), 0));
         let result = (|lw: &mut Self| -> Result<NetId, SynthError> {
             match driver {
                 DriverKind::Input => {
@@ -650,10 +689,32 @@ impl<'a> Lowerer<'a> {
                 }
             }
         })(self);
-        self.resolving.pop();
+        let (_, longest_read) = self.resolving.pop().expect("pushed above");
         let n = result?;
+        let len = longest_read + 1;
+        if len > MAX_RESOLVE_DEPTH {
+            return Err(chain_too_long(name, span));
+        }
+        // A combinational block drives all its targets at once; each ends
+        // the same chain.
+        let targets = match driver {
+            DriverKind::Comb(idx) => self.comb_blocks[idx].targets.clone(),
+            _ => vec![name.to_string()],
+        };
+        for t in targets {
+            self.chain_lens.insert(t, len);
+        }
+        self.extend_chain(len);
         self.resolved.entry(name.to_string()).or_insert(n);
         Ok(*self.resolved.get(name).expect("just inserted"))
+    }
+
+    /// Records that the net being resolved reads a net ending a chain of
+    /// `len` nets.
+    fn extend_chain(&mut self, len: usize) {
+        if let Some((_, longest_read)) = self.resolving.last_mut() {
+            *longest_read = (*longest_read).max(len);
+        }
     }
 
     fn lower_assign_parts(

@@ -397,24 +397,14 @@ fn cmd_eval(rest: &[&String]) -> Result<(), String> {
     };
     // Check and synthesis both run under the panic guard, so a harness
     // bug prints as a fault instead of aborting the CLI.
-    let (outcome, _) = vgen::core::supervised_check_source(
-        p,
-        &src,
-        vgen::sim::SimConfig::default(),
-        &vgen::core::CheckPolicy::default(),
-    );
-    use vgen::core::check::CheckOutcome::*;
-    let compiled = matches!(outcome, Pass | FunctionalFail | SimulationFail(_));
-    let functional = outcome == Pass;
-    let synth = if compiled {
-        vgen::core::catch_harness_fault(|| vgen::synth::synthesize_source(&src).is_ok())
-    } else {
-        Ok(false)
-    };
+    let (outcome, synth) =
+        vgen::core::synthcheck::check_tiers(p, &src, vgen::sim::SimConfig::default());
+    let (compiled, functional) = (outcome.compiled(), outcome.passed());
     println!("problem {id}: {}", p.name);
     println!("  compiles:     {}", yesno(compiled));
     println!("  synthesizes:  {}", yesno(synth == Ok(true)));
     println!("  functional:   {}", yesno(functional));
+    use vgen::core::CheckOutcome::*;
     if let CompileFail(m) | SimulationFail(m) | HarnessFault(m) = &outcome {
         println!("  detail: {m}");
     }
@@ -438,10 +428,11 @@ fn cmd_eval(rest: &[&String]) -> Result<(), String> {
 /// stdout report stays byte-identical to what the pre-service CLI
 /// printed (the CI determinism gate diffs it).
 fn cmd_eval_grid(rest: &[&String], journal: &str) -> Result<(), String> {
+    use std::io::IsTerminal;
     use vgen::serve::{EvalRequest, EventSink, Service};
 
     let progress = match flag_value(rest, "--progress").unwrap_or("auto") {
-        "auto" => vgen::core::SweepOptions::progress_auto(),
+        "auto" => std::io::stdout().is_terminal(),
         "always" => true,
         "never" => false,
         other => {

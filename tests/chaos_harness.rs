@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 
 use vgen::core::{
-    render_eval_summary, run_engine_sweep_stats, ChaosSpec, CheckPolicy, EvalConfig, EvalRun,
+    render_eval_summary, run_engine_sweep, ChaosSpec, CheckPolicy, EvalConfig, EvalRun, SweepHooks,
     SweepOptions, SweepStats,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
@@ -74,18 +74,20 @@ fn chaos_opts(jobs: usize) -> SweepOptions {
         policy: CheckPolicy::default()
             .with_chaos(clockless_chaos())
             .with_retries(1),
-        ..SweepOptions::parallel(jobs)
+        jobs,
+        ..SweepOptions::default()
     }
 }
 
 fn sweep(tag: &str, opts: &SweepOptions) -> (EvalRun, SweepStats, Vec<u8>) {
     let path = journal_path(tag);
     let _ = std::fs::remove_file(&path);
-    let (run, stats) = run_engine_sweep_stats(
+    let (run, stats) = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },
         &cfg(),
         Some((&path, false)),
         opts,
+        &SweepHooks::default(),
     )
     .expect("chaos sweep");
     let journal = std::fs::read(&path).expect("journal bytes");
@@ -138,11 +140,12 @@ fn killed_chaos_run_resumes_to_identical_bytes() {
     std::fs::write(&path, &torn).expect("write torn journal");
 
     // Resume under the same chaos spec at a different worker count.
-    let (resumed, stats) = run_engine_sweep_stats(
+    let (resumed, stats) = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },
         &cfg(),
         Some((&path, true)),
         &chaos_opts(2),
+        &SweepHooks::default(),
     )
     .expect("resumed chaos sweep");
     let resumed_journal = std::fs::read(&path).expect("journal bytes");
@@ -166,7 +169,13 @@ fn killed_chaos_run_resumes_to_identical_bytes() {
 #[test]
 fn injected_torn_write_crashes_then_resumes_to_a_clean_report() {
     // Reference: the same sweep with no chaos at all.
-    let (clean, _, clean_journal) = sweep("torn-clean", &SweepOptions::parallel(2));
+    let (clean, _, clean_journal) = sweep(
+        "torn-clean",
+        &SweepOptions {
+            jobs: 2,
+            ..SweepOptions::default()
+        },
+    );
 
     // journal.torn tears one record line down to its first 25 bytes and
     // fails the writer, which surfaces as an I/O error from the sweep —
@@ -176,13 +185,15 @@ fn injected_torn_write_crashes_then_resumes_to_a_clean_report() {
     let _ = std::fs::remove_file(&path);
     let opts = SweepOptions {
         policy: CheckPolicy::default().with_chaos(torn_spec),
-        ..SweepOptions::parallel(2)
+        jobs: 2,
+        ..SweepOptions::default()
     };
-    let err = run_engine_sweep_stats(
+    let err = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },
         &cfg(),
         Some((&path, false)),
         &opts,
+        &SweepHooks::default(),
     )
     .expect_err("the injected torn write must fail the journaled sweep");
     assert!(
@@ -192,11 +203,15 @@ fn injected_torn_write_crashes_then_resumes_to_a_clean_report() {
 
     // Recovery + resume (chaos off, as after an operator restart) must
     // converge to exactly the clean run's journal and report.
-    let (resumed, stats) = run_engine_sweep_stats(
+    let (resumed, stats) = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },
         &cfg(),
         Some((&path, true)),
-        &SweepOptions::parallel(2),
+        &SweepOptions {
+            jobs: 2,
+            ..SweepOptions::default()
+        },
+        &SweepHooks::default(),
     )
     .expect("resume after torn write");
     let resumed_journal = std::fs::read(&path).expect("journal bytes");

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `vgen` command-line tool.
 
 use std::io::Write;
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn vgen() -> Command {
     Command::new(env!("CARGO_BIN_EXE_vgen"))
@@ -231,6 +231,13 @@ fn eval_scores_every_reference_solution_through_the_guard() {
 /// line of the report is identical across runs) and returns
 /// (stdout bytes, journal bytes).
 fn grid_sweep(dir_tag: &str, jobs: &str, extra: &[&str]) -> (Vec<u8>, Vec<u8>) {
+    let (out, journal) = grid_sweep_output(dir_tag, jobs, extra);
+    (out.stdout, journal)
+}
+
+/// [`grid_sweep`] that returns the whole process output (stdout and
+/// stderr) beside the journal bytes.
+fn grid_sweep_output(dir_tag: &str, jobs: &str, extra: &[&str]) -> (Output, Vec<u8>) {
     let dir = std::env::temp_dir().join("vgen-cli-tests").join(dir_tag);
     std::fs::create_dir_all(&dir).expect("create sweep dir");
     let journal = dir.join("sweep.log");
@@ -244,7 +251,7 @@ fn grid_sweep(dir_tag: &str, jobs: &str, extra: &[&str]) -> (Vec<u8>, Vec<u8>) {
         String::from_utf8_lossy(&out.stderr)
     );
     let bytes = std::fs::read(&journal).expect("journal exists");
-    (out.stdout, bytes)
+    (out, bytes)
 }
 
 #[test]
@@ -307,6 +314,30 @@ fn eval_grid_accepts_equals_form_flags() {
     let (report_sp, journal_sp) = grid_sweep("progress-sp", "2", &["--progress", "never"]);
     assert_eq!(report_eq, report_sp);
     assert_eq!(journal_eq, journal_sp);
+}
+
+#[test]
+fn eval_grid_progress_line_goes_to_stderr_only() {
+    // `--progress always` draws the progress line even into a pipe; it
+    // must end on the full count and leave stdout and the journal as a
+    // `--progress never` run writes them.
+    let (always, journal_always) =
+        grid_sweep_output("progress-always", "2", &["--progress", "always"]);
+    let (never, journal_never) = grid_sweep_output("progress-never", "2", &["--progress", "never"]);
+    let records = String::from_utf8(journal_always.clone())
+        .expect("utf8 journal")
+        .lines()
+        .count()
+        - 1;
+    let stderr = String::from_utf8_lossy(&always.stderr);
+    let last = format!("[eval] {records}/{records} checks");
+    assert!(stderr.contains(&last), "no `{last}` in stderr: {stderr}");
+    assert!(
+        !String::from_utf8_lossy(&never.stderr).contains("checks/s"),
+        "--progress never drew a progress line"
+    );
+    assert_eq!(always.stdout, never.stdout);
+    assert_eq!(journal_always, journal_never);
 }
 
 #[test]

@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use vgen::core::check::assemble;
 use vgen::core::{
-    render_eval_summary, run_engine_sweep, run_engine_sweep_stats, ChaosSpec, CheckPolicy,
-    EvalConfig, EvalRun, SweepOptions, SweepStats,
+    render_eval_summary, run_engine_sweep, ChaosSpec, CheckPolicy, EvalConfig, EvalRun, SweepHooks,
+    SweepOptions, SweepStats,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
 use vgen::problems::{problem, Problem, PromptLevel};
@@ -103,8 +103,14 @@ fn sweep_engine(
 ) -> (EvalRun, SweepStats, Vec<u8>) {
     let path = journal_path(tag);
     let _ = std::fs::remove_file(&path);
-    let (run, stats) =
-        run_engine_sweep_stats(engine, config, Some((&path, false)), opts).expect("sweep");
+    let (run, stats) = run_engine_sweep(
+        engine,
+        config,
+        Some((&path, false)),
+        opts,
+        &SweepHooks::default(),
+    )
+    .expect("sweep");
     let journal = std::fs::read(&path).expect("journal bytes");
     let _ = std::fs::remove_file(&path);
     (run, stats, journal)
@@ -148,7 +154,8 @@ fn parallel_cache_output_is_byte_identical_across_jobs_and_cache_settings() {
         for dedup in [true, false] {
             let opts = SweepOptions {
                 dedup,
-                ..SweepOptions::parallel(jobs)
+                jobs,
+                ..SweepOptions::default()
             };
             let (run, stats, journal) = sweep(&format!("par-{jobs}-{dedup}"), &opts);
             assert_eq!(run, baseline, "run diverged at jobs={jobs} dedup={dedup}");
@@ -180,11 +187,16 @@ fn cached_parallel_run_resumes_cleanly() {
     let text = String::from_utf8(full_journal).expect("utf8 journal");
     let kept: Vec<&str> = text.lines().take(9).collect();
     std::fs::write(&path, kept.join("\n")).expect("truncate");
-    let resumed = run_engine_sweep(
+    let opts = SweepOptions {
+        jobs: 4,
+        ..SweepOptions::default()
+    };
+    let (resumed, _) = run_engine_sweep(
         &mut CyclingEngine::new(),
         &cfg(),
         Some((&path, true)),
-        &SweepOptions::parallel(4),
+        &opts,
+        &SweepHooks::default(),
     )
     .expect("resumed cached run");
     assert_eq!(
@@ -309,7 +321,7 @@ fn whole_module_completions_are_checked_once_per_distinct_source() {
         let off = SweepOptions {
             dedup: false,
             policy: policy.clone(),
-            ..SweepOptions::serial()
+            ..SweepOptions::default()
         };
         let (baseline, stats_off, baseline_journal) = sweep_engine(
             &mut WholeModuleEngine::new(),
@@ -328,7 +340,8 @@ fn whole_module_completions_are_checked_once_per_distinct_source() {
         for jobs in [1usize, 4] {
             let on = SweepOptions {
                 policy: policy.clone(),
-                ..SweepOptions::parallel(jobs)
+                jobs,
+                ..SweepOptions::default()
             };
             let (run, stats, journal) = sweep_engine(
                 &mut WholeModuleEngine::new(),

@@ -9,7 +9,7 @@
 //! as bad *candidates*, not as checker crashes.
 
 use vgen::core::check::CheckOutcome;
-use vgen::core::guarded_check_completion;
+use vgen::core::{supervised_check_completion, CheckPolicy};
 use vgen::lm::mutate::{hostile_corpus, HostileOp};
 use vgen::problems::{problem, PromptLevel};
 use vgen::sim::SimConfig;
@@ -30,7 +30,13 @@ fn hostile_corpus_is_always_classified() {
     assert!(corpus.len() >= 20, "corpus too small: {}", corpus.len());
 
     for (op, completion) in &corpus {
-        let result = guarded_check_completion(p, PromptLevel::Low, completion, bounded());
+        let result = supervised_check_completion(
+            p,
+            PromptLevel::Low,
+            completion,
+            bounded(),
+            &CheckPolicy::default(),
+        );
         match &result.outcome {
             CheckOutcome::HarnessFault(msg) => {
                 panic!("hostile input {op:?} crashed the harness: {msg}\n---\n{completion}");
@@ -67,7 +73,13 @@ fn resource_attacks_are_rejected_not_passed() {
         if !rejected_kinds {
             continue;
         }
-        let result = guarded_check_completion(p, PromptLevel::Low, &completion, bounded());
+        let result = supervised_check_completion(
+            p,
+            PromptLevel::Low,
+            &completion,
+            bounded(),
+            &CheckPolicy::default(),
+        );
         assert!(
             !matches!(result.outcome, CheckOutcome::Pass),
             "resource attack {op:?} was classified as Pass"
@@ -83,7 +95,13 @@ fn infinite_loops_hit_a_budget_not_the_wall_clock() {
             continue;
         }
         let start = std::time::Instant::now();
-        let result = guarded_check_completion(p, PromptLevel::Low, &completion, bounded());
+        let result = supervised_check_completion(
+            p,
+            PromptLevel::Low,
+            &completion,
+            bounded(),
+            &CheckPolicy::default(),
+        );
         let elapsed = start.elapsed();
         assert!(
             elapsed < std::time::Duration::from_secs(10),

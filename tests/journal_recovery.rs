@@ -11,8 +11,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use vgen::core::{
-    config_fingerprint, journal_header, read_journal_recovering, run_engine_sweep_stats,
-    EvalConfig, EvalRun, SweepOptions,
+    config_fingerprint, journal_header, read_journal_recovering, run_engine_sweep, EvalConfig,
+    EvalRun, SweepHooks, SweepOptions,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
 use vgen::problems::{Problem, PromptLevel};
@@ -77,11 +77,12 @@ fn reference() -> &'static (EvalRun, Vec<u8>, usize) {
     REF.get_or_init(|| {
         let path = scratch_path("reference");
         let _ = std::fs::remove_file(&path);
-        let (run, _) = run_engine_sweep_stats(
+        let (run, _) = run_engine_sweep(
             &mut PaletteEngine { cursor: 0 },
             &cfg(),
             Some((&path, false)),
             &SweepOptions::default(),
+            &SweepHooks::default(),
         )
         .expect("reference sweep");
         let bytes = std::fs::read(&path).expect("journal bytes");
@@ -121,11 +122,12 @@ fn resume_matches_reference(
         expect_kept
     );
 
-    let (resumed, stats) = run_engine_sweep_stats(
+    let (resumed, stats) = run_engine_sweep(
         &mut PaletteEngine { cursor: 0 },
         &cfg(),
         Some((&path, true)),
         &SweepOptions::default(),
+        &SweepHooks::default(),
     )
     .expect("resume from damaged journal");
     let resumed_bytes = std::fs::read(&path).expect("journal bytes");
@@ -157,11 +159,12 @@ fn shard_tagged_journal_is_refused_on_resume_and_left_unmodified() {
     let path = scratch_path("shard-tagged");
     std::fs::write(&path, &tagged).expect("write tagged journal");
 
-    let err = run_engine_sweep_stats(
+    let err = run_engine_sweep(
         &mut PaletteEngine { cursor: 0 },
         &cfg(),
         Some((&path, true)),
         &SweepOptions::default(),
+        &SweepHooks::default(),
     )
     .expect_err("a shard-tagged journal must not resume");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);

@@ -6,9 +6,10 @@
 //! the same `(outcome, lint)` for every candidate, `CompileFail` detail
 //! strings included, so the concatenated check is kept here as an oracle.
 
-use vgen::core::check::{check_source_with_lint, CheckOutcome, LintCounts};
+use vgen::core::check::{check_source_cancellable, CheckOutcome, LintCounts};
 use vgen::lm::family::build_bank;
 use vgen::lm::mutate::{semantic_mutants, syntax_mutants};
+use vgen::obs::CancelToken;
 use vgen::problems::{extended_problems, problem, problems, Problem, PASS_MARKER};
 use vgen::sim::{SimConfig, StopReason};
 use vgen::verilog::lexer::tokenize;
@@ -47,7 +48,12 @@ fn concatenated_check(problem: &Problem, source: &str) -> (CheckOutcome, Option<
 
 /// Checks `source` both ways and returns the (equal) result.
 fn assert_same(problem: &Problem, source: &str) -> (CheckOutcome, Option<LintCounts>) {
-    let linked = check_source_with_lint(problem, source, SimConfig::default());
+    let linked = check_source_cancellable(
+        problem,
+        source,
+        SimConfig::default(),
+        &CancelToken::unlimited(),
+    );
     let oracle = concatenated_check(problem, source);
     assert_eq!(
         linked, oracle,

@@ -10,7 +10,7 @@
 //!   merge loop past its stall timeout and fail);
 //! * **no lost or duplicated work items** — every record is compared
 //!   against an independent oracle (a plain loop of
-//!   `guarded_check_completion` calls, sharing no executor code), and every
+//!   `supervised_check_completion` calls, sharing no executor code), and every
 //!   record stream must equal the one-worker stream field for field, so a
 //!   dropped, repeated or reordered item is a test failure, not a
 //!   statistical blip;
@@ -20,10 +20,14 @@
 //!   outcomes as the pool's workers, because its checks are handed off to
 //!   a thread with a check-sized stack.
 
+use std::io;
+use std::path::Path;
+
 use vgen::core::check::{assemble, CheckResult, LintCounts};
+use vgen::core::synthcheck::synth_sweep;
 use vgen::core::{
-    guarded_check_completion, run_engine_parallel, run_engine_sweep, EvalConfig, FaultKind, Record,
-    SweepOptions,
+    run_engine_sweep, supervised_check_completion, CheckPolicy, EvalConfig, EvalRun, FaultKind,
+    Record, SweepHooks, SweepOptions,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
 use vgen::lm::mutate::hostile_corpus;
@@ -75,6 +79,20 @@ impl CompletionEngine for HostileEngine {
     }
 }
 
+/// One sweep of `engine` over `cfg` on `jobs` workers.
+fn sweep(
+    engine: &mut HostileEngine,
+    cfg: &EvalConfig,
+    journal: Option<(&Path, bool)>,
+    jobs: usize,
+) -> io::Result<EvalRun> {
+    let opts = SweepOptions {
+        jobs,
+        ..SweepOptions::default()
+    };
+    run_engine_sweep(engine, cfg, journal, &opts, &SweepHooks::default()).map(|(run, _)| run)
+}
+
 /// A grid wide enough to wrap the 23-entry corpus and keep every worker busy:
 /// 3 problems × 1 level × 1 temperature × 10 completions = 30 checks.
 fn stress_cfg() -> EvalConfig {
@@ -109,7 +127,7 @@ fn check_verdict(cell: (u8, PromptLevel, f64, usize), r: CheckResult) -> Verdict
 
 /// The oracle: the grid's completions in canonical order (problems, then
 /// levels, temperatures and n), each checked by a direct
-/// `guarded_check_completion` call on the test thread.
+/// `supervised_check_completion` call on the test thread.
 fn oracle(cfg: &EvalConfig) -> Vec<Verdict> {
     let mut engine = HostileEngine::new();
     let mut out = Vec::new();
@@ -121,7 +139,13 @@ fn oracle(cfg: &EvalConfig) -> Vec<Verdict> {
                     for c in engine.generate(p, level, t, n) {
                         out.push(check_verdict(
                             (pid, level, t, n),
-                            guarded_check_completion(p, level, &c.text, cfg.sim),
+                            supervised_check_completion(
+                                p,
+                                level,
+                                &c.text,
+                                cfg.sim,
+                                &CheckPolicy::default(),
+                            ),
                         ));
                     }
                 }
@@ -140,14 +164,14 @@ fn hostile_sweep_is_identical_across_worker_counts() {
         .iter()
         .filter(|(_, (_, _, fault, _))| fault.is_some())
         .count();
-    let one_worker = run_engine_parallel(&mut HostileEngine::new(), &cfg, 1)
+    let one_worker = sweep(&mut HostileEngine::new(), &cfg, None, 1)
         .unwrap_or_else(|e| panic!("one-worker sweep stalled: {e}"));
     // Every worker count in the stress band, not a random sample: 1..=8
     // covers pool sizes below, at, and far above this machine's core
     // count, which is what randomized draws from the same range would
     // probe.
     for jobs in 1..=8usize {
-        let par = run_engine_parallel(&mut HostileEngine::new(), &cfg, jobs)
+        let par = sweep(&mut HostileEngine::new(), &cfg, None, jobs)
             .unwrap_or_else(|e| panic!("parallel sweep deadlocked/stalled at jobs={jobs}: {e}"));
         assert_eq!(
             par.records.len(),
@@ -211,8 +235,8 @@ fn small_stack_callers_match_the_pool() {
         problem_ids: vec![2],
         sim: SimConfig::default(),
     };
-    let pooled = run_engine_parallel(&mut HostileEngine::with(corpus.clone()), &cfg, 2)
-        .expect("pooled sweep");
+    let pooled =
+        sweep(&mut HostileEngine::with(corpus.clone()), &cfg, None, 2).expect("pooled sweep");
     let expected: Vec<Verdict> = pooled.records.iter().map(record_verdict).collect();
     assert!(
         expected
@@ -229,8 +253,13 @@ fn small_stack_callers_match_the_pool() {
             corpus
                 .iter()
                 .map(|text| {
-                    let r =
-                        guarded_check_completion(p, PromptLevel::Low, text, SimConfig::default());
+                    let r = supervised_check_completion(
+                        p,
+                        PromptLevel::Low,
+                        text,
+                        SimConfig::default(),
+                        &CheckPolicy::default(),
+                    );
                     check_verdict(cell, r)
                 })
                 .collect::<Vec<Verdict>>()
@@ -247,24 +276,33 @@ fn hostile_journaled_parallel_run_resumes_cleanly() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join(format!("hostile-{}.log", std::process::id()));
     let cfg = stress_cfg();
-    let full = run_engine_sweep(
-        &mut HostileEngine::new(),
-        &cfg,
-        Some((&path, false)),
-        &SweepOptions::parallel(6),
-    )
-    .expect("full hostile journaled run");
+    let full = sweep(&mut HostileEngine::new(), &cfg, Some((&path, false)), 6)
+        .expect("full hostile journaled run");
     // Tear the journal mid-stream and resume at a different worker count.
     let text = std::fs::read_to_string(&path).expect("journal text");
     let kept: Vec<&str> = text.lines().take(8).collect();
     std::fs::write(&path, kept.join("\n")).expect("truncate");
-    let resumed = run_engine_sweep(
-        &mut HostileEngine::new(),
-        &cfg,
-        Some((&path, true)),
-        &SweepOptions::parallel(2),
-    )
-    .expect("resumed hostile journaled run");
+    let resumed = sweep(&mut HostileEngine::new(), &cfg, Some((&path, true)), 2)
+        .expect("resumed hostile journaled run");
     assert_eq!(resumed, full);
     let _ = std::fs::remove_file(&path);
+}
+
+/// The synthesis tier checks under the guard and synthesizes under the
+/// panic catch, so every hostile completion costs at most its own tiers:
+/// the sweep finishes and counts the whole corpus.
+#[test]
+fn hostile_corpus_runs_through_the_synthesis_tier() {
+    let corpus: Vec<String> = hostile_corpus().into_iter().map(|(_, text)| text).collect();
+    let cfg = EvalConfig {
+        temperatures: vec![0.3],
+        ns: vec![corpus.len()],
+        levels: vec![PromptLevel::Low],
+        problem_ids: vec![2],
+        sim: SimConfig::default(),
+    };
+    let tally = synth_sweep(&mut HostileEngine::with(corpus.clone()), &cfg);
+    assert_eq!(tally.total, corpus.len());
+    assert!(tally.synthesizable <= tally.compiled);
+    assert!(tally.functional <= tally.compiled);
 }

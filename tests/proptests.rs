@@ -385,8 +385,15 @@ fn classify(completion: &str) -> vgen::core::check::CheckOutcome {
         .with_max_time(100_000)
         .with_max_steps(500_000)
         .with_max_output_bytes(1 << 16);
-    vgen::core::guarded_check_completion(p, vgen::problems::PromptLevel::Low, completion, config)
-        .outcome
+    let policy = vgen::core::CheckPolicy::default();
+    vgen::core::supervised_check_completion(
+        p,
+        vgen::problems::PromptLevel::Low,
+        completion,
+        config,
+        &policy,
+    )
+    .outcome
 }
 
 proptest! {

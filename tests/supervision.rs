@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use vgen::core::check::CheckOutcome;
 use vgen::core::{
-    run_engine_sweep_stats, supervised_check_completion, ChaosSpec, CheckPolicy, FaultKind,
+    run_engine_sweep, supervised_check_completion, ChaosSpec, CheckPolicy, FaultKind, SweepHooks,
     SweepOptions, TimeoutKind,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
@@ -183,11 +183,17 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
         policy: CheckPolicy::default()
             .with_chaos(ChaosSpec::parse("check.delay:700%1", 0).expect("valid spec")),
         stall_timeout: Some(Duration::from_millis(150)),
-        ..SweepOptions::parallel(2)
+        jobs: 2,
+        ..SweepOptions::default()
     };
-    let (run, _stats) =
-        run_engine_sweep_stats(&mut DistinctEngine { cursor: 0 }, &cfg, None, &opts)
-            .expect("a stalled pool must degrade, not abort the sweep");
+    let (run, _stats) = run_engine_sweep(
+        &mut DistinctEngine { cursor: 0 },
+        &cfg,
+        None,
+        &opts,
+        &SweepHooks::default(),
+    )
+    .expect("a stalled pool must degrade, not abort the sweep");
     assert_eq!(run.records.len(), 6, "every grid item must be recorded");
     assert!(
         run.fault_count() >= 1,
@@ -201,11 +207,15 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
 
     // A follow-up sweep in the same process, while the abandoned workers
     // are still stuck in their checks, passes normally.
-    let (run, _stats) = run_engine_sweep_stats(
+    let (run, _stats) = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },
         &cfg,
         None,
-        &SweepOptions::parallel(2),
+        &SweepOptions {
+            jobs: 2,
+            ..SweepOptions::default()
+        },
+        &SweepHooks::default(),
     )
     .expect("follow-up sweep");
     assert_eq!(run.records.len(), 6);
@@ -230,11 +240,15 @@ fn chaos_sweep_on_pooled_checkers_keeps_its_verdicts() {
         sim: SimConfig::default(),
     };
     let jobs = 4;
-    let (clean, _stats) = run_engine_sweep_stats(
+    let (clean, _stats) = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },
         &cfg,
         None,
-        &SweepOptions::parallel(jobs),
+        &SweepOptions {
+            jobs,
+            ..SweepOptions::default()
+        },
+        &SweepHooks::default(),
     )
     .expect("clean sweep");
     let opts = SweepOptions {
@@ -244,12 +258,18 @@ fn chaos_sweep_on_pooled_checkers_keeps_its_verdicts() {
             ..CheckPolicy::default()
         }
         .with_chaos(ChaosSpec::parse("check.panic%5;check.delay:1500%13", 0).expect("valid spec")),
-        ..SweepOptions::parallel(jobs)
+        jobs,
+        ..SweepOptions::default()
     };
     vgen::obs::enable();
-    let (chaos, stats) =
-        run_engine_sweep_stats(&mut DistinctEngine { cursor: 0 }, &cfg, None, &opts)
-            .expect("chaos sweep");
+    let (chaos, stats) = run_engine_sweep(
+        &mut DistinctEngine { cursor: 0 },
+        &cfg,
+        None,
+        &opts,
+        &SweepHooks::default(),
+    )
+    .expect("chaos sweep");
     let obs = vgen::obs::collect();
 
     assert_eq!(chaos.records.len(), clean.records.len());
