@@ -11,27 +11,23 @@
 //! lacks diversity (problem 12).
 
 use vgen_bench::write_artifact;
-use vgen_core::check::{check_completion, CheckOutcome};
+use vgen_core::metrics::Tally;
+use vgen_core::sweep::{run_engine, EvalConfig};
 use vgen_corpus::pipeline::{build_corpus, CorpusSource, PipelineConfig};
-use vgen_lm::engine::{CompletionEngine, NgramEngine};
+use vgen_lm::engine::NgramEngine;
 use vgen_problems::{extended_problems, problems, Problem, PromptLevel};
-use vgen_sim::SimConfig;
 
-fn score(engine: &mut NgramEngine, set: &[&Problem], t: f64, n: usize) -> (usize, usize, usize) {
-    let (mut total, mut compiled, mut passed) = (0, 0, 0);
-    for p in set {
-        for c in engine.generate(p, PromptLevel::Low, t, n) {
-            let r = check_completion(p, PromptLevel::Low, &c.text, SimConfig::default());
-            total += 1;
-            if r.outcome.compiled() {
-                compiled += 1;
-            }
-            if matches!(r.outcome, CheckOutcome::Pass) {
-                passed += 1;
-            }
-        }
-    }
-    (total, compiled, passed)
+/// Compile and pass counts of `n` low-detail completions per problem of
+/// `set` at temperature `t`.
+fn score(engine: &mut NgramEngine, set: &[Problem], t: f64, n: usize) -> Tally {
+    let config = EvalConfig {
+        temperatures: vec![t],
+        ns: vec![n],
+        levels: vec![PromptLevel::Low],
+        problem_ids: set.iter().map(|p| p.id).collect(),
+        ..EvalConfig::default()
+    };
+    run_engine(engine, &config).tally(|_| true)
 }
 
 fn main() {
@@ -46,19 +42,22 @@ fn main() {
     eprintln!("training n-gram engine on {} bytes ...", text.len());
     let mut engine = NgramEngine::train(&text, 600, 10, 0xFEED);
 
-    let seen: Vec<&Problem> = problems().iter().collect();
-    let unseen: Vec<&Problem> = extended_problems().iter().collect();
-
     let mut report = String::from(
         "EXTENSION: memorization vs generalization of the real n-gram engine\n\
          (trained on the corpus + the ORIGINAL 17 solutions; extended set held out)\n\n\
          set       t    total  compiled  passed\n",
     );
     for &t in &[0.0, 0.5] {
-        let (tot, comp, pass) = score(&mut engine, &seen, t, 3);
-        report.push_str(&format!("seen     {t:<4} {tot:>6}  {comp:>8}  {pass:>6}\n"));
-        let (tot, comp, pass) = score(&mut engine, &unseen, t, 3);
-        report.push_str(&format!("held-out {t:<4} {tot:>6}  {comp:>8}  {pass:>6}\n"));
+        for (name, set) in [("seen    ", problems()), ("held-out", extended_problems())] {
+            let Tally {
+                total,
+                compiled,
+                passed,
+            } = score(&mut engine, set, t, 3);
+            report.push_str(&format!(
+                "{name} {t:<4} {total:>6}  {compiled:>8}  {passed:>6}\n"
+            ));
+        }
     }
     report.push_str(
         "\nExpected shape: high pass counts on the seen set at t=0 (pure\n\

@@ -112,9 +112,10 @@ pub fn catch_harness_fault<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// Stack size of every thread a check may run on. The parser's recursion
-/// guard ([`vgen_verilog::parser::MAX_NEST_DEPTH`]) is sized so the worst
-/// legal nesting fits in a fraction of this even in unoptimised builds.
+/// Stack size of every thread a check may run on. The parser's caps on
+/// nesting ([`vgen_verilog::parser::MAX_NEST_DEPTH`]) and expression depth
+/// ([`vgen_verilog::parser::MAX_EXPR_DEPTH`]) are sized so the worst legal
+/// input fits in a fraction of this even in unoptimised builds.
 const CHECK_STACK_BYTES: usize = 8 * 1024 * 1024;
 
 /// Spawns a thread named `name` with a [`CHECK_STACK_BYTES`] stack, marked

@@ -94,14 +94,6 @@ impl Bpe {
         String::from_utf8_lossy(&bytes).into_owned()
     }
 
-    /// The byte length of a token (for throughput statistics).
-    pub fn token_len(&self, t: TokenId) -> usize {
-        self.token_bytes
-            .get(t as usize)
-            .map(|b| b.len())
-            .unwrap_or(0)
-    }
-
     /// Compression ratio achieved on `text` (bytes per token).
     pub fn compression(&self, text: &str) -> f64 {
         let toks = self.encode(text);

@@ -350,6 +350,19 @@ pub fn hostile_corpus() -> Vec<(HostileOp, String)> {
         format!("assign y = {}b;\nendmodule\n", "a ? b : ".repeat(1000)),
     ));
 
+    // Parser recursion: 10,000-term left-associative operator chains. The
+    // parser builds these in a loop, so only its expression-depth cap keeps
+    // the tree from overflowing every stage that recurses over it.
+    for op in ["^", "+", "&&"] {
+        out.push((
+            HostileOp::DeepNesting,
+            format!(
+                "assign y = a{};\nendmodule\n",
+                format!(" {op} a").repeat(9_999)
+            ),
+        ));
+    }
+
     // Elaborator: one absurdly wide register.
     out.push((
         HostileOp::HugeVector,

@@ -93,12 +93,6 @@ impl CancelToken {
             _ => false,
         }
     }
-
-    /// Whether this token can ever trip without an explicit
-    /// [`cancel`](Self::cancel) call.
-    pub fn has_deadline(&self) -> bool {
-        self.inner.deadline.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +104,6 @@ mod tests {
         let t = CancelToken::unlimited();
         assert!(!t.poll());
         assert!(!t.is_cancelled());
-        assert!(!t.has_deadline());
     }
 
     #[test]
@@ -130,7 +123,6 @@ mod tests {
         assert!(!t.is_cancelled());
         assert!(t.poll());
         assert!(t.is_cancelled());
-        assert!(t.has_deadline());
     }
 
     #[test]

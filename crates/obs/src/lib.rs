@@ -518,26 +518,6 @@ pub fn gauge_max(name: &'static str, v: u64) {
     with_recorder(|rec| bump(&mut rec.maxima, name, v, true));
 }
 
-/// Records `ns` into the duration histogram `name` without emitting a
-/// trace event — for sub-spans too numerous to trace individually.
-#[inline]
-pub fn record_ns(name: &'static str, ns: u64) {
-    if !is_enabled() {
-        return;
-    }
-    with_recorder(|rec| {
-        for (k, h) in rec.hists.iter_mut() {
-            if *k == name {
-                h.record(ns);
-                return;
-            }
-        }
-        let mut h = Histogram::new();
-        h.record(ns);
-        rec.hists.push((name, h));
-    });
-}
-
 /// The current thread's lane id (assigning one if needed). Cheap and 0
 /// when tracing is disabled.
 pub fn current_lane() -> u32 {
@@ -600,7 +580,6 @@ mod tests {
         drop(s);
         counter_add("noop", 5);
         gauge_max("noop", 5);
-        record_ns("noop", 5);
         enable();
         let report = collect();
         assert!(report.events.is_empty(), "{:?}", report.events);
@@ -618,12 +597,10 @@ mod tests {
             counter_add("hits", 3);
             gauge_max("depth", 7);
             gauge_max("depth", 4);
-            record_ns("quiet", 1234);
         }
         let report = collect();
         assert_eq!(report.counters["hits"], 5);
         assert_eq!(report.maxima["depth"], 7);
-        assert_eq!(report.hists["quiet"].count, 1);
         let names: Vec<&str> = report.events.iter().map(|e| e.name).collect();
         assert!(names.contains(&"outer") && names.contains(&"inner"));
         // The inner span closed first and nests inside the outer one.

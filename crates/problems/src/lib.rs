@@ -51,11 +51,6 @@ pub fn extended_problems() -> &'static [Problem] {
     SET.get_or_init(extended::build_extended)
 }
 
-/// Problems in a given difficulty tier, in id order.
-pub fn problems_by_difficulty(d: Difficulty) -> Vec<&'static Problem> {
-    problems().iter().filter(|p| p.difficulty == d).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,9 +66,10 @@ mod tests {
 
     #[test]
     fn difficulty_split_matches_table_ii() {
-        assert_eq!(problems_by_difficulty(Difficulty::Basic).len(), 4);
-        assert_eq!(problems_by_difficulty(Difficulty::Intermediate).len(), 8);
-        assert_eq!(problems_by_difficulty(Difficulty::Advanced).len(), 5);
+        let tier = |d| problems().iter().filter(|p| p.difficulty == d).count();
+        assert_eq!(tier(Difficulty::Basic), 4);
+        assert_eq!(tier(Difficulty::Intermediate), 8);
+        assert_eq!(tier(Difficulty::Advanced), 5);
     }
 
     #[test]

@@ -876,6 +876,49 @@ mod tests {
         );
     }
 
+    /// A 10,000-term operator chain used to overflow the check thread's
+    /// stack and end the daemon; now it is a compile failure that names the
+    /// parser's depth cap, and the connection serves on.
+    #[test]
+    fn a_deep_operator_chain_is_a_compile_failure_and_the_daemon_serves_on() {
+        let (mut client, daemon) = serve_pair();
+        let mut events = BufReader::new(client.try_clone().expect("clone the client end")).lines();
+        let mut next = || {
+            let line = events.next().expect("an event").expect("event text");
+            Json::parse(&line).expect("event is JSON")
+        };
+        let chain = vec!["a"; 10_000].join(" ^ ");
+        writeln!(
+            client,
+            r#"{{"id":1,"cmd":"check","problem":2,"source":"assign y = {chain};\nendmodule"}}"#
+        )
+        .expect("send the check");
+        assert_eq!(next().get("event").and_then(Json::as_str), Some("accepted"));
+        let done = next();
+        let payload = done.get("payload").expect("a payload");
+        assert_eq!(
+            payload.get("outcome").and_then(Json::as_str),
+            Some("compile_fail")
+        );
+        let detail = payload
+            .get("detail")
+            .and_then(Json::as_str)
+            .expect("detail");
+        let refusal = format!(
+            "expression deeper than {} levels",
+            vgen_verilog::parser::MAX_EXPR_DEPTH
+        );
+        assert!(detail.contains(&refusal), "{detail}");
+        writeln!(client, r#"{{"id":2,"cmd":"ping"}}"#).expect("send a ping");
+        let pong = next();
+        assert_eq!(pong.get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(pong.get("payload").and_then(Json::as_str), Some("pong"));
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close the request side");
+        daemon.join().expect("connection served");
+    }
+
     /// A client that stops reading at its first answer: writing a `done`
     /// event reports on `stalled`, then blocks until `release` is dropped.
     struct StalledClient {

@@ -93,6 +93,22 @@ pub const MAX_TOKENS: usize = 400_000;
 /// so every check runs on an 8 MiB stack (`vgen-core`'s `CHECK_STACK_BYTES`).
 pub const MAX_NEST_DEPTH: usize = 100;
 
+/// Height ceiling for one expression tree: the nodes on its longest path
+/// from the root to a leaf, so `a ^ b ^ c` is 3 deep. [`MAX_NEST_DEPTH`]
+/// never sees a left-associative chain (`a ^ a ^ … ^ a`) or a select chain
+/// (`a[0][0]…`), because the parser builds those in a loop, but lint,
+/// elaboration, simulation, synthesis, the pretty-printer and the tree's
+/// drop all recurse over the tree. Deeper expressions become a
+/// [`ParseError`] instead of a stack overflow no guard can catch.
+///
+/// Sized by measurement in an unoptimised build: on a 4 MiB thread, lint,
+/// elaboration plus simulation, and the whole check first overflow on
+/// chains of about 465 terms, synthesis at about 535, the pretty-printer
+/// at about 1,400 and drop past 36,000. At this cap every one of them
+/// stays under half of a check's 8 MiB stack. A 64-input parity chain is
+/// 64 deep.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 /// Units of parser work (grammar productions entered, module items started)
 /// between [`CancelToken`] polls. Large enough that the clock read
 /// amortises to noise, small enough that a near-[`MAX_TOKENS`] input still
@@ -104,6 +120,9 @@ struct Parser {
     pos: usize,
     /// Current expression/statement nesting depth (recursion guard).
     depth: usize,
+    /// Height of the tallest expression the current expression production
+    /// has completed so far (see [`Parser::expr_frame`]).
+    height: usize,
     /// Cooperative cancellation handle (unlimited by default).
     cancel: CancelToken,
     /// Work counter driving periodic [`CancelToken::poll`] calls.
@@ -116,6 +135,7 @@ impl Parser {
             tokens,
             pos: 0,
             depth: 0,
+            height: 0,
             cancel,
             work: 0,
         }
@@ -146,6 +166,39 @@ impl Parser {
 
     fn exit(&mut self) {
         self.depth -= 1;
+    }
+
+    /// Runs one recursive expression production under the nesting guard
+    /// and tracks the height of the tree it builds. Every expression the
+    /// production completes is a subtree of that tree: those of nested
+    /// productions, and each node it builds itself ([`Parser::stack_node`]),
+    /// so the tallest of them is the tree's height, which then counts
+    /// towards the enclosing production's.
+    fn expr_frame(
+        &mut self,
+        production: impl FnOnce(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        self.enter()?;
+        let outer = std::mem::take(&mut self.height);
+        let result = production(self);
+        self.height = outer.max(self.height);
+        self.exit();
+        result
+    }
+
+    /// Counts one expression node built by the current production over
+    /// every subexpression it has completed so far, the node it built last
+    /// included; errors out once that makes the tree deeper than
+    /// [`MAX_EXPR_DEPTH`].
+    fn stack_node(&mut self, span: Span) -> Result<(), ParseError> {
+        self.height += 1;
+        if self.height > MAX_EXPR_DEPTH {
+            return Err(ParseError::new(
+                format!("expression deeper than {MAX_EXPR_DEPTH} levels"),
+                span,
+            ));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> &TokenKind {
@@ -1072,7 +1125,7 @@ impl Parser {
         // Lvalues are postfix expressions (identifier, select, concat);
         // using the full expression parser here would swallow `q <= x` as a
         // comparison.
-        let lhs = self.parse_postfix()?;
+        let lhs = self.expr_frame(Self::parse_postfix)?;
         let op = if self.eat_punct(Punct::Assign) {
             AssignOp::Blocking
         } else if self.eat_punct(Punct::LtEq) {
@@ -1111,10 +1164,7 @@ impl Parser {
     }
 
     fn parse_ternary(&mut self) -> Result<Expr, ParseError> {
-        self.enter()?;
-        let result = self.parse_ternary_inner();
-        self.exit();
-        result
+        self.expr_frame(Self::parse_ternary_inner)
     }
 
     fn parse_ternary_inner(&mut self) -> Result<Expr, ParseError> {
@@ -1126,6 +1176,7 @@ impl Parser {
         self.expect_punct(Punct::Colon)?;
         let els = self.parse_ternary()?;
         let span = cond.span.to(els.span);
+        self.stack_node(span)?;
         Ok(Expr::new(
             ExprKind::Ternary {
                 cond: Box::new(cond),
@@ -1138,10 +1189,7 @@ impl Parser {
 
     /// Precedence-climbing binary expression parser. Level 0 is `||`.
     fn parse_binary(&mut self, min_level: u8) -> Result<Expr, ParseError> {
-        self.enter()?;
-        let result = self.parse_binary_inner(min_level);
-        self.exit();
-        result
+        self.expr_frame(|p| p.parse_binary_inner(min_level))
     }
 
     fn parse_binary_inner(&mut self, min_level: u8) -> Result<Expr, ParseError> {
@@ -1163,6 +1211,7 @@ impl Parser {
             };
             let rhs = self.parse_binary(next_min)?;
             let span = lhs.span.to(rhs.span);
+            self.stack_node(span)?;
             lhs = Expr::new(
                 ExprKind::Binary {
                     op,
@@ -1210,10 +1259,7 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         // Every operand passes through here, so this one guard bounds all
         // expression recursion (parens, unary chains, `**` right recursion).
-        self.enter()?;
-        let result = self.parse_unary_inner();
-        self.exit();
-        result
+        self.expr_frame(Self::parse_unary_inner)
     }
 
     fn parse_unary_inner(&mut self) -> Result<Expr, ParseError> {
@@ -1237,6 +1283,7 @@ impl Parser {
             self.bump();
             let arg = self.parse_unary()?;
             let span = start.to(arg.span);
+            self.stack_node(span)?;
             return Ok(Expr::new(
                 ExprKind::Unary {
                     op,
@@ -1249,7 +1296,12 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
+        // A parenthesised primary is its inner expression, not a new node.
+        let paren = self.at_punct(Punct::LParen);
         let mut expr = self.parse_primary()?;
+        if !paren {
+            self.stack_node(expr.span)?;
+        }
         loop {
             if !self.at_punct(Punct::LBracket) {
                 return Ok(expr);
@@ -1260,6 +1312,7 @@ impl Parser {
                 let lsb = self.parse_expr()?;
                 let end = self.expect_punct(Punct::RBracket)?;
                 let span = expr.span.to(end);
+                self.stack_node(span)?;
                 expr = Expr::new(
                     ExprKind::PartSelect {
                         base: Box::new(expr),
@@ -1275,6 +1328,7 @@ impl Parser {
                 let width = self.parse_expr()?;
                 let end = self.expect_punct(Punct::RBracket)?;
                 let span = expr.span.to(end);
+                self.stack_node(span)?;
                 expr = Expr::new(
                     ExprKind::IndexedSelect {
                         base: Box::new(expr),
@@ -1288,6 +1342,7 @@ impl Parser {
                 let width = self.parse_expr()?;
                 let end = self.expect_punct(Punct::RBracket)?;
                 let span = expr.span.to(end);
+                self.stack_node(span)?;
                 expr = Expr::new(
                     ExprKind::IndexedSelect {
                         base: Box::new(expr),
@@ -1300,6 +1355,7 @@ impl Parser {
             } else {
                 let end = self.expect_punct(Punct::RBracket)?;
                 let span = expr.span.to(end);
+                self.stack_node(span)?;
                 expr = Expr::new(
                     ExprKind::Index {
                         base: Box::new(expr),
@@ -1892,5 +1948,66 @@ mod tests {
     #[test]
     fn defparam_is_parsed() {
         parse_ok("module m; defparam u.W = 4; endmodule");
+    }
+
+    /// `a op a op … op a` with `terms` operands: an expression `terms` deep.
+    fn chain(op: &str, terms: usize) -> String {
+        format!("a{}", format!(" {op} a").repeat(terms - 1))
+    }
+
+    fn assign(rhs: &str) -> String {
+        format!("module m(input [3:0] a, output y, z);\nassign y = {rhs};\nendmodule\n")
+    }
+
+    fn too_deep(src: &str) {
+        let err = parse(src).expect_err("deeper than the cap");
+        assert_eq!(
+            err.message,
+            format!("expression deeper than {MAX_EXPR_DEPTH} levels")
+        );
+    }
+
+    #[test]
+    fn operator_chains_parse_up_to_the_depth_cap_and_no_further() {
+        for op in ["^", "+", "&&", "==", "<<"] {
+            parse_ok(&assign(&chain(op, MAX_EXPR_DEPTH)));
+            too_deep(&assign(&chain(op, MAX_EXPR_DEPTH + 1)));
+            too_deep(&assign(&chain(op, 10_000)));
+        }
+    }
+
+    #[test]
+    fn depth_counts_every_node_on_the_path() {
+        let full = chain("^", MAX_EXPR_DEPTH);
+        let short = chain("^", MAX_EXPR_DEPTH - 1);
+        // Parentheses add no node; a unary operator or a concatenation does.
+        parse_ok(&assign(&format!("({full})")));
+        too_deep(&assign(&format!("~({full})")));
+        parse_ok(&assign(&format!("{{{short}, a}}")));
+        too_deep(&assign(&format!("{{{full}, a}}")));
+        // A parenthesised chain under a chain: the two heights add.
+        let half = chain("+", MAX_EXPR_DEPTH / 2);
+        parse_ok(&assign(&format!("({half}) + {half}")));
+        too_deep(&assign(&format!("({half}) + {half} + a")));
+        // A tall operand late in a chain counts once, not once per node.
+        let most = chain("^", MAX_EXPR_DEPTH - 1);
+        parse_ok(&assign(&format!("{most} ^ ({most})")));
+        // Select chains are built in a loop too, in rvalues and lvalues.
+        parse_ok(&assign(&format!("a{}", "[0]".repeat(MAX_EXPR_DEPTH - 1))));
+        too_deep(&assign(&format!("a{}", "[0]".repeat(MAX_EXPR_DEPTH))));
+        too_deep(&assign(&format!("a{}", "[0]".repeat(10_000))));
+        too_deep(&format!(
+            "module m(input a); reg [3:0] q; always @* q{} = a; endmodule",
+            "[0]".repeat(10_000)
+        ));
+    }
+
+    #[test]
+    fn sibling_expressions_each_get_the_whole_depth() {
+        let full = chain("^", MAX_EXPR_DEPTH);
+        parse_ok(&format!(
+            "module m(input [3:0] a, output y, z);\nassign y = {full};\nassign z = {full};\n\
+             reg q;\nalways @* if ({full}) q = {full};\nendmodule\n"
+        ));
     }
 }

@@ -26,20 +26,6 @@ pub fn pretty_module(m: &Module) -> String {
     p.out
 }
 
-/// Renders a single expression (used in diagnostics and mutation reports).
-pub fn pretty_expr(e: &Expr) -> String {
-    let mut p = Printer::new();
-    p.expr(e);
-    p.out
-}
-
-/// Renders a single statement at indent level 0.
-pub fn pretty_stmt(s: &Stmt) -> String {
-    let mut p = Printer::new();
-    p.stmt(s);
-    p.out
-}
-
 struct Printer {
     out: String,
     indent: usize,
@@ -346,11 +332,6 @@ impl Printer {
             StmtKind::Null => self.line(";"),
         }
     }
-
-    fn expr(&mut self, e: &Expr) {
-        let s = expr_str(e);
-        self.out.push_str(&s);
-    }
 }
 
 fn decl_to_string(d: &Decl) -> String {
@@ -604,13 +585,10 @@ mod tests {
     }
 
     #[test]
-    fn pretty_expr_and_stmt_api() {
+    fn always_blocks_render_their_event_and_body() {
         let f =
             parse("module m(input a, output reg y); always @(a) y = !a; endmodule").expect("parse");
-        let Item::Always(al) = &f.modules[0].items[2] else {
-            panic!()
-        };
-        let s = pretty_stmt(&al.body);
+        let s = pretty_module(&f.modules[0]);
         assert!(s.contains("@(a)"));
         assert!(s.contains("y = !(a);"));
     }

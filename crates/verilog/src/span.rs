@@ -132,11 +132,6 @@ impl LineMap {
     pub fn line_start(&self, line: u32) -> Option<u32> {
         self.line_starts.get(line as usize - 1).copied()
     }
-
-    /// Number of lines in the mapped source (at least 1).
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +182,9 @@ mod tests {
     fn line_map_empty_source() {
         let map = LineMap::new("");
         assert_eq!(map.line_col(0), LineCol { line: 1, col: 1 });
-        assert_eq!(map.line_count(), 1);
+        // An empty source still has one line.
+        assert_eq!(map.line_start(1), Some(0));
+        assert_eq!(map.line_start(2), None);
     }
 
     #[test]

@@ -276,13 +276,6 @@ impl LogicVec {
         words_for(self.width)
     }
 
-    /// The `(aval, bval)` planes of 64-bit word `i` (word 0 holds bits
-    /// 0..64). Words at or beyond [`word_len`](Self::word_len) read as zero.
-    /// VPI encoding: `bval` bit set ⇒ unknown; `aval` then picks `x` over `z`.
-    pub fn word_planes(&self, i: usize) -> (u64, u64) {
-        self.word(i)
-    }
-
     /// Mask of valid bits in word `i` (all-ones except the top word).
     #[inline]
     fn word_mask(&self, i: usize) -> u64 {
@@ -1505,7 +1498,7 @@ mod tests {
     fn vpi_plane_encoding() {
         // LSB first: 1, z, x, 0 → aval 0b0101, bval 0b0110.
         let val = LogicVec::from_bits(vec![Logic::One, Logic::Z, Logic::X, Logic::Zero], false);
-        assert_eq!(val.word_planes(0), (0b0101, 0b0110));
+        assert_eq!(val.word(0), (0b0101, 0b0110));
         assert_eq!(val.word_len(), 1);
         // Round trip.
         assert_eq!(
@@ -1518,11 +1511,11 @@ mod tests {
     fn wide_vectors_use_multiple_words() {
         let val = v(1, 65).shl(&v(64, 8));
         assert_eq!(val.word_len(), 2);
-        assert_eq!(val.word_planes(0), (0, 0));
-        assert_eq!(val.word_planes(1), (1, 0));
+        assert_eq!(val.word(0), (0, 0));
+        assert_eq!(val.word(1), (1, 0));
         assert_eq!(val.bit(64), Logic::One);
         // Word index past the storage reads zero.
-        assert_eq!(val.word_planes(7), (0, 0));
+        assert_eq!(val.word(7), (0, 0));
     }
 
     #[test]

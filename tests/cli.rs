@@ -51,6 +51,39 @@ fn check_rejects_broken_file() {
     assert!(!out.status.success());
 }
 
+/// A 10,000-term `^` chain overflowed the stack of every stage that
+/// recurses over expressions; the parser now refuses it, so each command
+/// exits normally with the depth cap named.
+#[test]
+fn deep_operator_chain_is_refused_not_an_abort() {
+    let chain = vec!["a"; 10_000].join(" ^ ");
+    let path = write_temp(
+        "chain.v",
+        &format!("module and_gate(input a, input b, output y);\nassign y = {chain};\nendmodule\n"),
+    );
+    let file = path.to_str().expect("utf8");
+    let commands: [&[&str]; 4] = [
+        &["check", file],
+        &["lint", file],
+        &["synth", file],
+        &["eval", file, "--problem", "2"],
+    ];
+    for args in commands {
+        let out = vgen().args(args).output().expect("run");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
+        let refusal = format!(
+            "expression deeper than {} levels",
+            vgen::verilog::parser::MAX_EXPR_DEPTH
+        );
+        assert!(text.contains(&refusal), "{args:?}: {text}");
+    }
+}
+
 #[test]
 fn lint_clean_file_exits_zero() {
     let path = write_temp("lint_ok.v", COUNTER);

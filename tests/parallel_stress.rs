@@ -93,8 +93,9 @@ fn sweep(
     run_engine_sweep(engine, cfg, journal, &opts, &SweepHooks::default()).map(|(run, _)| run)
 }
 
-/// A grid wide enough to wrap the 23-entry corpus and keep every worker busy:
-/// 3 problems × 1 level × 1 temperature × 10 completions = 30 checks.
+/// A grid that keeps every worker busy with the corpus's first 30 entries
+/// (the operator chains among them): 3 problems × 1 level × 1 temperature
+/// × 10 completions = 30 checks.
 fn stress_cfg() -> EvalConfig {
     EvalConfig {
         temperatures: vec![0.3],
