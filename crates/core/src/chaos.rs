@@ -1,7 +1,7 @@
 //! Seeded, deterministic fault injection for the checking pipeline.
 //!
 //! A [`ChaosSpec`] names *failpoint sites* (in the guard, the worker pool
-//! and the journal writer) and, per site, a firing rate. Whether a given
+//! and the journal's append) and, per site, a firing rate. Whether a given
 //! site fires for a given piece of work is a pure function of
 //! `(seed, site, content key)` — the key is canonical content (the
 //! assembled candidate source, the journal line, the work item's position
@@ -51,10 +51,11 @@ pub enum ChaosSite {
     /// exercises the pool-plumbing fault path. Keyed by the item's
     /// deterministic position.
     TaskPanic,
-    /// In the journal writer: write only the first `param` bytes of the
-    /// record line (no newline, fsync'd) and fail the writer — a torn
-    /// write followed by a crash, exercising journal recovery. Keyed by
-    /// the record line.
+    /// In the journal's append, on the merging thread: write only the
+    /// first `param` bytes of the record line (no newline, fsync'd) and
+    /// fail the journal, which writes nothing more and fails the sweep once
+    /// every record is checked — a torn write followed by a crash,
+    /// exercising journal recovery. Keyed by the record line.
     JournalTorn,
 }
 

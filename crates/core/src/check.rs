@@ -33,30 +33,6 @@ pub enum FaultKind {
     HardTimeout,
 }
 
-impl FaultKind {
-    /// The single-token journal field for this kind.
-    pub fn journal_tag(self) -> &'static str {
-        match self {
-            FaultKind::Panic => "panic",
-            FaultKind::SoftTimeout => "soft",
-            FaultKind::HardTimeout => "hard",
-        }
-    }
-
-    /// Parses a [`journal_tag`](Self::journal_tag) field. `-` (the
-    /// no-fault marker) parses as `Some(None)`; anything unrecognised is
-    /// `None` so journal recovery treats the line as torn.
-    pub fn from_journal_tag(s: &str) -> Option<Option<FaultKind>> {
-        match s {
-            "-" => Some(None),
-            "panic" => Some(Some(FaultKind::Panic)),
-            "soft" => Some(Some(FaultKind::SoftTimeout)),
-            "hard" => Some(Some(FaultKind::HardTimeout)),
-            _ => None,
-        }
-    }
-}
-
 /// Why a candidate failed (or that it didn't).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckOutcome {
@@ -145,55 +121,6 @@ impl LintCounts {
             .filter(|(r, _)| r.is_hazard())
             .map(|(_, n)| n)
             .sum()
-    }
-
-    /// Serialises the counts as one journal field:
-    /// `errors:warnings[:rule=count|rule=count|...]`. Contains no comma, so
-    /// it nests inside the comma-separated record line.
-    pub fn to_journal_field(&self) -> String {
-        let mut out = format!("{}:{}", self.errors, self.warnings);
-        if !self.per_rule.is_empty() {
-            out.push(':');
-            let rules: Vec<String> = self
-                .per_rule
-                .iter()
-                .map(|(r, n)| format!("{}={n}", r.name()))
-                .collect();
-            out.push_str(&rules.join("|"));
-        }
-        out
-    }
-
-    /// Parses a [`LintCounts::to_journal_field`] string. Returns `None` on
-    /// any malformed piece, including a per-rule sum that disagrees with
-    /// the severity totals (a torn journal write).
-    pub fn from_journal_field(s: &str) -> Option<LintCounts> {
-        let mut it = s.splitn(3, ':');
-        let errors: u32 = it.next()?.parse().ok()?;
-        let warnings: u32 = it.next()?.parse().ok()?;
-        let mut per_rule = Vec::new();
-        if let Some(rules) = it.next() {
-            let mut prev: Option<Rule> = None;
-            for part in rules.split('|') {
-                let (name, count) = part.split_once('=')?;
-                let rule = Rule::from_name(name)?;
-                let n: u32 = count.parse().ok()?;
-                if n == 0 || prev.is_some_and(|p| p >= rule) {
-                    return None; // zero counts and out-of-order rules are never written
-                }
-                prev = Some(rule);
-                per_rule.push((rule, n));
-            }
-        }
-        let total: u32 = per_rule.iter().map(|(_, n)| n).sum();
-        if total != errors.checked_add(warnings)? {
-            return None;
-        }
-        Some(LintCounts {
-            errors,
-            warnings,
-            per_rule,
-        })
     }
 }
 
@@ -520,39 +447,6 @@ mod tests {
         );
         assert!(matches!(outcome, CheckOutcome::CompileFail(_)));
         assert!(lint.is_some());
-    }
-
-    #[test]
-    fn lint_counts_journal_field_roundtrip() {
-        let cases = [
-            LintCounts::default(),
-            LintCounts {
-                errors: 2,
-                warnings: 1,
-                per_rule: vec![(Rule::MultiDrivenNet, 2), (Rule::IncompleteSensitivity, 1)],
-            },
-        ];
-        for c in cases {
-            let field = c.to_journal_field();
-            assert!(!field.contains(','), "journal field must stay comma-free");
-            assert_eq!(LintCounts::from_journal_field(&field), Some(c));
-        }
-        // Malformed pieces: garbage, torn sums, unknown rules, bad order.
-        for bad in [
-            "",
-            "x:0",
-            "1:0", // totals claim 1, rules claim 0
-            "0:1:unknown-rule=1",
-            "0:2:unused-signal=1|inferred-latch=1", // out of canonical order
-            "0:1:unused-signal=0",
-            "1:0:multi-driven-net=1|multi-driven-net=1",
-        ] {
-            assert_eq!(
-                LintCounts::from_journal_field(bad),
-                None,
-                "accepted `{bad}`"
-            );
-        }
     }
 
     #[test]

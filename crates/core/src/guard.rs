@@ -177,26 +177,6 @@ impl Default for CheckPolicy {
     }
 }
 
-impl CheckPolicy {
-    /// Returns the policy with the per-attempt deadline replaced.
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Returns the policy with the retry budget replaced.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Returns the policy with the chaos spec replaced.
-    pub fn with_chaos(mut self, chaos: ChaosSpec) -> Self {
-        self.chaos = chaos;
-        self
-    }
-}
-
 /// [`check_completion`](crate::check::check_completion) with fault
 /// isolation under a [`CheckPolicy`]. The check runs with a known 8 MiB
 /// stack — inline when the caller is a sweep pool worker or another
@@ -584,7 +564,10 @@ mod tests {
 
     #[test]
     fn generous_deadline_changes_nothing() {
-        let policy = CheckPolicy::default().with_timeout(Some(Duration::from_secs(60)));
+        let policy = CheckPolicy {
+            timeout: Some(Duration::from_secs(60)),
+            ..CheckPolicy::default()
+        };
         let r = supervised_check_completion(
             p(),
             PromptLevel::Low,
@@ -597,8 +580,10 @@ mod tests {
 
     #[test]
     fn injected_panic_is_a_panic_fault() {
-        let chaos = ChaosSpec::parse("check.panic%1", 0).unwrap();
-        let policy = CheckPolicy::default().with_chaos(chaos);
+        let policy = CheckPolicy {
+            chaos: ChaosSpec::parse("check.panic%1", 0).unwrap(),
+            ..CheckPolicy::default()
+        };
         let r = supervised_check_completion(
             p(),
             PromptLevel::Low,
@@ -615,8 +600,10 @@ mod tests {
 
     #[test]
     fn injected_timeout_is_clockless_and_soft() {
-        let chaos = ChaosSpec::parse("check.timeout%1", 0).unwrap();
-        let policy = CheckPolicy::default().with_chaos(chaos);
+        let policy = CheckPolicy {
+            chaos: ChaosSpec::parse("check.timeout%1", 0).unwrap(),
+            ..CheckPolicy::default()
+        };
         // No policy.timeout: the injected timeout never arms a deadline.
         let r = supervised_check_completion(
             p(),
@@ -632,13 +619,15 @@ mod tests {
     #[test]
     fn attempt_limited_injection_heals_on_retry() {
         // Fires on attempt 0 only; one retry reaches the real outcome.
-        let chaos = ChaosSpec::parse("check.timeout:1%1", 0).unwrap();
+        let no_retry = CheckPolicy {
+            chaos: ChaosSpec::parse("check.timeout:1%1", 0).unwrap(),
+            ..CheckPolicy::default()
+        };
         let policy = CheckPolicy {
             backoff: Duration::ZERO,
-            ..CheckPolicy::default()
-        }
-        .with_chaos(chaos.clone())
-        .with_retries(1);
+            retries: 1,
+            ..no_retry.clone()
+        };
         let r = supervised_check_completion(
             p(),
             PromptLevel::Low,
@@ -648,7 +637,6 @@ mod tests {
         );
         assert!(r.outcome.passed(), "retry must heal: {:?}", r.outcome);
         // Without the retry budget the injected timeout is recorded.
-        let no_retry = CheckPolicy::default().with_chaos(chaos);
         let r = supervised_check_completion(
             p(),
             PromptLevel::Low,
@@ -667,13 +655,10 @@ mod tests {
         // checker now flushes at its cancel point and the supervisor
         // flushes before detaching, so partial stage coverage survives.
         vgen_obs::enable();
-        let chaos = ChaosSpec::parse("check.delay:400%1", 0).unwrap();
         let policy = CheckPolicy {
-            timeout: Some(Duration::from_millis(50)),
-            grace: Duration::from_millis(100),
-            ..CheckPolicy::default()
-        }
-        .with_chaos(chaos);
+            chaos: ChaosSpec::parse("check.delay:400%1", 0).unwrap(),
+            ..deadline(50)
+        };
         let r = supervised_check_completion(
             p(),
             PromptLevel::Low,
@@ -711,13 +696,10 @@ mod tests {
         // An injected 2 s uncancellable sleep against a 50 ms deadline and
         // 100 ms grace: the watchdog must detach and return hard-timeout
         // long before the sleep finishes.
-        let chaos = ChaosSpec::parse("check.delay:2000%1", 0).unwrap();
         let policy = CheckPolicy {
-            timeout: Some(Duration::from_millis(50)),
-            grace: Duration::from_millis(100),
-            ..CheckPolicy::default()
-        }
-        .with_chaos(chaos);
+            chaos: ChaosSpec::parse("check.delay:2000%1", 0).unwrap(),
+            ..deadline(50)
+        };
         let start = std::time::Instant::now();
         let r = supervised_check_completion(
             p(),
@@ -805,8 +787,10 @@ mod tests {
     #[test]
     fn a_thread_survives_a_caught_panic() {
         static CACHE: ThreadCache = ThreadCache::new();
-        let panicky =
-            CheckPolicy::default().with_chaos(ChaosSpec::parse("check.panic%1", 0).unwrap());
+        let panicky = CheckPolicy {
+            chaos: ChaosSpec::parse("check.panic%1", 0).unwrap(),
+            ..CheckPolicy::default()
+        };
         assert_eq!(
             check_on(&CACHE, &panicky),
             CheckOutcome::HarnessFault("chaos: injected checker panic".into())
@@ -822,7 +806,10 @@ mod tests {
     #[test]
     fn a_hard_hung_thread_is_not_reused() {
         static CACHE: ThreadCache = ThreadCache::new();
-        let hang = deadline(50).with_chaos(ChaosSpec::parse("check.delay:2000%1", 0).unwrap());
+        let hang = CheckPolicy {
+            chaos: ChaosSpec::parse("check.delay:2000%1", 0).unwrap(),
+            ..deadline(50)
+        };
         let start = std::time::Instant::now();
         assert_eq!(
             check_on(&CACHE, &hang),

@@ -28,6 +28,7 @@ pub mod chaos;
 pub mod check;
 pub mod experiments;
 pub mod guard;
+pub mod journal;
 pub mod metrics;
 pub mod pool;
 pub mod report;
@@ -40,13 +41,16 @@ pub use experiments::{evaluate_all_models, evaluate_model};
 pub use guard::{
     catch_harness_fault, supervised_check_completion, supervised_check_source, CheckPolicy,
 };
+pub use journal::{
+    config_fingerprint, journal_header, read_journal_recovering, FsyncPolicy, RecoveryReport,
+    UnsupportedJournalVersion,
+};
 pub use metrics::Tally;
 pub use pool::{ReorderBuffer, WorkerPool};
 pub use report::{
     headline_stats, render_eval_summary, render_fault_summary, sweep_stats_json, Headline, ModelRun,
 };
 pub use sweep::{
-    config_fingerprint, journal_header, read_journal_recovering, run_engine, run_engine_sweep,
-    EvalConfig, EvalRun, FsyncPolicy, Record, RecordObserver, RecoveryReport, SweepHooks,
-    SweepOptions, SweepStats, UnsupportedJournalVersion,
+    run_engine, run_engine_sweep, EvalConfig, EvalRun, Record, RecordObserver, SweepHooks,
+    SweepOptions, SweepStats,
 };

@@ -24,7 +24,7 @@
 //!
 //! Results are delivered over a channel as `(index, Result<R, String>)`
 //! pairs in *completion* order; [`ReorderBuffer`] restores submission
-//! order so downstream consumers (journal writer, report aggregation) see
+//! order so downstream consumers (the journal, report aggregation) see
 //! a byte-identical stream regardless of worker count or scheduling.
 
 use std::collections::{BTreeMap, VecDeque};

@@ -5,8 +5,9 @@
 //! Every check runs under the panic guard ([`crate::guard`]), so a harness
 //! bug on one hostile completion costs one [`Record`] (marked `fault`),
 //! not the sweep. Long sweeps can additionally journal each record to disk
-//! as it is produced ([`run_engine_sweep`]'s `journal` argument) and
-//! resume after a crash or kill without repeating completed checks.
+//! as it is produced ([`run_engine_sweep`]'s `journal` argument, format
+//! and I/O in [`crate::journal`]) and resume after a crash or kill without
+//! repeating completed checks.
 //!
 //! ## Execution model
 //!
@@ -27,10 +28,11 @@
 //!    results flow through a [`ReorderBuffer`]
 //!    back into canonical order, so journal lines, reports and Pass@k
 //!    aggregates are byte-identical regardless of worker count or
-//!    completion order. Journal lines are written by a single dedicated
-//!    writer thread, in order, one flush per record — a killed run at any
-//!    worker count therefore leaves a contiguous-prefix journal, and
-//!    `--resume` composes unchanged.
+//!    completion order. The merging thread, the one thread that takes
+//!    results off the pool, appends each record to the journal as it
+//!    leaves the buffer, one flush per record: a killed run at any worker
+//!    count therefore leaves a contiguous-prefix journal, and `--resume`
+//!    composes unchanged.
 //!
 //! ## Dedup cache
 //!
@@ -50,7 +52,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -63,6 +65,7 @@ use vgen_lint::Rule;
 use crate::chaos::{ChaosSite, ChaosSpec};
 use crate::check::{assemble, FaultKind, LintCounts};
 use crate::guard::{supervised_check_completion, supervised_check_source, CheckPolicy};
+use crate::journal::{config_fingerprint, fnv1a, FsyncPolicy, Journal};
 use crate::metrics::Tally;
 use crate::pool::{ReorderBuffer, WorkerPool};
 
@@ -150,106 +153,6 @@ pub struct Record {
     pub lint: Option<LintCounts>,
 }
 
-impl Record {
-    /// Serialises the record as one v3 journal line: nine verdict fields,
-    /// the lint tallies (`-` when absent), the fault-kind tag (`-` for
-    /// records carrying a real verdict), and a lowercase-hex
-    /// FNV-1a checksum of everything before it. The checksum is what lets
-    /// recovery distinguish "line the dead process wrote whole" from "line
-    /// torn or bit-rotted after the fact" without trusting field counts.
-    pub fn to_journal_line(&self) -> String {
-        let prefix = format!(
-            "{},{},{},{},{},{},{},{},{},{},{}",
-            self.problem_id,
-            difficulty_tag(self.difficulty),
-            self.level.tag(),
-            self.temperature,
-            self.n,
-            self.compiled as u8,
-            self.passed as u8,
-            self.fault as u8,
-            self.latency_s,
-            match &self.lint {
-                Some(l) => l.to_journal_field(),
-                None => "-".to_string(),
-            },
-            match self.fault_kind {
-                Some(k) => k.journal_tag(),
-                None => "-",
-            },
-        );
-        format!("{prefix},{:08x}", fnv1a(prefix.as_bytes()) & 0xffff_ffff)
-    }
-
-    /// Parses a journal line produced by [`Record::to_journal_line`].
-    /// Returns `None` on any malformed field, a checksum mismatch, or a line
-    /// truncated by a kill mid-write.
-    pub fn from_journal_line(line: &str) -> Option<Record> {
-        let line = line.trim_end();
-        let mut it = line.split(',');
-        let mut rec = Record {
-            problem_id: it.next()?.parse().ok()?,
-            difficulty: parse_difficulty_tag(it.next()?)?,
-            level: parse_level_tag(it.next()?)?,
-            temperature: it.next()?.parse().ok()?,
-            n: it.next()?.parse().ok()?,
-            compiled: parse_flag(it.next()?)?,
-            passed: parse_flag(it.next()?)?,
-            fault: parse_flag(it.next()?)?,
-            latency_s: it.next()?.parse().ok()?,
-            fault_kind: None,
-            lint: None,
-        };
-        let lint_field = it.next()?;
-        if lint_field != "-" {
-            rec.lint = Some(LintCounts::from_journal_field(lint_field)?);
-        }
-        rec.fault_kind = FaultKind::from_journal_tag(it.next()?)?;
-        let sum = it.next()?;
-        if it.next().is_some() {
-            return None; // trailing fields: not ours
-        }
-        // The checksum covers every byte before its own comma.
-        let prefix = &line[..line.len() - sum.len() - 1];
-        if sum != format!("{:08x}", fnv1a(prefix.as_bytes()) & 0xffff_ffff) {
-            return None;
-        }
-        if rec.fault != rec.fault_kind.is_some() {
-            return None; // flag and kind must agree
-        }
-        Some(rec)
-    }
-}
-
-fn difficulty_tag(d: Difficulty) -> &'static str {
-    match d {
-        Difficulty::Basic => "B",
-        Difficulty::Intermediate => "I",
-        Difficulty::Advanced => "A",
-    }
-}
-
-fn parse_difficulty_tag(s: &str) -> Option<Difficulty> {
-    match s {
-        "B" => Some(Difficulty::Basic),
-        "I" => Some(Difficulty::Intermediate),
-        "A" => Some(Difficulty::Advanced),
-        _ => None,
-    }
-}
-
-fn parse_level_tag(s: &str) -> Option<PromptLevel> {
-    PromptLevel::ALL.into_iter().find(|l| l.tag() == s)
-}
-
-fn parse_flag(s: &str) -> Option<bool> {
-    match s {
-        "0" => Some(false),
-        "1" => Some(true),
-        _ => None,
-    }
-}
-
 /// All records from evaluating one engine over a grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalRun {
@@ -257,45 +160,6 @@ pub struct EvalRun {
     pub engine: String,
     /// Per-completion records.
     pub records: Vec<Record>,
-}
-
-/// When the journal writer calls fsync (`File::sync_data`) on the journal
-/// file. Independent of the per-record *flush*, which always happens: a
-/// flushed-but-unsynced journal survives a process kill (the contiguous-
-/// prefix invariant holds), while fsync is about surviving power loss or a
-/// host crash, where the page cache dies with the kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Never fsync — the historical behaviour and the default. A `kill -9`
-    /// loses nothing; an OS crash may lose the unsynced tail (which
-    /// recovery then truncates away).
-    #[default]
-    Never,
-    /// fsync after every record: maximal durability, one device round-trip
-    /// per check.
-    EveryRecord,
-    /// fsync every `n` records, and once more when the run finishes.
-    Interval(u32),
-}
-
-impl FsyncPolicy {
-    /// Parses the CLI spelling: `never`, `every`, or `interval:N` (N ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message naming the malformed spec.
-    pub fn parse(s: &str) -> Result<FsyncPolicy, String> {
-        match s {
-            "never" => Ok(FsyncPolicy::Never),
-            "every" => Ok(FsyncPolicy::EveryRecord),
-            _ => match s.strip_prefix("interval:").map(str::parse) {
-                Some(Ok(n)) if n >= 1 => Ok(FsyncPolicy::Interval(n)),
-                _ => Err(format!(
-                    "bad fsync policy `{s}` (expected never, every, or interval:N)"
-                )),
-            },
-        }
-    }
 }
 
 /// Execution options for a sweep: worker count, dedup, per-check
@@ -319,8 +183,8 @@ pub struct SweepOptions {
     /// chaos — bit-exact historical behaviour, and what determinism-gated
     /// CI uses (wall-clock timeouts are inherently nondeterministic).
     pub policy: CheckPolicy,
-    /// When the journal writer fsyncs the journal file
-    /// ([`FsyncPolicy`]); ignored for unjournaled runs.
+    /// When the sweep fsyncs its journal file ([`FsyncPolicy`]); ignored
+    /// for unjournaled runs.
     pub fsync: FsyncPolicy,
     /// How long the merge loop waits for any single pool result
     /// before declaring the pool stalled and degrading: every outstanding
@@ -671,270 +535,12 @@ pub fn run_engine(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Eva
         .0
 }
 
-/// Journal format marker (first token of the header line), the only
-/// format this build reads or writes: record lines carry twelve fields —
-/// nine verdict fields, lint tallies, a fault-kind tag and a per-record
-/// checksum.
-const JOURNAL_MAGIC: &str = "vgen-journal-v3";
-
-/// A journal whose header declares a format other than v3: an older one
-/// (v1/v2, from builds before lint tallies and per-record checksums) or a
-/// newer one. Returned inside an [`io::Error`] of kind
-/// [`io::ErrorKind::InvalidData`]; `err.get_ref()` downcasts to it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsupportedJournalVersion {
-    /// The version digits the header declared (`"1"`, `"2"`, `"9"`, …).
-    pub version: String,
-}
-
-impl std::fmt::Display for UnsupportedJournalVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ver = &self.version;
-        write!(
-            f,
-            "journal declares format v{ver}, but this build reads v3 only; sweeps are \
-             deterministic, so delete the journal and re-run without --resume to \
-             regenerate it"
-        )
-    }
-}
-
-impl std::error::Error for UnsupportedJournalVersion {}
-
-/// FNV-1a, used for the config fingerprint in journal headers.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Stable fingerprint of the evaluation grid (and sim limits) a journal
-/// was produced under. A resume against a journal whose fingerprint does
-/// not match the current config is rejected rather than silently mixing
-/// records from different grids.
-pub fn config_fingerprint(config: &EvalConfig) -> u64 {
-    let mut s = String::new();
-    for t in &config.temperatures {
-        s.push_str(&format!("t{t};"));
-    }
-    for n in &config.ns {
-        s.push_str(&format!("n{n};"));
-    }
-    for l in &config.levels {
-        s.push_str(&format!("l{};", l.tag()));
-    }
-    for p in &config.problem_ids {
-        s.push_str(&format!("p{p};"));
-    }
-    s.push_str(&format!(
-        "sim{}:{}:{}",
-        config.sim.max_time, config.sim.max_steps, config.sim.max_output_bytes
-    ));
-    fnv1a(s.as_bytes())
-}
-
-/// Renders the header line a current-format (v3) journal starts with.
-/// The executor writes `shard: None`. `Some((i, n))` puts a `shard=i/n`
-/// tag between fingerprint and engine, which [`read_journal_recovering`]
-/// refuses as a malformed fingerprint.
-pub fn journal_header(fp: u64, engine: &str, shard: Option<(u32, u32)>) -> String {
-    match shard {
-        Some((i, n)) => {
-            format!("# {JOURNAL_MAGIC} fingerprint={fp:016x} shard={i}/{n} engine={engine}")
-        }
-        None => format!("# {JOURNAL_MAGIC} fingerprint={fp:016x} engine={engine}"),
-    }
-}
-
-/// What [`read_journal_recovering`] had to do to make sense of a journal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Well-formed records kept — the longest valid prefix.
-    pub kept: usize,
-    /// Lines dropped after the valid prefix: the first torn/corrupt line
-    /// and everything after it. `0` for a clean journal.
-    pub dropped_lines: usize,
-}
-
-/// Reads a journal file: header validation plus its longest valid prefix
-/// of records. Returns `(engine_name, config_fingerprint, records,
-/// report)`, where the [`RecoveryReport`] says how many records form that
-/// prefix and how many trailing lines were dropped as torn or corrupt.
-/// Recovery never trusts anything after the first bad line — a checksum
-/// mismatch means the tail can no longer be attributed to the canonical
-/// record stream, so resuming re-checks it instead.
-///
-/// # Errors
-///
-/// I/O errors, or [`io::ErrorKind::InvalidData`] if the header is missing,
-/// malformed, or declares a journal format other than v3 (wrapping an
-/// [`UnsupportedJournalVersion`]).
-pub fn read_journal_recovering(
-    path: &Path,
-) -> io::Result<(String, u64, Vec<Record>, RecoveryReport)> {
-    // Read raw bytes, not lines-of-String: a crash (or bit rot) can leave
-    // arbitrary garbage in the tail, and a non-UTF-8 line must be treated
-    // as the first corrupt line — truncating the journal there — rather
-    // than failing the whole read.
-    let bytes = std::fs::read(path)?;
-    if bytes.is_empty() {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "empty journal"));
-    }
-    let mut segments: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    // A well-formed journal ends in a newline; the split's trailing empty
-    // segment is not a line.
-    if segments.last().is_some_and(|s| s.is_empty()) {
-        segments.pop();
-    }
-    let mut lines = segments.into_iter();
-    let header = lines
-        .next()
-        .and_then(|h| std::str::from_utf8(h).ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "not a vgen journal"))?;
-    let rest = if let Some(r) = header.strip_prefix(&format!("# {JOURNAL_MAGIC} fingerprint=")) {
-        r
-    } else if let Some(r) = header.strip_prefix("# vgen-journal-v") {
-        // Any other format: refuse loudly rather than misparse its records
-        // as torn lines and silently re-run the whole grid over them.
-        let version = r.chars().take_while(char::is_ascii_digit).collect();
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            UnsupportedJournalVersion { version },
-        ));
-    } else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a vgen journal",
-        ));
-    };
-    let (fp_hex, engine) = rest
-        .split_once(" engine=")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed journal header"))?;
-    // A shard-tagged header (`shard=i/n` between fingerprint and engine)
-    // holds a fraction of the grid; it fails here as a malformed
-    // fingerprint rather than resuming as if it were the whole run.
-    let fp = u64::from_str_radix(fp_hex, 16)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "malformed journal fingerprint"))?;
-    let mut records = Vec::new();
-    let mut dropped = 0usize;
-    let mut valid_prefix = true;
-    for raw in lines {
-        if valid_prefix {
-            // A line that is not UTF-8 is corrupt by definition; one that
-            // is gets the full field/checksum validation.
-            match std::str::from_utf8(raw)
-                .ok()
-                .and_then(Record::from_journal_line)
-            {
-                Some(r) => {
-                    records.push(r);
-                    continue;
-                }
-                // A torn final line is expected after a kill; everything
-                // from here on is untrusted and only counted.
-                None => valid_prefix = false,
-            }
-        }
-        dropped += 1;
-    }
-    let report = RecoveryReport {
-        kept: records.len(),
-        dropped_lines: dropped,
-    };
-    Ok((engine.to_string(), fp, records, report))
-}
-
 /// Default for [`SweepOptions::stall_timeout`]: how long the merge loop
 /// waits for a single pool result before declaring the pool stalled and
 /// degrading to stall records. Every check is bounded by the parser,
 /// elaborator and simulator resource budgets, so a healthy pool delivers
 /// results orders of magnitude faster than this even in debug builds.
 const RESULT_TIMEOUT: Duration = Duration::from_secs(300);
-
-/// The dedicated journal writer: all journal lines — from every worker —
-/// funnel through this one thread, in canonical order, one flush per
-/// record. Serialising writes here (rather than locking the file in each
-/// worker) keeps the on-disk journal a torn-line-free, contiguous prefix
-/// of the canonical record stream, which is exactly the invariant
-/// `--resume` relies on.
-struct JournalWriter {
-    tx: Option<std::sync::mpsc::Sender<String>>,
-    handle: std::thread::JoinHandle<io::Result<()>>,
-}
-
-impl JournalWriter {
-    fn spawn(mut file: std::fs::File, fsync: FsyncPolicy, chaos: ChaosSpec) -> Self {
-        let (tx, rx) = std::sync::mpsc::channel::<String>();
-        let handle = std::thread::Builder::new()
-            .name("vgen-journal".into())
-            .spawn(move || {
-                let mut since_sync = 0u32;
-                for line in rx {
-                    if let Some(prefix) = chaos.fires(ChaosSite::JournalTorn, line.as_bytes()) {
-                        // Injected torn write followed by a crash: persist
-                        // only a prefix of the line (synced, so it is
-                        // really on disk) and fail the writer the way a
-                        // dying process would.
-                        let cut = (prefix as usize).min(line.len());
-                        file.write_all(&line.as_bytes()[..cut])?;
-                        file.flush()?;
-                        let _ = file.sync_data();
-                        vgen_obs::counter_add("journal.torn", 1);
-                        return Err(io::Error::other("chaos: injected torn journal write"));
-                    }
-                    writeln!(file, "{line}")?;
-                    file.flush()?;
-                    vgen_obs::counter_add("journal.write", 1);
-                    match fsync {
-                        FsyncPolicy::Never => {}
-                        FsyncPolicy::EveryRecord => {
-                            file.sync_data()?;
-                            vgen_obs::counter_add("journal.fsync", 1);
-                        }
-                        FsyncPolicy::Interval(n) => {
-                            since_sync += 1;
-                            if since_sync >= n.max(1) {
-                                since_sync = 0;
-                                file.sync_data()?;
-                                vgen_obs::counter_add("journal.fsync", 1);
-                            }
-                        }
-                    }
-                }
-                if matches!(fsync, FsyncPolicy::Interval(_)) {
-                    // Sync the tail the interval hasn't covered yet.
-                    file.sync_data()?;
-                    vgen_obs::counter_add("journal.fsync", 1);
-                }
-                Ok(())
-            })
-            .expect("spawn journal writer");
-        JournalWriter {
-            tx: Some(tx),
-            handle,
-        }
-    }
-
-    /// Queues one record line. Errors surface in [`JournalWriter::finish`].
-    fn write(&self, line: String) {
-        if let Some(tx) = &self.tx {
-            // A send error means the writer already failed; the I/O error
-            // itself is reported by finish().
-            let _ = tx.send(line);
-        }
-    }
-
-    /// Closes the stream and joins the writer, propagating any I/O error.
-    fn finish(mut self) -> io::Result<()> {
-        drop(self.tx.take());
-        self.handle
-            .join()
-            .unwrap_or_else(|_| Err(io::Error::other("journal writer panicked")))
-    }
-}
 
 /// The sweep executor: generate phase, optional journal (with resume),
 /// and a pooled check phase merged deterministically. See the module docs
@@ -971,45 +577,17 @@ pub fn run_engine_sweep(
     hooks: &SweepHooks,
 ) -> io::Result<(EvalRun, SweepStats)> {
     let name = engine.name();
-    let fp = config_fingerprint(config);
-    let mut prior: Vec<Record> = Vec::new();
-    let mut writer: Option<JournalWriter> = None;
     let mut stats = SweepStats::default();
-    if let Some((path, resume)) = journal {
-        if resume && path.exists() {
-            let (jname, jfp, recs, recovery) = read_journal_recovering(path)?;
-            if jname != name {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("journal is for engine `{jname}`, not `{name}`"),
-                ));
-            }
-            if jfp != fp {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("journal config fingerprint {jfp:016x} != {fp:016x}"),
-                ));
-            }
+    let (mut journal, mut prior) = match journal {
+        Some((path, resume)) => {
+            let fp = config_fingerprint(config);
+            let (journal, prior, recovery) =
+                Journal::open(path, resume, &name, fp, opts.fsync, &opts.policy.chaos)?;
             stats.repaired_lines = recovery.dropped_lines;
-            if recovery.dropped_lines > 0 {
-                vgen_obs::counter_add("journal.repair", recovery.dropped_lines as u64);
-            }
-            prior = recs;
+            (Some(journal), prior)
         }
-        // (Re)write header + surviving records; on resume this also
-        // truncates any torn trailing suffix left by a kill.
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{}", journal_header(fp, &name, None))?;
-        for r in &prior {
-            writeln!(f, "{}", r.to_journal_line())?;
-        }
-        f.flush()?;
-        writer = Some(JournalWriter::spawn(
-            f,
-            opts.fsync,
-            opts.policy.chaos.clone(),
-        ));
-    }
+        None => (None, Vec::new()),
+    };
 
     let items = generate_items(engine, config);
     let total = items.len();
@@ -1092,8 +670,8 @@ pub fn run_engine_sweep(
     // Records leave the reorder buffer in canonical order, to the journal,
     // the hooks and the run.
     let mut emit = |rec: Record| {
-        if let Some(w) = &writer {
-            w.write(rec.to_journal_line());
+        if let Some(journal) = &mut journal {
+            journal.append(&rec);
         }
         hooks.observe(&rec, records.len() + 1, total);
         records.push(rec);
@@ -1178,12 +756,12 @@ pub fn run_engine_sweep(
         pool.shutdown();
     }
 
+    // A failed journal write outranks a cancel. Either way, everything
+    // appended before it is a valid contiguous prefix for --resume.
+    if let Some(journal) = journal {
+        journal.finish()?;
+    }
     if interrupted {
-        // Finish the journal writer cleanly first: everything already
-        // recorded stays a valid contiguous prefix for --resume.
-        if let Some(w) = writer {
-            w.finish()?;
-        }
         vgen_obs::counter_add("sweep.cancelled", 1);
         return Err(io::Error::new(
             io::ErrorKind::Interrupted,
@@ -1195,9 +773,6 @@ pub fn run_engine_sweep(
         ));
     }
     debug_assert_eq!(records.len(), total, "every work item produced a record");
-    if let Some(w) = writer {
-        w.finish()?;
-    }
     Ok((
         EvalRun {
             engine: name,
@@ -1341,21 +916,12 @@ impl EvalRun {
     pub fn pass_count(&self) -> usize {
         self.records.iter().filter(|r| r.passed).count()
     }
-
-    /// Functional pass rate per problem id (the §VI per-problem analysis).
-    pub fn per_problem_functional(&self, n: usize) -> Vec<(u8, Tally)> {
-        let mut ids: Vec<u8> = self.records.iter().map(|r| r.problem_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter()
-            .map(|pid| (pid, self.tally(|r| r.problem_id == pid && r.n == n)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{read_journal_recovering, UnsupportedJournalVersion};
     use vgen_corpus::CorpusSource;
     use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
 
@@ -1431,10 +997,12 @@ mod tests {
     fn per_problem_breakdown_covers_ids() {
         let mut engine = cg16_ft_engine();
         let run = run_engine(&mut engine, &small_cfg());
-        let per = run.per_problem_functional(5);
-        assert_eq!(per.len(), 3);
-        assert_eq!(per[0].0, 1);
-        assert!(per.iter().all(|(_, t)| t.total > 0));
+        for pid in small_cfg().problem_ids {
+            assert!(
+                run.tally(|r| r.problem_id == pid).total > 0,
+                "problem {pid}"
+            );
+        }
     }
 
     #[test]
@@ -1442,126 +1010,6 @@ mod tests {
         let mut engine = cg16_ft_engine();
         let run = run_engine(&mut engine, &small_cfg());
         assert!(run.mean_latency() > 0.0);
-    }
-
-    #[test]
-    fn record_journal_roundtrip() {
-        let mut rec = Record {
-            problem_id: 7,
-            difficulty: Difficulty::Intermediate,
-            level: PromptLevel::High,
-            temperature: 0.3,
-            n: 25,
-            compiled: true,
-            passed: false,
-            fault: false,
-            fault_kind: None,
-            latency_s: 1.625,
-            lint: None,
-        };
-        let line = rec.to_journal_line();
-        assert!(
-            line.contains(",-,-,"),
-            "absent lint and fault kind serialise as `-`: {line}"
-        );
-        assert_eq!(Record::from_journal_line(&line), Some(rec.clone()));
-        rec.lint = Some(LintCounts {
-            errors: 1,
-            warnings: 2,
-            per_rule: vec![(Rule::CombLoop, 1), (Rule::InferredLatch, 2)],
-        });
-        let line = rec.to_journal_line();
-        assert_eq!(Record::from_journal_line(&line), Some(rec.clone()));
-        // Fault records carry their kind through the journal.
-        rec.compiled = false;
-        rec.passed = false;
-        rec.lint = None;
-        rec.fault = true;
-        for kind in [
-            FaultKind::Panic,
-            FaultKind::SoftTimeout,
-            FaultKind::HardTimeout,
-        ] {
-            rec.fault_kind = Some(kind);
-            let line = rec.to_journal_line();
-            assert!(line.contains(kind.journal_tag()), "{line}");
-            assert_eq!(Record::from_journal_line(&line), Some(rec.clone()));
-        }
-        assert_eq!(Record::from_journal_line("garbage"), None);
-        assert_eq!(Record::from_journal_line("7,I,H,0.3"), None);
-        assert_eq!(Record::from_journal_line(""), None);
-    }
-
-    #[test]
-    fn corrupt_v3_line_fails_its_checksum() {
-        let rec = Record {
-            problem_id: 7,
-            difficulty: Difficulty::Intermediate,
-            level: PromptLevel::High,
-            temperature: 0.3,
-            n: 25,
-            compiled: true,
-            passed: true,
-            fault: false,
-            fault_kind: None,
-            latency_s: 1.625,
-            lint: Some(LintCounts::default()),
-        };
-        let line = rec.to_journal_line();
-        assert_eq!(Record::from_journal_line(&line), Some(rec));
-        // Flip any single byte of the payload: the checksum must catch it.
-        let checksum_start = line.len() - 8;
-        for i in 0..checksum_start {
-            let mut bytes = line.clone().into_bytes();
-            bytes[i] ^= 0x01;
-            if let Ok(corrupt) = String::from_utf8(bytes) {
-                assert_ne!(
-                    Record::from_journal_line(&corrupt),
-                    Record::from_journal_line(&line),
-                    "flipping byte {i} went unnoticed: {corrupt}"
-                );
-            }
-        }
-        // A fault flag that disagrees with the kind field is rejected even
-        // if someone recomputes the checksum over the inconsistent line.
-        let forged_prefix = "7,I,H,0.3,25,0,0,1,1.625,-,-";
-        let forged = format!(
-            "{forged_prefix},{:08x}",
-            fnv1a(forged_prefix.as_bytes()) & 0xffff_ffff
-        );
-        assert_eq!(Record::from_journal_line(&forged), None);
-    }
-
-    #[test]
-    fn pre_v3_record_lines_are_rejected() {
-        let line = Record {
-            problem_id: 7,
-            difficulty: Difficulty::Intermediate,
-            level: PromptLevel::High,
-            temperature: 0.3,
-            n: 25,
-            compiled: true,
-            passed: false,
-            fault: false,
-            fault_kind: None,
-            latency_s: 1.625,
-            lint: None,
-        }
-        .to_journal_line();
-        // The nine-field v1 and ten-field v2 shapes are what a v3 line
-        // torn after its ninth or tenth comma looks like.
-        assert_eq!(Record::from_journal_line(&strip_fields(&line, 3)), None);
-        assert_eq!(Record::from_journal_line(&strip_fields(&line, 2)), None);
-        assert!(Record::from_journal_line(&line).is_some());
-    }
-
-    #[test]
-    fn fingerprint_depends_on_grid() {
-        let a = config_fingerprint(&small_cfg());
-        let mut other = small_cfg();
-        other.problem_ids.push(9);
-        assert_ne!(a, config_fingerprint(&other));
-        assert_eq!(a, config_fingerprint(&small_cfg()));
     }
 
     /// One sweep of `engine` over `cfg` on `jobs` workers, with no hooks.
@@ -1776,37 +1224,6 @@ mod tests {
             sweep(&mut cg16_ft_engine(), &cfg, Some((&path, true)), 1).expect("resumed run");
         assert_eq!(resumed, full);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn unknown_journal_version_is_a_clear_error() {
-        let path = temp_journal("future-version");
-        std::fs::write(
-            &path,
-            "# vgen-journal-v9 fingerprint=0000000000000000 engine=x\n",
-        )
-        .expect("write future journal");
-        let err = read_journal_recovering(&path).expect_err("must reject");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let msg = err.to_string();
-        assert!(
-            msg.contains("v9") && msg.contains("--resume"),
-            "error must name the version and a way out: {msg}"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fsync_policy_parses_cli_spellings() {
-        assert_eq!(FsyncPolicy::parse("never"), Ok(FsyncPolicy::Never));
-        assert_eq!(FsyncPolicy::parse("every"), Ok(FsyncPolicy::EveryRecord));
-        assert_eq!(
-            FsyncPolicy::parse("interval:64"),
-            Ok(FsyncPolicy::Interval(64))
-        );
-        for bad in ["", "sometimes", "interval:0", "interval:x", "interval:"] {
-            assert!(FsyncPolicy::parse(bad).is_err(), "accepted `{bad}`");
-        }
     }
 
     #[test]

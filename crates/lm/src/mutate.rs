@@ -41,12 +41,6 @@ impl SemanticOp {
     ];
 }
 
-/// Generates up to `count` distinct semantic mutants of `src`, or none if
-/// `src` does not parse: [`SemanticMutants`] collected.
-pub fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
-    SemanticMutants::new(src, seed, count).collect()
-}
-
 /// The stream of up to `count` distinct semantic mutants of `src`, made
 /// as it is pulled, so a caller that stops early renders no more than it
 /// takes.
@@ -968,6 +962,10 @@ fn visit_expr(expr: &mut Expr, f: &mut impl FnMut(Loc<'_>)) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn semantic_mutants(src: &str, seed: u64, count: usize) -> Vec<(String, SemanticOp)> {
+        SemanticMutants::new(src, seed, count).collect()
+    }
 
     const COUNTER: &str = "\
 module counter(input clk, input reset, output reg [3:0] q);

@@ -15,7 +15,6 @@ use vgen_verilog::value::LogicVec;
 use vgen_verilog::SourceFile;
 
 use crate::design::*;
-use crate::ops::{apply_binary, apply_unary};
 
 /// An error detected during elaboration (semantic error).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -2118,10 +2117,8 @@ fn expr_width(design: &Design, e: &EExpr) -> usize {
 pub fn fold_const(e: &EExpr) -> Option<LogicVec> {
     match e {
         EExpr::Const(v) => Some(v.clone()),
-        EExpr::Unary { op, arg } => Some(apply_unary(*op, &fold_const(arg)?)),
-        EExpr::Binary { op, lhs, rhs } => {
-            Some(apply_binary(*op, &fold_const(lhs)?, &fold_const(rhs)?))
-        }
+        EExpr::Unary { op, arg } => Some(op.apply(&fold_const(arg)?)),
+        EExpr::Binary { op, lhs, rhs } => Some(op.apply(&fold_const(lhs)?, &fold_const(rhs)?)),
         EExpr::Ternary { cond, then, els } => {
             let c = fold_const(cond)?;
             match c.truthiness() {

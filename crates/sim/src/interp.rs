@@ -4,7 +4,6 @@ use vgen_verilog::ast::Edge;
 use vgen_verilog::value::{Logic, LogicVec};
 
 use crate::design::*;
-use crate::ops::{apply_binary, apply_unary};
 
 /// A runtime error during simulation (unknown system function, etc.).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,12 +213,12 @@ pub fn eval(design: &Design, state: &mut State, e: &EExpr) -> Result<LogicVec, R
         }
         EExpr::Unary { op, arg } => {
             let v = eval(design, state, arg)?;
-            Ok(apply_unary(*op, &v))
+            Ok(op.apply(&v))
         }
         EExpr::Binary { op, lhs, rhs } => {
             let a = eval(design, state, lhs)?;
             let b = eval(design, state, rhs)?;
-            Ok(apply_binary(*op, &a, &b))
+            Ok(op.apply(&a, &b))
         }
         EExpr::Ternary { cond, then, els } => {
             let c = eval(design, state, cond)?;

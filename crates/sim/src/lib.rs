@@ -40,7 +40,6 @@
 pub mod design;
 pub mod elab;
 pub mod interp;
-pub mod ops;
 pub mod sched;
 pub mod systasks;
 pub mod vcd;

@@ -65,12 +65,6 @@ impl SimConfig {
         self.max_steps = max_steps;
         self
     }
-
-    /// Returns the config with `max_output_bytes` replaced.
-    pub fn with_max_output_bytes(mut self, max_output_bytes: usize) -> Self {
-        self.max_output_bytes = max_output_bytes;
-        self
-    }
 }
 
 /// Instructions executed between [`CancelToken`](vgen_obs::CancelToken)

@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use vgen_verilog::ast::Edge;
 use vgen_verilog::value::{Logic, LogicVec};
 
-use crate::consts::{apply_binary, apply_unary};
 use crate::netlist::{Cell, NetId, Netlist};
 
 /// A netlist instance with live values on every net.
@@ -230,9 +229,9 @@ impl NetlistSim {
     fn eval_cell(&self, cell: &Cell) -> LogicVec {
         match cell {
             Cell::Const { value, .. } => value.clone(),
-            Cell::Unary { op, a, .. } => apply_unary(*op, &self.values[a.0 as usize]),
+            Cell::Unary { op, a, .. } => op.apply(&self.values[a.0 as usize]),
             Cell::Binary { op, a, b, .. } => {
-                apply_binary(*op, &self.values[a.0 as usize], &self.values[b.0 as usize])
+                op.apply(&self.values[a.0 as usize], &self.values[b.0 as usize])
             }
             Cell::Mux { sel, a, b, .. } => match self.values[sel.0 as usize].truthiness() {
                 Some(true) => self.values[a.0 as usize].clone(),

@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod consts;
 pub mod eval;
 pub mod lower;
 pub mod netlist;

@@ -254,14 +254,10 @@ impl<'a> Lowerer<'a> {
                 .get(n)
                 .cloned()
                 .ok_or_else(|| err(format!("`{n}` is not a constant"), e.span)),
-            ExprKind::Unary { op, arg } => {
-                Ok(crate::consts::apply_unary(*op, &self.const_eval(arg)?))
+            ExprKind::Unary { op, arg } => Ok(op.apply(&self.const_eval(arg)?)),
+            ExprKind::Binary { op, lhs, rhs } => {
+                Ok(op.apply(&self.const_eval(lhs)?, &self.const_eval(rhs)?))
             }
-            ExprKind::Binary { op, lhs, rhs } => Ok(crate::consts::apply_binary(
-                *op,
-                &self.const_eval(lhs)?,
-                &self.const_eval(rhs)?,
-            )),
             ExprKind::Ternary { cond, then, els } => match self.const_eval(cond)?.truthiness() {
                 Some(true) => self.const_eval(then),
                 Some(false) => self.const_eval(els),
@@ -1502,12 +1498,8 @@ impl<'a> Lowerer<'a> {
                 }
                 self.const_eval(e)
             }
-            ExprKind::Unary { op, arg } => Ok(crate::consts::apply_unary(
-                *op,
-                &self.const_eval_ctx(arg, ctx)?,
-            )),
-            ExprKind::Binary { op, lhs, rhs } => Ok(crate::consts::apply_binary(
-                *op,
+            ExprKind::Unary { op, arg } => Ok(op.apply(&self.const_eval_ctx(arg, ctx)?)),
+            ExprKind::Binary { op, lhs, rhs } => Ok(op.apply(
                 &self.const_eval_ctx(lhs, ctx)?,
                 &self.const_eval_ctx(rhs, ctx)?,
             )),

@@ -7,7 +7,7 @@
 //! source.
 
 use crate::span::Span;
-use crate::value::LogicVec;
+use crate::value::{Logic, LogicVec};
 
 /// A parsed source file: one or more module definitions.
 #[derive(Debug, Clone, PartialEq)]
@@ -459,6 +459,26 @@ pub enum UnaryOp {
     ReduceXnor,
 }
 
+impl UnaryOp {
+    /// Applies the operator to a value: the one operator table shared by
+    /// elaboration's constant folder, the simulator and synthesis.
+    pub fn apply(self, arg: &LogicVec) -> LogicVec {
+        let one_bit = |l: Logic| LogicVec::from_bits(vec![l], false);
+        match self {
+            UnaryOp::Plus => arg.clone(),
+            UnaryOp::Neg => arg.neg(),
+            UnaryOp::LogicNot => arg.logic_not(),
+            UnaryOp::BitNot => arg.bit_not(),
+            UnaryOp::ReduceAnd => one_bit(arg.reduce_and()),
+            UnaryOp::ReduceOr => one_bit(arg.reduce_or()),
+            UnaryOp::ReduceXor => one_bit(arg.reduce_xor()),
+            UnaryOp::ReduceNand => one_bit(arg.reduce_and().not()),
+            UnaryOp::ReduceNor => one_bit(arg.reduce_or().not()),
+            UnaryOp::ReduceXnor => one_bit(arg.reduce_xor().not()),
+        }
+    }
+}
+
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
@@ -510,6 +530,38 @@ pub enum BinaryOp {
     AShl,
     /// `>>>`
     AShr,
+}
+
+impl BinaryOp {
+    /// Applies the operator to two values (see [`UnaryOp::apply`]).
+    pub fn apply(self, lhs: &LogicVec, rhs: &LogicVec) -> LogicVec {
+        match self {
+            BinaryOp::Add => lhs.add(rhs),
+            BinaryOp::Sub => lhs.sub(rhs),
+            BinaryOp::Mul => lhs.mul(rhs),
+            BinaryOp::Div => lhs.div(rhs),
+            BinaryOp::Rem => lhs.rem(rhs),
+            BinaryOp::Pow => lhs.pow(rhs),
+            BinaryOp::BitAnd => lhs.bit_and(rhs),
+            BinaryOp::BitOr => lhs.bit_or(rhs),
+            BinaryOp::BitXor => lhs.bit_xor(rhs),
+            BinaryOp::BitXnor => lhs.bit_xnor(rhs),
+            BinaryOp::LogicAnd => lhs.logic_and(rhs),
+            BinaryOp::LogicOr => lhs.logic_or(rhs),
+            BinaryOp::Eq => lhs.eq_logic(rhs),
+            BinaryOp::Ne => lhs.ne_logic(rhs),
+            BinaryOp::CaseEq => lhs.case_eq(rhs),
+            BinaryOp::CaseNe => lhs.case_eq(rhs).logic_not(),
+            BinaryOp::Lt => lhs.lt(rhs),
+            BinaryOp::Le => lhs.le(rhs),
+            BinaryOp::Gt => lhs.gt(rhs),
+            BinaryOp::Ge => lhs.ge(rhs),
+            BinaryOp::Shl => lhs.shl(rhs),
+            BinaryOp::Shr => lhs.shr(rhs),
+            BinaryOp::AShl => lhs.shl(rhs),
+            BinaryOp::AShr => lhs.ashr(rhs),
+        }
+    }
 }
 
 /// An expression with its source span.
@@ -649,5 +701,40 @@ mod tests {
         assert_eq!(e.kind, ExprKind::Ident("clk".into()));
         let n = Expr::number(LogicVec::from_u64(3, 2), Span::default());
         assert!(matches!(n.kind, ExprKind::Number(_)));
+    }
+
+    #[test]
+    fn unary_apply() {
+        let v = LogicVec::from_u64(0b1011, 4);
+        assert_eq!(UnaryOp::ReduceAnd.apply(&v).to_u64(), Some(0));
+        assert_eq!(UnaryOp::ReduceOr.apply(&v).to_u64(), Some(1));
+        assert_eq!(UnaryOp::ReduceXor.apply(&v).to_u64(), Some(1));
+        assert_eq!(UnaryOp::ReduceNand.apply(&v).to_u64(), Some(1));
+        assert_eq!(UnaryOp::BitNot.apply(&v).to_u64(), Some(0b0100));
+        assert_eq!(UnaryOp::LogicNot.apply(&v).to_u64(), Some(0));
+        assert_eq!(UnaryOp::Neg.apply(&v).to_u64(), Some(0b0101));
+        assert_eq!(UnaryOp::Plus.apply(&v), v);
+        let c = LogicVec::from_u64(12, 4);
+        assert_eq!(UnaryOp::ReduceXor.apply(&c).to_u64(), Some(0));
+    }
+
+    #[test]
+    fn binary_apply() {
+        let a = LogicVec::from_u64(6, 4);
+        let b = LogicVec::from_u64(3, 4);
+        assert_eq!(BinaryOp::Add.apply(&a, &b).to_u64(), Some(9));
+        assert_eq!(BinaryOp::Sub.apply(&a, &b).to_u64(), Some(3));
+        assert_eq!(BinaryOp::Div.apply(&a, &b).to_u64(), Some(2));
+        assert_eq!(BinaryOp::Lt.apply(&a, &b).to_u64(), Some(0));
+        assert_eq!(BinaryOp::CaseNe.apply(&a, &b).to_u64(), Some(1));
+        assert_eq!(BinaryOp::AShl.apply(&a, &b).to_u64(), Some(0));
+        assert_eq!(
+            BinaryOp::Shl.apply(&b, &LogicVec::from_u64(1, 2)).to_u64(),
+            Some(6)
+        );
+        // Four-bit addition wraps.
+        let (c, d) = (LogicVec::from_u64(12, 4), LogicVec::from_u64(5, 4));
+        assert_eq!(BinaryOp::Add.apply(&c, &d).to_u64(), Some(1));
+        assert_eq!(BinaryOp::Gt.apply(&c, &d).to_u64(), Some(1));
     }
 }

@@ -360,15 +360,20 @@ fn parse_level(s: Option<&str>) -> Result<vgen::problems::PromptLevel, String> {
     }
 }
 
+/// Looks up a problem by id, in the paper set or the extended set.
+fn parse_problem(id: &str) -> Result<&'static vgen::problems::Problem, String> {
+    let max = vgen::problems::problems().len() + vgen::problems::extended_problems().len();
+    let bad = || format!("problem id must be 1-{max}");
+    vgen::problems::problem(id.parse().map_err(|_| bad())?).ok_or_else(bad)
+}
+
 fn cmd_prompt(rest: &[&String]) -> Result<(), String> {
     let pos = positional(rest);
-    let id: u8 = pos
+    let id = pos
         .first()
-        .ok_or("usage: vgen prompt <id> [--level L|M|H]")?
-        .parse()
-        .map_err(|_| "problem id must be 1-17")?;
+        .ok_or("usage: vgen prompt <id> [--level L|M|H]")?;
     let level = parse_level(flag_value(rest, "--level"))?;
-    let p = vgen::problems::problem(id).ok_or("problem id must be 1-17")?;
+    let p = parse_problem(id)?;
     print!("{}", p.prompt(level));
     Ok(())
 }
@@ -381,11 +386,7 @@ fn cmd_eval(rest: &[&String]) -> Result<(), String> {
     let path = pos
         .first()
         .ok_or("usage: vgen eval <file.v> --problem <id>")?;
-    let id: u8 = flag_value(rest, "--problem")
-        .ok_or("missing --problem <id>")?
-        .parse()
-        .map_err(|_| "problem id must be 1-17")?;
-    let p = vgen::problems::problem(id).ok_or("problem id must be 1-17")?;
+    let p = parse_problem(flag_value(rest, "--problem").ok_or("missing --problem <id>")?)?;
     let full = read_file(path)?;
     // Extract just the DUT module (the file may also hold a testbench).
     let src = match vgen::verilog::parse(&full) {
@@ -400,7 +401,7 @@ fn cmd_eval(rest: &[&String]) -> Result<(), String> {
     let (outcome, synth) =
         vgen::core::synthcheck::check_tiers(p, &src, vgen::sim::SimConfig::default());
     let (compiled, functional) = (outcome.compiled(), outcome.passed());
-    println!("problem {id}: {}", p.name);
+    println!("problem {}: {}", p.id, p.name);
     println!("  compiles:     {}", yesno(compiled));
     println!("  synthesizes:  {}", yesno(synth == Ok(true)));
     println!("  functional:   {}", yesno(functional));

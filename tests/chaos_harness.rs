@@ -6,10 +6,11 @@
 //! kill/resume — the property CI's chaos-smoke job rechecks end to end.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use vgen::core::{
-    render_eval_summary, run_engine_sweep, ChaosSpec, CheckPolicy, EvalConfig, EvalRun, SweepHooks,
-    SweepOptions, SweepStats,
+    render_eval_summary, run_engine_sweep, ChaosSpec, CheckPolicy, EvalConfig, EvalRun, Record,
+    SweepHooks, SweepOptions, SweepStats,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
 use vgen::problems::{Problem, PromptLevel};
@@ -71,9 +72,11 @@ fn journal_path(tag: &str) -> PathBuf {
 
 fn chaos_opts(jobs: usize) -> SweepOptions {
     SweepOptions {
-        policy: CheckPolicy::default()
-            .with_chaos(clockless_chaos())
-            .with_retries(1),
+        policy: CheckPolicy {
+            chaos: clockless_chaos(),
+            retries: 1,
+            ..CheckPolicy::default()
+        },
         jobs,
         ..SweepOptions::default()
     }
@@ -184,21 +187,39 @@ fn injected_torn_write_crashes_then_resumes_to_a_clean_report() {
     let path = journal_path("torn-crash");
     let _ = std::fs::remove_file(&path);
     let opts = SweepOptions {
-        policy: CheckPolicy::default().with_chaos(torn_spec),
+        policy: CheckPolicy {
+            chaos: torn_spec,
+            ..CheckPolicy::default()
+        },
         jobs: 2,
         ..SweepOptions::default()
+    };
+    // The failed write stops the journal, not the sweep: every record is
+    // still checked and observed before the error is returned.
+    let observed = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&observed);
+    let hooks = SweepHooks {
+        observer: Some(Arc::new(move |rec: &Record, _, _| {
+            sink.lock().expect("observer lock").push(rec.clone());
+        })),
+        cancel: None,
     };
     let err = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },
         &cfg(),
         Some((&path, false)),
         &opts,
-        &SweepHooks::default(),
+        &hooks,
     )
     .expect_err("the injected torn write must fail the journaled sweep");
     assert!(
         err.to_string().contains("torn"),
         "unexpected error from torn write: {err}"
+    );
+    assert_eq!(
+        *observed.lock().expect("observer lock"),
+        clean.records,
+        "the observer must see every record after the torn write"
     );
 
     // Recovery + resume (chaos off, as after an operator restart) must

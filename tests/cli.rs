@@ -230,6 +230,41 @@ fn eval_fails_wrong_candidate() {
 /// Every benchmark reference solution scores a pass through the guarded
 /// single-file path, printing the verdict lines and nothing else.
 #[test]
+fn problem_ids_outside_both_sets_name_the_full_range() {
+    let path = write_temp("range.v", COUNTER);
+    let path = path.to_str().expect("utf8");
+    for args in [
+        vec!["eval", path, "--problem", "26"],
+        vec!["eval", path, "--problem", "x"],
+        vec!["prompt", "0"],
+    ] {
+        let out = vgen().args(&args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("problem id must be 1-25"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn eval_scores_an_extended_set_problem() {
+    let reference = vgen::problems::problem(20)
+        .expect("problem 20 exists")
+        .reference_source();
+    let path = write_temp("gray.v", &reference);
+    let out = vgen()
+        .args(["eval", path.to_str().expect("utf8"), "--problem", "20"])
+        .output()
+        .expect("run");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains("problem 20: Binary to Gray code"), "{text}");
+    assert!(text.contains("functional:   yes"), "{text}");
+}
+
+#[test]
 fn eval_scores_every_reference_solution_through_the_guard() {
     for p in vgen::problems::problems() {
         let src = p.reference_source();

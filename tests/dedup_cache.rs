@@ -313,10 +313,11 @@ fn whole_module_completions_are_checked_once_per_distinct_source() {
     };
     // Injected panics and healing timeouts, keyed by assembled source; no
     // `task.panic`, which fires per leader by design.
-    let chaos = clean
-        .clone()
-        .with_chaos(ChaosSpec::parse("check.panic%3;check.timeout:1%4", 11).expect("spec"))
-        .with_retries(1);
+    let chaos = CheckPolicy {
+        chaos: ChaosSpec::parse("check.panic%3;check.timeout:1%4", 11).expect("spec"),
+        retries: 1,
+        ..clean.clone()
+    };
     for (tag, policy) in [("clean", clean), ("chaos", chaos)] {
         let off = SweepOptions {
             dedup: false,

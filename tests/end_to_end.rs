@@ -143,12 +143,10 @@ fn crippled_problems_shape_sec6() {
         CorpusSource::GithubOnly,
         13,
     );
-    let per = row.run.per_problem_functional(20);
     let rate_of = |pid: u8| {
-        per.iter()
-            .find(|(id, _)| *id == pid)
-            .map(|(_, t)| t.functional_rate())
-            .expect("problem present")
+        let t = row.run.tally(|r| r.problem_id == pid && r.n == 20);
+        assert!(t.total > 0, "problem {pid} present");
+        t.functional_rate()
     };
     assert_eq!(rate_of(7), 0.0, "LFSR never passes (§VI)");
     assert_eq!(rate_of(12), 0.0, "truth table never passes (§VI)");

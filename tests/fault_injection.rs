@@ -17,10 +17,12 @@ use vgen::sim::SimConfig;
 /// A tight budget so even the flood/loop entries finish in well under a
 /// second each.
 fn bounded() -> SimConfig {
-    SimConfig::default()
-        .with_max_time(100_000)
-        .with_max_steps(500_000)
-        .with_max_output_bytes(1 << 16)
+    SimConfig {
+        max_output_bytes: 1 << 16,
+        ..SimConfig::default()
+            .with_max_time(100_000)
+            .with_max_steps(500_000)
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use vgen::core::check::{check_source_cancellable, CheckOutcome, LintCounts};
 use vgen::lm::family::build_bank;
-use vgen::lm::mutate::{semantic_mutants, syntax_mutants};
+use vgen::lm::mutate::{syntax_mutants, SemanticMutants};
 use vgen::obs::CancelToken;
 use vgen::problems::{extended_problems, problem, problems, Problem, PASS_MARKER};
 use vgen::sim::{SimConfig, StopReason};
@@ -75,11 +75,7 @@ fn linked_check_matches_concatenated_on_every_bank() {
             candidates.extend(bank.syntax_fail);
             // Unfiltered mutants too: these reach elaboration errors and
             // simulation failures the verified bank pools screen out.
-            candidates.extend(
-                semantic_mutants(&reference, seed, 12)
-                    .into_iter()
-                    .map(|m| m.0),
-            );
+            candidates.extend(SemanticMutants::new(&reference, seed, 12).map(|m| m.0));
             candidates.extend(syntax_mutants(&reference, seed, 6).into_iter().map(|m| m.0));
         }
         for c in &candidates {

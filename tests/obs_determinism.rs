@@ -73,6 +73,44 @@ fn traced_runs_are_byte_identical_to_untraced_at_any_jobs() {
     );
 }
 
+/// Every fsync policy journals the same bytes at any worker count, and
+/// `journal.fsync` counts what the policy asks for: no sync, one per
+/// record, or one per three records plus the final sync of the tail.
+#[test]
+fn fsync_policies_write_identical_journals_and_count_their_syncs() {
+    let (_, reference, _) = sweep("fsync-reference", "1", &[]);
+    let records = reference.iter().filter(|&&b| b == b'\n').count() - 1;
+    let policies = [
+        ("never", 0),
+        ("every", records),
+        ("interval:3", records / 3 + 1),
+    ];
+    for (i, (policy, syncs)) in policies.into_iter().enumerate() {
+        for jobs in ["1", "4"] {
+            let tag = format!("fsync-{i}-j{jobs}");
+            let flags = ["--fsync", policy, "--metrics"];
+            let (_, journal, dir) = sweep(&tag, jobs, &flags);
+            assert!(
+                journal == reference,
+                "--fsync {policy} --jobs {jobs} changed the journal"
+            );
+            let metrics = std::fs::read_to_string(dir.join("sweep.log.metrics.json"))
+                .expect("metrics sidecar");
+            let metrics = vgen::obs::json::Json::parse(&metrics).expect("metrics JSON");
+            let counted = metrics
+                .get("counters")
+                .expect("counters")
+                .get("journal.fsync")
+                .map_or(Some(0), |n| n.as_usize());
+            assert_eq!(
+                counted,
+                Some(syncs),
+                "journal.fsync under --fsync {policy} --jobs {jobs}"
+            );
+        }
+    }
+}
+
 #[test]
 fn trace_json_is_valid_and_covers_every_stage() {
     let (_, _, dir) = sweep("trace-content", "4", &["--trace", "trace.json"]);

@@ -381,10 +381,12 @@ proptest! {
 /// would mean a panic somewhere in assemble/parse/elaborate/simulate).
 fn classify(completion: &str) -> vgen::core::check::CheckOutcome {
     let p = vgen::problems::problem(2).expect("problem 2 exists");
-    let config = vgen::sim::SimConfig::default()
-        .with_max_time(100_000)
-        .with_max_steps(500_000)
-        .with_max_output_bytes(1 << 16);
+    let config = vgen::sim::SimConfig {
+        max_output_bytes: 1 << 16,
+        ..vgen::sim::SimConfig::default()
+            .with_max_time(100_000)
+            .with_max_steps(500_000)
+    };
     let policy = vgen::core::CheckPolicy::default();
     vgen::core::supervised_check_completion(
         p,
@@ -423,8 +425,7 @@ proptest! {
         // Mutate a correct solution for the AND-gate problem; every mutant
         // (semantic or syntactic) must still classify cleanly.
         let reference = "module and_gate(input a, input b, output y);\nassign y = a & b;\nendmodule\n";
-        let mutants = vgen::lm::mutate::semantic_mutants(reference, seed, 4)
-            .into_iter()
+        let mutants = vgen::lm::mutate::SemanticMutants::new(reference, seed, 4)
             .map(|(m, _)| m)
             .chain(
                 vgen::lm::mutate::syntax_mutants(reference, seed, 4)

@@ -31,7 +31,10 @@ fn serial() -> MutexGuard<'static, ()> {
 fn slow_corpus_times_out_softly_under_a_tight_deadline() {
     let _serial = serial();
     let p = problem(2).expect("problem 2 (and_gate) exists");
-    let policy = CheckPolicy::default().with_timeout(Some(Duration::from_millis(5)));
+    let policy = CheckPolicy {
+        timeout: Some(Duration::from_millis(5)),
+        ..CheckPolicy::default()
+    };
     for (op, completion) in slow_corpus() {
         let result = supervised_check_completion(
             p,
@@ -84,9 +87,11 @@ fn injected_hard_stall_is_detached_and_classified() {
     // must detach the thread and classify the attempt as a *hard* timeout
     // in ~225 ms, not wait out the full sleep.
     let p = problem(2).expect("problem 2 exists");
-    let policy = CheckPolicy::default()
-        .with_timeout(Some(Duration::from_millis(25)))
-        .with_chaos(ChaosSpec::parse("check.delay:600%1", 0).expect("valid spec"));
+    let policy = CheckPolicy {
+        timeout: Some(Duration::from_millis(25)),
+        chaos: ChaosSpec::parse("check.delay:600%1", 0).expect("valid spec"),
+        ..CheckPolicy::default()
+    };
     let start = std::time::Instant::now();
     let result = supervised_check_completion(
         p,
@@ -118,7 +123,10 @@ fn injected_soft_timeout_heals_on_retry() {
     let chaos = ChaosSpec::parse("check.timeout:1%1", 0).expect("valid spec");
     let good = "assign y = a & b;\nendmodule\n";
 
-    let no_retry = CheckPolicy::default().with_chaos(chaos.clone());
+    let no_retry = CheckPolicy {
+        chaos,
+        ..CheckPolicy::default()
+    };
     let r = supervised_check_completion(p, PromptLevel::Low, good, SimConfig::default(), &no_retry);
     assert!(
         matches!(r.outcome, CheckOutcome::Timeout(TimeoutKind::Soft)),
@@ -126,7 +134,10 @@ fn injected_soft_timeout_heals_on_retry() {
         r.outcome
     );
 
-    let one_retry = CheckPolicy::default().with_chaos(chaos).with_retries(1);
+    let one_retry = CheckPolicy {
+        retries: 1,
+        ..no_retry.clone()
+    };
     let r =
         supervised_check_completion(p, PromptLevel::Low, good, SimConfig::default(), &one_retry);
     assert!(
@@ -180,8 +191,10 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
         sim: SimConfig::default(),
     };
     let opts = SweepOptions {
-        policy: CheckPolicy::default()
-            .with_chaos(ChaosSpec::parse("check.delay:700%1", 0).expect("valid spec")),
+        policy: CheckPolicy {
+            chaos: ChaosSpec::parse("check.delay:700%1", 0).expect("valid spec"),
+            ..CheckPolicy::default()
+        },
         stall_timeout: Some(Duration::from_millis(150)),
         jobs: 2,
         ..SweepOptions::default()
@@ -255,9 +268,9 @@ fn chaos_sweep_on_pooled_checkers_keeps_its_verdicts() {
         policy: CheckPolicy {
             timeout: Some(Duration::from_millis(200)),
             grace: Duration::from_millis(100),
+            chaos: ChaosSpec::parse("check.panic%5;check.delay:1500%13", 0).expect("valid spec"),
             ..CheckPolicy::default()
-        }
-        .with_chaos(ChaosSpec::parse("check.panic%5;check.delay:1500%13", 0).expect("valid spec")),
+        },
         jobs,
         ..SweepOptions::default()
     };
