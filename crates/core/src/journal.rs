@@ -10,8 +10,11 @@
 //! re-checked on resume.
 //!
 //! A sweep holds one `Journal` and appends each record on the merging
-//! thread as the record leaves the reorder buffer, so the file is always a
+//! thread as the emission cursor passes it, so the file is always a
 //! contiguous prefix of the canonical record stream at any worker count.
+//! Opening writes the header (and, on resume, the kept records) to a
+//! sibling `<journal>.tmp` and renames it over the journal, so a crash
+//! while the file is rewritten leaves the old journal whole.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -412,7 +415,11 @@ impl Journal {
     /// fingerprinted `fp`. With `resume` and an existing file, that file
     /// must be a v3 journal of the same engine and fingerprint; its valid
     /// prefix is returned with the [`RecoveryReport`]. The file is then
-    /// rewritten to the header plus that prefix, which drops a torn tail.
+    /// replaced by the header plus that prefix, which drops a torn tail:
+    /// they are written to `<path>.tmp`, which is renamed over `path` and
+    /// appended to from then on. Unless the policy is
+    /// [`FsyncPolicy::Never`], the temp file is synced before the rename
+    /// and its directory after it.
     pub(crate) fn open(
         path: &Path,
         resume: bool,
@@ -446,9 +453,21 @@ impl Journal {
             text.push_str(&r.to_journal_line());
             text.push('\n');
         }
-        let mut file = File::create(path)?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut file = File::create(&tmp)?;
         file.write_all(text.as_bytes())?;
         file.flush()?;
+        if fsync != FsyncPolicy::Never {
+            file.sync_data()?;
+        }
+        std::fs::rename(&tmp, path)?;
+        if fsync != FsyncPolicy::Never {
+            // Records synced later land in the renamed file, so the rename
+            // must be durable too.
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        }
         let journal = Journal {
             file,
             fsync,

@@ -27,6 +27,7 @@
 pub mod chaos;
 pub mod check;
 pub mod experiments;
+mod generate;
 pub mod guard;
 pub mod journal;
 pub mod metrics;
@@ -46,7 +47,7 @@ pub use journal::{
     UnsupportedJournalVersion,
 };
 pub use metrics::Tally;
-pub use pool::{ReorderBuffer, WorkerPool};
+pub use pool::WorkerPool;
 pub use report::{
     headline_stats, render_eval_summary, render_fault_summary, sweep_stats_json, Headline, ModelRun,
 };

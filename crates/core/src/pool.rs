@@ -1,5 +1,4 @@
-//! The sweep's worker pool and the deterministic reorder buffer that
-//! turns its out-of-order results back into canonical order.
+//! The sweep's worker pool.
 //!
 //! The evaluation sweep ([`crate::sweep`]) flattens its scenario grid into
 //! thousands of independent compile+simulate checks, submitted in
@@ -23,11 +22,11 @@
 //!   an `Err(message)` result instead of killing its worker.
 //!
 //! Results are delivered over a channel as `(index, Result<R, String>)`
-//! pairs in *completion* order; [`ReorderBuffer`] restores submission
-//! order so downstream consumers (the journal, report aggregation) see
-//! a byte-identical stream regardless of worker count or scheduling.
+//! pairs in *completion* order; the sweep's merge loop puts them back in
+//! submission order, so the journal and reports see a byte-identical
+//! stream regardless of worker count or scheduling.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -99,8 +98,7 @@ impl<R: Send + 'static> WorkerPool<R> {
     }
 
     /// Submits a task tagged with `index`. Tasks may complete in any
-    /// order; feed results through a [`ReorderBuffer`] keyed on `index`
-    /// to restore submission order.
+    /// order; the result carries `index` back.
     pub fn submit(&self, index: usize, task: impl FnOnce() -> R + Send + 'static) {
         self.shared.lock().tasks.push_back((index, Box::new(task)));
         self.shared.ready.notify_one();
@@ -172,79 +170,23 @@ fn worker_loop<R: Send>(shared: &Shared<R>, results: &Sender<(usize, Result<R, S
     }
 }
 
-/// Restores submission order over an out-of-order result stream.
-///
-/// Results tagged `start, start+1, start+2, …` are pushed as they arrive;
-/// [`pop_ready`](ReorderBuffer::pop_ready) yields them strictly in index
-/// order, holding back anything whose predecessors are still outstanding.
-/// This is what makes a parallel sweep's journal lines and report bytes
-/// independent of worker count and completion order.
-#[derive(Debug)]
-pub struct ReorderBuffer<T> {
-    next: usize,
-    pending: BTreeMap<usize, T>,
-}
-
-impl<T> ReorderBuffer<T> {
-    /// An empty buffer expecting `start` as the first index.
-    pub fn new(start: usize) -> Self {
-        ReorderBuffer {
-            next: start,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// Inserts a completed result.
-    ///
-    /// # Panics
-    ///
-    /// On an index that was already emitted or is already pending — a
-    /// duplicated work item is a harness bug that must not silently skew
-    /// aggregates.
-    pub fn push(&mut self, index: usize, value: T) {
-        assert!(
-            index >= self.next,
-            "reorder buffer: index {index} already emitted (next = {})",
-            self.next
-        );
-        let clash = self.pending.insert(index, value).is_some();
-        assert!(!clash, "reorder buffer: duplicate index {index}");
-    }
-
-    /// Removes and returns the next in-order result, if it has arrived.
-    pub fn pop_ready(&mut self) -> Option<T> {
-        let value = self.pending.remove(&self.next)?;
-        self.next += 1;
-        Some(value)
-    }
-
-    /// Number of results held back waiting for predecessors.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Drains `expect` results from the pool, reordered to submission
-    /// order.
+    /// Drains `expect` results from the pool, sorted back into
+    /// submission order; each index must arrive exactly once.
     fn collect_ordered(pool: &WorkerPool<usize>, expect: usize) -> Vec<Result<usize, String>> {
-        let mut rb = ReorderBuffer::new(0);
-        let mut out = Vec::with_capacity(expect);
-        while out.len() < expect {
-            let (idx, res) = pool
-                .recv_timeout(Duration::from_secs(30))
-                .expect("pool result");
-            rb.push(idx, res);
-            while let Some(r) = rb.pop_ready() {
-                out.push(r);
-            }
-        }
-        assert_eq!(rb.pending_len(), 0);
-        out
+        let mut out: Vec<(usize, Result<usize, String>)> = (0..expect)
+            .map(|_| {
+                pool.recv_timeout(Duration::from_secs(30))
+                    .expect("pool result")
+            })
+            .collect();
+        out.sort_by_key(|(idx, _)| *idx);
+        assert!(out.iter().enumerate().all(|(i, (idx, _))| i == *idx));
+        out.into_iter().map(|(_, res)| res).collect()
     }
 
     #[test]
@@ -367,46 +309,5 @@ mod tests {
         }
         pool.shutdown(); // drains before exiting
         assert_eq!(hits.load(Ordering::SeqCst), 50);
-    }
-
-    #[test]
-    fn reorder_buffer_restores_order() {
-        let mut rb = ReorderBuffer::new(0);
-        rb.push(2, "c");
-        rb.push(0, "a");
-        assert_eq!(rb.pop_ready(), Some("a"));
-        assert_eq!(rb.pop_ready(), None); // 1 still missing
-        rb.push(1, "b");
-        assert_eq!(rb.pop_ready(), Some("b"));
-        assert_eq!(rb.pop_ready(), Some("c"));
-        assert_eq!(rb.pop_ready(), None);
-        assert_eq!(rb.pending_len(), 0);
-    }
-
-    #[test]
-    fn reorder_buffer_honours_start_offset() {
-        let mut rb = ReorderBuffer::new(5);
-        rb.push(6, 60);
-        assert_eq!(rb.pop_ready(), None);
-        rb.push(5, 50);
-        assert_eq!(rb.pop_ready(), Some(50));
-        assert_eq!(rb.pop_ready(), Some(60));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate index")]
-    fn reorder_buffer_rejects_duplicates() {
-        let mut rb = ReorderBuffer::new(0);
-        rb.push(1, ());
-        rb.push(1, ());
-    }
-
-    #[test]
-    #[should_panic(expected = "already emitted")]
-    fn reorder_buffer_rejects_reemission() {
-        let mut rb = ReorderBuffer::new(0);
-        rb.push(0, ());
-        let _ = rb.pop_ready();
-        rb.push(0, ());
     }
 }

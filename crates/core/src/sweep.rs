@@ -1,6 +1,6 @@
-//! The experiment runner: queries an engine over the full parameter grid
-//! (prompt level × temperature × completions-per-prompt, §IV-B) and checks
-//! every completion through the compile/simulate pipeline.
+//! The sweep executor: checks every completion of the paper grid (prompt
+//! level × temperature × completions-per-prompt, §IV-B), as walked by the
+//! `generate` module, through the compile/simulate pipeline.
 //!
 //! Every check runs under the panic guard ([`crate::guard`]), so a harness
 //! bug on one hostile completion costs one [`Record`] (marked `fault`),
@@ -14,60 +14,60 @@
 //! A sweep runs in two phases (see DESIGN.md, "Parallel execution
 //! model"):
 //!
-//! 1. **Generate** (always serial, on the calling thread): the grid is
-//!    walked in canonical order and the engine is queried for every cell,
-//!    flattening the scenario×temperature×completion grid into a vector
-//!    of independent work items. Serial generation keeps the engine's RNG
-//!    stream identical across worker counts and across fresh vs resumed
-//!    runs.
+//! 1. **Generate** (always serial, on the calling thread): the engine is
+//!    queried for every grid cell in canonical order, and the completions
+//!    become a vector of independent work items. Serial generation keeps
+//!    the engine's RNG stream identical across worker counts and across
+//!    fresh vs resumed runs.
 //! 2. **Check** (pooled at any `--jobs`): each work item is one
-//!    compile+simulate check. Items are dispatched to a
-//!    [`WorkerPool`] of
+//!    compile+simulate check, dispatched to a [`WorkerPool`] of
 //!    [`SweepOptions::jobs`] workers sharing one FIFO queue, which run
-//!    each check inline, and
-//!    results flow through a [`ReorderBuffer`]
-//!    back into canonical order, so journal lines, reports and Pass@k
-//!    aggregates are byte-identical regardless of worker count or
-//!    completion order. The merging thread, the one thread that takes
-//!    results off the pool, appends each record to the journal as it
-//!    leaves the buffer, one flush per record: a killed run at any worker
-//!    count therefore leaves a contiguous-prefix journal, and `--resume`
-//!    composes unchanged.
+//!    each check inline. The merging thread, the one thread that takes
+//!    results off the pool, walks the positions with one emission cursor:
+//!    a result that arrives ahead of the cursor waits by position until
+//!    the cursor reaches it. Each record goes to the journal (one flush
+//!    per record), the hooks and the run in canonical order, so journal
+//!    lines, reports and Pass@k aggregates are byte-identical regardless
+//!    of worker count or completion order, and a killed run leaves a
+//!    contiguous-prefix journal that `--resume` continues.
 //!
 //! ## Dedup cache
 //!
 //! A check depends only on the problem and the *assembled* source
-//! ([`assemble`]): the prompt level matters only through assembly, and a
-//! whole-module completion assembles to the same source at every level,
-//! as does a copy with different junk after its `endmodule`. So with
-//! [`SweepOptions::dedup`] on, the first item (in canonical order) for
-//! each (problem, source hash) is checked as a *leader*, and every later
-//! item with that key is a *follower* that replays the leader's outcome.
-//! The key is computed on the submitting thread, assembling each distinct
-//! (problem, level, text) once, and a leader's assembled source travels
-//! with it to the worker. Chaos sites in the guard are keyed on the
-//! assembled source too, so a replayed fault is the fault a fresh check
-//! of the follower would have hit, and reports and journals are
-//! byte-identical with the cache on or off.
+//! ([`crate::check::assemble`]): the prompt level matters only through
+//! assembly, and a whole-module completion assembles to the same source
+//! at every level, as does a copy with different junk after its
+//! `endmodule`. So with [`SweepOptions::dedup`] on, the first item (in
+//! canonical order) for each (problem, source hash) is checked as a
+//! *leader*, and every later item with that key is a *follower*: when the
+//! cursor reaches it, it copies the outcome fields of the record already
+//! emitted at its leader's lower position. The key is computed on the
+//! submitting thread, assembling each distinct (problem, level, text)
+//! once, and a leader's assembled source travels with it to the worker.
+//! Chaos sites in the guard are keyed on the assembled source too, so a
+//! replayed fault is the fault a fresh check of the follower would have
+//! hit, and reports and journals are byte-identical with the cache on or
+//! off.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use vgen_lm::engine::{Completion, CompletionEngine};
-use vgen_problems::{problem, Difficulty, Problem, PromptLevel};
+use vgen_lm::engine::CompletionEngine;
+use vgen_problems::{Difficulty, PromptLevel};
 use vgen_sim::SimConfig;
 
 use vgen_lint::Rule;
 
 use crate::chaos::{ChaosSite, ChaosSpec};
-use crate::check::{assemble, FaultKind, LintCounts};
+use crate::check::{FaultKind, LintCounts};
+use crate::generate::{generate_items, ItemMeta, SourceKey, SourceKeys, WorkItem};
 use crate::guard::{supervised_check_completion, supervised_check_source, CheckPolicy};
-use crate::journal::{config_fingerprint, fnv1a, FsyncPolicy, Journal};
+use crate::journal::{config_fingerprint, FsyncPolicy, Journal};
 use crate::metrics::Tally;
-use crate::pool::{ReorderBuffer, WorkerPool};
+use crate::pool::WorkerPool;
 
 /// The paper's temperature grid (§IV-B).
 pub const PAPER_TEMPERATURES: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 1.0];
@@ -169,8 +169,8 @@ pub struct SweepOptions {
     /// Worker threads of the sweep's pool; `0` means "use
     /// [`SweepOptions::auto_jobs`]". Each worker runs its checks inline
     /// (handing each off only under a deadline, see [`crate::guard`]),
-    /// and results are merged through a deterministic reorder buffer, so
-    /// any value produces byte-identical reports and journals.
+    /// and results are merged back into canonical order, so any value
+    /// produces byte-identical reports and journals.
     pub jobs: usize,
     /// Completion-dedup cache (on by default): completions that assemble
     /// to the same source for the same problem are compiled and simulated
@@ -266,8 +266,8 @@ impl SweepHooks {
         } else {
             vgen_obs::counter_add("sweep.items_fail", 1);
         }
-        // The observing thread (the sweep's caller, draining the reorder
-        // buffer) records no spans, so its periodic self-flush never arms;
+        // The observing thread (the sweep's caller, running the merge
+        // loop) records no spans, so its periodic self-flush never arms;
         // drain per record so live snapshots track progress. No-op when
         // recording is off, one uncontended lock otherwise.
         vgen_obs::flush();
@@ -283,59 +283,6 @@ impl std::fmt::Debug for SweepHooks {
             .field("observer", &self.observer.as_ref().map(|_| "Fn"))
             .field("cancel", &self.cancel)
             .finish()
-    }
-}
-
-/// One flattened unit of work: a single completion to check. Its index in
-/// the generated vector is its canonical position in the grid walk.
-struct WorkItem {
-    problem: &'static Problem,
-    level: PromptLevel,
-    temperature: f64,
-    n: usize,
-    completion: Completion,
-}
-
-/// The slice of a work item needed to synthesise a fault record if the
-/// pool reports that its task panicked outside the per-check guard.
-#[derive(Clone, Copy)]
-struct ItemMeta {
-    problem_id: u8,
-    difficulty: Difficulty,
-    level: PromptLevel,
-    temperature: f64,
-    n: usize,
-    latency_s: f64,
-}
-
-impl WorkItem {
-    fn meta(&self) -> ItemMeta {
-        ItemMeta {
-            problem_id: self.problem.id,
-            difficulty: self.problem.difficulty,
-            level: self.level,
-            temperature: self.temperature,
-            n: self.n,
-            latency_s: self.completion.latency_s,
-        }
-    }
-}
-
-impl ItemMeta {
-    fn fault_record(&self, kind: FaultKind) -> Record {
-        Record {
-            problem_id: self.problem_id,
-            difficulty: self.difficulty,
-            level: self.level,
-            temperature: self.temperature,
-            n: self.n,
-            compiled: false,
-            passed: false,
-            fault: true,
-            fault_kind: Some(kind),
-            latency_s: self.latency_s,
-            lint: None,
-        }
     }
 }
 
@@ -363,20 +310,12 @@ fn check_item(
             (result.outcome, result.lint)
         }
     };
-    let fault_kind = outcome.fault_kind();
-    Record {
-        problem_id: item.problem.id,
-        difficulty: item.problem.difficulty,
-        level: item.level,
-        temperature: item.temperature,
-        n: item.n,
-        compiled: outcome.compiled(),
-        passed: outcome.passed(),
-        fault: fault_kind.is_some(),
-        fault_kind,
-        latency_s: item.completion.latency_s,
+    item.meta().record(
+        outcome.compiled(),
+        outcome.passed(),
+        outcome.fault_kind(),
         lint,
-    }
+    )
 }
 
 /// Whether the injected pool-task panic ([`ChaosSite::TaskPanic`]) fires
@@ -389,79 +328,48 @@ fn task_panic_fires(chaos: &ChaosSpec, pos: usize) -> bool {
             .is_some()
 }
 
-/// The dedup cache's key: problem id and the FNV-1a hash of the assembled
-/// source. A check is a pure function of (problem, assembled source) for
-/// the sweep's fixed `config.sim` and policy, so these are the only check
-/// inputs that can change an outcome. Completions that differ only in what
-/// assembly drops (the prompt level of a whole-module completion, text
-/// after its `endmodule`) share a key.
-type SourceKey = (u8, u64);
-
-/// What a sweep assembles each distinct completion to, at most once: the
-/// [`SourceKey`] of every (problem, prompt level, text hash) seen so far.
-#[derive(Default)]
-struct SourceKeys(HashMap<(u8, PromptLevel, u64), SourceKey>);
-
-impl SourceKeys {
-    /// The item's source key, plus its assembled source when this is the
-    /// first item with its (problem, level, text).
-    fn of(&mut self, item: &WorkItem) -> (SourceKey, Option<String>) {
-        let text = (
-            item.problem.id,
-            item.level,
-            fnv1a(item.completion.text.as_bytes()),
-        );
-        if let Some(&key) = self.0.get(&text) {
-            return (key, None);
-        }
-        let source = assemble(item.problem, item.level, &item.completion.text);
-        let key = (item.problem.id, fnv1a(source.as_bytes()));
-        self.0.insert(text, key);
-        (key, Some(source))
-    }
+/// How the merge loop fills one canonical position.
+#[derive(Clone, Copy)]
+enum Step {
+    /// A submitted check (a dedup leader, or any item with dedup off):
+    /// wait for its result.
+    Check,
+    /// A dedup follower: replay the record already emitted at its
+    /// leader's (lower) position.
+    Replay(usize),
 }
 
-/// The outcome fields of one checked completion as stored in the dedup
-/// cache. Per-sample fields (grid coordinates, latency) come from the
-/// duplicate's own [`ItemMeta`] at replay time, so a replayed [`Record`] is
-/// identical to what a fresh check of the same source would have produced.
-/// Harness faults are cached too: the guard makes them deterministic per
-/// assembled source.
-#[derive(Clone)]
-struct CachedCheck {
-    compiled: bool,
-    passed: bool,
-    fault: bool,
-    fault_kind: Option<FaultKind>,
-    lint: Option<LintCounts>,
+/// Keeps the result for position `at` until the cursor, now at `cursor`,
+/// reaches it.
+///
+/// # Panics
+///
+/// On a second result for a position, or one for a position already
+/// emitted: a duplicated work item must never silently skew Pass@k.
+fn hold(arrived: &mut HashMap<usize, Record>, cursor: usize, at: usize, rec: Record) {
+    let fresh = at >= cursor && arrived.insert(at, rec).is_none();
+    assert!(fresh, "sweep merge: duplicate result for position {at}");
 }
 
-impl CachedCheck {
-    fn of(rec: &Record) -> CachedCheck {
-        CachedCheck {
-            compiled: rec.compiled,
-            passed: rec.passed,
-            fault: rec.fault,
-            fault_kind: rec.fault_kind,
-            lint: rec.lint.clone(),
+/// Records a hard-timeout fault for every `Check` position from `cursor`
+/// on that has no result yet (`plan` starts at position `first`), and
+/// returns how many it recorded.
+fn fill_stalled(
+    plan: &[(ItemMeta, Step)],
+    first: usize,
+    cursor: usize,
+    arrived: &mut HashMap<usize, Record>,
+) -> u64 {
+    let mut owed = 0;
+    for (at, (meta, step)) in plan.iter().enumerate().skip(cursor - first) {
+        if matches!(step, Step::Check) {
+            arrived.entry(first + at).or_insert_with(|| {
+                owed += 1;
+                meta.fault_record(FaultKind::HardTimeout)
+            });
         }
     }
-
-    fn replay(&self, meta: ItemMeta) -> Record {
-        Record {
-            problem_id: meta.problem_id,
-            difficulty: meta.difficulty,
-            level: meta.level,
-            temperature: meta.temperature,
-            n: meta.n,
-            compiled: self.compiled,
-            passed: self.passed,
-            fault: self.fault,
-            fault_kind: self.fault_kind,
-            latency_s: meta.latency_s,
-            lint: self.lint.clone(),
-        }
-    }
+    owed
 }
 
 /// Execution statistics from one sweep. Deliberately *not* part of
@@ -491,35 +399,6 @@ impl SweepStats {
             self.cache_hits as f64 / total as f64
         }
     }
-}
-
-/// The generate phase: walks the grid in its (deterministic) canonical
-/// order, querying the engine for every cell and flattening every
-/// completion into a [`WorkItem`]. The engine is always queried for every
-/// cell — even cells whose records will be reused from a journal — so the
-/// engine's RNG stream is identical across a fresh run and a resumed one,
-/// and across worker counts.
-fn generate_items(engine: &mut dyn CompletionEngine, config: &EvalConfig) -> Vec<WorkItem> {
-    let mut items = Vec::new();
-    for &pid in &config.problem_ids {
-        let prob = problem(pid).unwrap_or_else(|| panic!("unknown problem id {pid}"));
-        for &level in &config.levels {
-            for &t in &config.temperatures {
-                for &n in &config.ns {
-                    for completion in engine.generate(prob, level, t, n) {
-                        items.push(WorkItem {
-                            problem: prob,
-                            level,
-                            temperature: t,
-                            n,
-                            completion,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    items
 }
 
 /// Runs an engine over the grid, checking every completion on one pool
@@ -611,28 +490,25 @@ pub fn run_engine_sweep(
     let use_cache = opts.dedup;
     let mut interrupted = false;
 
-    // Dispatch to the worker pool, merge back into canonical order through
-    // the reorder buffer.
-    let metas: Vec<ItemMeta> = items.iter().skip(done_prior).map(WorkItem::meta).collect();
+    // The plan: one step per position from `done_prior` on, each with the
+    // item's own grid coordinates and latency. Leader/follower dedup (see
+    // the module docs): the first item (in canonical order) for each
+    // source key is submitted to the pool as its leader; every later item
+    // with that key replays the leader's record. Leaders are picked in
+    // canonical order, so hit counts — and every record — are identical
+    // across `--jobs` values.
     let pool: WorkerPool<Record> = WorkerPool::new(opts.effective_jobs());
     let sim = config.sim;
-    // Leader/follower dedup (see the module docs): the first item (in
-    // canonical order) for each source key is submitted as its leader;
-    // later duplicates are parked under the leader's position and replayed
-    // when its result arrives. Leaders are picked in canonical order, so
-    // hit counts — and every record — are identical across `--jobs` values.
+    let mut plan: Vec<(ItemMeta, Step)> = Vec::with_capacity(total - done_prior);
     let mut source_keys = SourceKeys::default();
     let mut leader_of: HashMap<SourceKey, usize> = HashMap::new();
-    let mut followers: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut outstanding: BTreeSet<usize> = BTreeSet::new();
-    let mut submitted = 0usize;
     for (pos, item) in items.into_iter().enumerate().skip(done_prior) {
         let mut source = None;
         if use_cache {
             let (key, assembled) = source_keys.of(&item);
             match leader_of.entry(key) {
                 Entry::Occupied(leader) => {
-                    followers.entry(*leader.get()).or_default().push(pos);
+                    plan.push((item.meta(), Step::Replay(*leader.get())));
                     stats.cache_hits += 1;
                     vgen_obs::counter_add("dedup.hit", 1);
                     continue;
@@ -645,17 +521,16 @@ pub fn run_engine_sweep(
             // so a new leader's source was assembled just now.
             source = assembled;
         }
+        plan.push((item.meta(), Step::Check));
         let policy = opts.policy.clone();
-        outstanding.insert(pos);
         pool.submit(pos, move || {
             if task_panic_fires(&policy.chaos, pos) {
                 panic!("chaos: injected pool-task panic");
             }
             check_item(&item, source, sim, &policy)
         });
-        submitted += 1;
+        stats.checks_run += 1;
     }
-    stats.checks_run = submitted;
     let stall_timeout = opts.stall_timeout.unwrap_or(RESULT_TIMEOUT);
     // With a cancel token attached, wait in short slices so cancellation
     // latency is bounded by the slice, not the stall window; without one,
@@ -665,84 +540,68 @@ pub fn run_engine_sweep(
     } else {
         stall_timeout
     };
-    let mut reorder = ReorderBuffer::new(done_prior);
+    // Check results that arrived ahead of the cursor, by position.
+    let mut arrived: HashMap<usize, Record> = HashMap::new();
     let mut stalled = false;
-    // Records leave the reorder buffer in canonical order, to the journal,
-    // the hooks and the run.
-    let mut emit = |rec: Record| {
+    // When the merge loop last made progress; the stall window runs from
+    // here.
+    let mut waited = Instant::now();
+    // The emission cursor is `records.len()`: it walks the positions in
+    // canonical order and sends each record to the journal, the hooks and
+    // the run. A follower's leader sits at a lower position, so its record
+    // is already in `records`; a check waits until its result arrives.
+    while records.len() < total {
+        let pos = records.len();
+        let (meta, step) = plan[pos - done_prior];
+        let rec = match step {
+            Step::Replay(leader) => meta.replay(&records[leader]),
+            Step::Check => match arrived.remove(&pos) {
+                Some(rec) => rec,
+                None if hooks.cancelled() => {
+                    interrupted = true;
+                    break;
+                }
+                None => {
+                    match pool.recv_timeout(slice) {
+                        // The per-check guard already converts checker
+                        // panics into fault records, so `Err` only comes from
+                        // a task that panicked in pool plumbing around the
+                        // check. It still costs exactly one fault record,
+                        // like any harness fault.
+                        Ok((at, result)) => {
+                            let rec = result.unwrap_or_else(|_panic_msg| {
+                                plan[at - done_prior].0.fault_record(FaultKind::Panic)
+                            });
+                            hold(&mut arrived, pos, at, rec);
+                            waited = Instant::now();
+                        }
+                        // No result arrived within the stall window: at
+                        // least one worker is wedged in a check that escaped
+                        // per-check supervision. Degrade instead of aborting:
+                        // every check still owed a result becomes a
+                        // hard-timeout stall *record*, so the sweep completes
+                        // and `--resume` sees a coherent journal.
+                        Err(_) if waited.elapsed() >= stall_timeout => {
+                            let owed = fill_stalled(&plan, done_prior, pos, &mut arrived);
+                            vgen_obs::counter_add("pool.stall", owed);
+                            eprintln!(
+                                "[eval] worker pool stalled; recording {owed} outstanding \
+                                 check(s) as hard timeouts"
+                            );
+                            stalled = true;
+                        }
+                        Err(_) => {}
+                    }
+                    continue;
+                }
+            },
+        };
         if let Some(journal) = &mut journal {
             journal.append(&rec);
         }
-        hooks.observe(&rec, records.len() + 1, total);
+        hooks.observe(&rec, pos + 1, total);
         records.push(rec);
-    };
-    'recv: for _received in 0..submitted {
-        let waited = Instant::now();
-        let (pos, result) = loop {
-            if hooks.cancelled() {
-                interrupted = true;
-                break 'recv;
-            }
-            match pool.recv_timeout(slice) {
-                Ok(r) => break r,
-                Err(_) if waited.elapsed() >= stall_timeout => {
-                    stalled = true;
-                    break 'recv;
-                }
-                Err(_) => {}
-            }
-        };
-        outstanding.remove(&pos);
-        let rec = match result {
-            Ok(r) => r,
-            // The per-check guard already converts checker panics into
-            // fault records, so this arm only fires if the task panicked in
-            // pool plumbing around the check. It still costs exactly one
-            // fault record, like any harness fault.
-            Err(_panic_msg) => metas[pos - done_prior].fault_record(FaultKind::Panic),
-        };
-        // Replay the leader's outcome into its parked duplicates. Duplicate
-        // positions are always greater than the leader's, so pushing them
-        // here keeps the reorder buffer contiguous.
-        if let Some(dups) = followers.remove(&pos) {
-            let cached = CachedCheck::of(&rec);
-            for dup in dups {
-                reorder.push(dup, cached.replay(metas[dup - done_prior]));
-            }
-        }
-        reorder.push(pos, rec);
-        while let Some(rec) = reorder.pop_ready() {
-            emit(rec);
-        }
-    }
-    if stalled {
-        // No result arrived within the stall window: at least one worker is
-        // wedged in a check that escaped per-check supervision. Degrade
-        // instead of aborting — every item still owed a result becomes a
-        // hard-timeout stall *record*, so the sweep completes and
-        // `--resume` sees a coherent journal.
-        vgen_obs::counter_add("pool.stall", outstanding.len() as u64);
-        eprintln!(
-            "[eval] worker pool stalled; recording {} outstanding check(s) as hard timeouts",
-            outstanding.len()
-        );
-        for pos in std::mem::take(&mut outstanding) {
-            let rec = metas[pos - done_prior].fault_record(FaultKind::HardTimeout);
-            if let Some(dups) = followers.remove(&pos) {
-                let cached = CachedCheck::of(&rec);
-                for dup in dups {
-                    reorder.push(dup, cached.replay(metas[dup - done_prior]));
-                }
-            }
-            reorder.push(pos, rec);
-        }
-        while let Some(rec) = reorder.pop_ready() {
-            emit(rec);
-        }
-    }
-    if !interrupted {
-        debug_assert_eq!(reorder.pending_len(), 0, "reorder buffer drained");
-        debug_assert!(followers.is_empty(), "every follower replayed");
+        waited = Instant::now();
     }
     if interrupted || stalled {
         // Abandon the pool with its remaining queue discarded: a cancelled
@@ -1302,6 +1161,36 @@ mod tests {
                 assert_eq!(*total, run.records.len());
             }
         }
+    }
+
+    fn passing_record() -> Record {
+        Record {
+            problem_id: 2,
+            difficulty: Difficulty::Basic,
+            level: PromptLevel::Low,
+            temperature: 0.1,
+            n: 1,
+            compiled: true,
+            passed: true,
+            fault: false,
+            fault_kind: None,
+            latency_s: 0.5,
+            lint: None,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate result for position 3")]
+    fn merge_rejects_a_second_result_for_a_position() {
+        let mut arrived = HashMap::new();
+        hold(&mut arrived, 1, 3, passing_record());
+        hold(&mut arrived, 1, 3, passing_record());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate result for position 0")]
+    fn merge_rejects_a_result_behind_the_cursor() {
+        hold(&mut HashMap::new(), 1, 0, passing_record());
     }
 
     #[test]

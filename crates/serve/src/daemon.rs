@@ -101,6 +101,34 @@ impl Shutdown {
 /// In-flight requests of one connection: id → cancel token.
 type Registry = Arc<Mutex<HashMap<u64, CancelToken>>>;
 
+/// A request's entry in its connection's [`Registry`]: a fresh token,
+/// registered on creation and unregistered on drop.
+struct Registered<'a> {
+    registry: &'a Registry,
+    id: u64,
+    token: CancelToken,
+}
+
+impl<'a> Registered<'a> {
+    fn new(registry: &'a Registry, id: u64) -> Self {
+        let token = CancelToken::unlimited();
+        let mut map = registry.lock().unwrap_or_else(|e| e.into_inner());
+        map.insert(id, token.clone());
+        Registered {
+            registry,
+            id,
+            token,
+        }
+    }
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        let mut map = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+        map.remove(&self.id);
+    }
+}
+
 /// One in-flight request as the live metrics plane sees it.
 struct LiveRequest {
     conn: u64,
@@ -260,14 +288,10 @@ fn run_request<W: Write + Send + 'static>(
             done(Json::str("shutting down"))
         }
         Request::Cancel { target } => {
-            let token = registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&target)
-                .cloned();
-            match token {
-                Some(t) => {
-                    t.cancel();
+            let registry = registry.lock().unwrap_or_else(|e| e.into_inner());
+            match registry.get(&target) {
+                Some(token) => {
+                    token.cancel();
                     done(Json::str("cancelled"))
                 }
                 None => Event::Error {
@@ -278,11 +302,7 @@ fn run_request<W: Write + Send + 'static>(
         Request::Metrics => done(metrics_payload(live)),
         Request::Subscribe { interval_ms, count } => {
             respond(writer, id, &Event::Accepted { cmd: "subscribe" });
-            let cancel = CancelToken::unlimited();
-            registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(id, cancel.clone());
+            let cancel = Registered::new(registry, id);
             let interval = Duration::from_millis(interval_ms);
             let mut frames: u64 = 0;
             let stopped = 'stream: loop {
@@ -290,7 +310,7 @@ fn run_request<W: Write + Send + 'static>(
                 // daemon shutdown cut the stream promptly.
                 let mut slept = Duration::ZERO;
                 while slept < interval {
-                    if cancel.poll() || shutdown.is_set() {
+                    if cancel.token.poll() || shutdown.is_set() {
                         break 'stream true;
                     }
                     let chunk = (interval - slept).min(Duration::from_millis(50));
@@ -309,10 +329,6 @@ fn run_request<W: Write + Send + 'static>(
                     break false;
                 }
             };
-            registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&id);
             if stopped {
                 Event::CancelledAt {
                     done: frames as usize,
@@ -327,11 +343,7 @@ fn run_request<W: Write + Send + 'static>(
         }
         Request::Eval(req) => {
             respond(writer, id, &Event::Accepted { cmd: "eval" });
-            let cancel = CancelToken::unlimited();
-            registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(id, cancel.clone());
+            let cancel = Registered::new(registry, id);
             live.begin(conn, id, "eval");
             let sink: Arc<dyn EventSink> = Arc::new(TallySink {
                 inner: WireSink {
@@ -341,12 +353,8 @@ fn run_request<W: Write + Send + 'static>(
                 live: live.clone(),
                 conn,
             });
-            let result = Service.eval(&req, &cancel, &sink);
+            let result = Service.eval(&req, &cancel.token, &sink);
             live.end(conn, id);
-            registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&id);
             match result {
                 Ok(outcome) if outcome.cancelled => Event::CancelledAt {
                     done: outcome.done,
@@ -387,17 +395,8 @@ fn run_request<W: Write + Send + 'static>(
         }
         Request::Sim(req) => {
             respond(writer, id, &Event::Accepted { cmd: "sim" });
-            let cancel = CancelToken::unlimited();
-            registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(id, cancel.clone());
-            let result = Service.sim(&req, &cancel);
-            registry
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&id);
-            finish(result)
+            let cancel = Registered::new(registry, id);
+            finish(Service.sim(&req, &cancel.token))
         }
     }
 }

@@ -11,14 +11,16 @@
 
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use vgen::core::check::assemble;
 use vgen::core::{
-    render_eval_summary, run_engine_sweep, ChaosSpec, CheckPolicy, EvalConfig, EvalRun, SweepHooks,
-    SweepOptions, SweepStats,
+    render_eval_summary, run_engine_sweep, ChaosSpec, CheckPolicy, EvalConfig, EvalRun, Record,
+    SweepHooks, SweepOptions, SweepStats,
 };
 use vgen::lm::engine::{Completion, CompletionEngine};
+use vgen::obs::CancelToken;
 use vgen::problems::{problem, Problem, PromptLevel};
 use vgen::sim::SimConfig;
 
@@ -204,6 +206,60 @@ fn cached_parallel_run_resumes_cleanly() {
         "resume with cache on lost or altered records"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn cancel_with_followers_pending_leaves_a_prefix_that_resumes() {
+    // Each (problem, level) cell of nine items holds three leaders, then
+    // their six followers. Cancelling once the first record is out, with
+    // one worker, stops the cursor at the second leader: the first
+    // leader's followers are still pending.
+    let (full, _, full_journal) = sweep("cancel-reference", &SweepOptions::default());
+    for jobs in [1, 3] {
+        let path = journal_path(&format!("cancel-j{jobs}"));
+        let _ = std::fs::remove_file(&path);
+        let token = CancelToken::unlimited();
+        let trip = token.clone();
+        let hooks = SweepHooks {
+            observer: Some(Arc::new(move |_: &Record, _, _| trip.cancel())),
+            cancel: Some(token),
+        };
+        let opts = SweepOptions {
+            jobs,
+            ..SweepOptions::default()
+        };
+        let err = run_engine_sweep(
+            &mut CyclingEngine::new(),
+            &cfg(),
+            Some((&path, false)),
+            &opts,
+            &hooks,
+        )
+        .expect_err("cancelled sweep");
+        assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+        let cut = std::fs::read(&path).expect("cancelled journal");
+        assert!(full_journal.starts_with(&cut), "jobs {jobs}: not a prefix");
+        let kept = cut.iter().filter(|&&b| b == b'\n').count() - 1;
+        assert!(
+            kept >= 1 && kept < full.records.len(),
+            "jobs {jobs}: kept {kept}"
+        );
+        if jobs == 1 {
+            assert_eq!(kept, 1, "the cursor stops at the next leader");
+        }
+        let (resumed, stats) = run_engine_sweep(
+            &mut CyclingEngine::new(),
+            &cfg(),
+            Some((&path, true)),
+            &opts,
+            &SweepHooks::default(),
+        )
+        .expect("resume");
+        assert_eq!(stats.resumed_records, kept);
+        assert_eq!(resumed, full);
+        assert_eq!(std::fs::read(&path).expect("resumed journal"), full_journal);
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 /// A whole `and_gate` module, which assembles to itself at every prompt

@@ -180,6 +180,63 @@ fn shard_tagged_journal_is_refused_on_resume_and_left_unmodified() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Resume rewrites the journal through a sibling `<journal>.tmp` renamed
+/// over it, so a rewrite that cannot finish leaves the old journal whole.
+/// A directory squatting on the temp path makes the rewrite fail; once it
+/// is gone, the same resume completes to the reference bytes.
+#[test]
+fn a_failed_resume_rewrite_leaves_the_journal_untouched() {
+    let (full_run, full_bytes, header_len) = reference();
+    // The header, two whole records and a torn third line.
+    let line_ends: Vec<usize> = full_bytes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(line_ends[0], *header_len);
+    let damaged = &full_bytes[..line_ends[2] + 5];
+    let path = scratch_path("blocked-rewrite");
+    std::fs::write(&path, damaged).expect("write damaged journal");
+    let mut tmp = path.clone().into_os_string();
+    tmp.push(".tmp");
+    std::fs::create_dir_all(&tmp).expect("squat on the temp path");
+    let resume = || {
+        run_engine_sweep(
+            &mut PaletteEngine { cursor: 0 },
+            &cfg(),
+            Some((&path, true)),
+            &SweepOptions::default(),
+            &SweepHooks::default(),
+        )
+    };
+
+    let err = resume().expect_err("the rewrite cannot create its temp file");
+    assert!(
+        !matches!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData | std::io::ErrorKind::Interrupted
+        ),
+        "expected an I/O error, got {err:?}"
+    );
+    assert_eq!(
+        std::fs::read(&path).expect("journal bytes"),
+        damaged,
+        "a failed rewrite must leave the journal as it was"
+    );
+
+    std::fs::remove_dir(&tmp).expect("remove the squatter");
+    let (resumed, stats) = resume().expect("resume once the temp path is free");
+    assert_eq!(stats.resumed_records, 2);
+    assert_eq!(&resumed, full_run);
+    assert_eq!(&std::fs::read(&path).expect("journal bytes"), full_bytes);
+    assert!(
+        !std::path::Path::new(&tmp).exists(),
+        "the temp file was renamed away"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 proptest! {
     #[test]
     fn any_corrupted_byte_truncates_to_longest_valid_prefix(

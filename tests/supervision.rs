@@ -239,6 +239,88 @@ fn stalled_worker_pool_degrades_to_hard_timeout_records() {
     );
 }
 
+/// An engine that repeats one passing completion text per problem, each
+/// copy with its own latency, so every item after the first is a dedup
+/// follower.
+struct RepeatingEngine {
+    cursor: usize,
+}
+
+impl CompletionEngine for RepeatingEngine {
+    fn name(&self) -> String {
+        "supervision-repeating".into()
+    }
+
+    fn generate(
+        &mut self,
+        _problem: &Problem,
+        _level: PromptLevel,
+        _temperature: f64,
+        n: usize,
+    ) -> Vec<Completion> {
+        (0..n)
+            .map(|_| {
+                self.cursor += 1;
+                Completion {
+                    text: "assign y = a & b;\nendmodule\n".into(),
+                    latency_s: self.cursor as f64 / 1000.0,
+                }
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn stalled_pool_gives_followers_their_own_hard_timeout_records() {
+    let _serial = serial();
+    // Two leaders (the text assembles differently at each prompt level)
+    // and ten followers over two temperatures. Every check sleeps 700 ms
+    // while the merge loop waits 150 ms, so each leader is recorded as a
+    // stall, and each follower replays that outcome under its own grid
+    // coordinates and latency.
+    let cfg = vgen::core::EvalConfig {
+        temperatures: vec![0.3, 0.7],
+        ns: vec![3],
+        levels: vec![PromptLevel::Low, PromptLevel::Medium],
+        problem_ids: vec![2],
+        sim: SimConfig::default(),
+    };
+    let sweep = |dedup: bool, chaos: &str| {
+        let opts = SweepOptions {
+            policy: CheckPolicy {
+                chaos: ChaosSpec::parse(chaos, 0).expect("valid spec"),
+                ..CheckPolicy::default()
+            },
+            stall_timeout: Some(Duration::from_millis(150)),
+            jobs: 2,
+            dedup,
+            ..SweepOptions::default()
+        };
+        run_engine_sweep(
+            &mut RepeatingEngine { cursor: 0 },
+            &cfg,
+            None,
+            &opts,
+            &SweepHooks::default(),
+        )
+        .expect("a stalled pool must degrade, not abort the sweep")
+    };
+    let (clean, stats) = sweep(true, "");
+    assert!(clean.records.iter().all(|r| r.passed));
+    assert_eq!((stats.checks_run, stats.cache_hits), (2, 10));
+    let (stalled, stats) = sweep(true, "check.delay:700%1");
+    assert_eq!(stats.cache_hits, 10);
+    assert_eq!(stalled.records.len(), clean.records.len());
+    for (s, c) in stalled.records.iter().zip(&clean.records) {
+        assert_eq!(s.fault_kind, Some(FaultKind::HardTimeout), "{s:?}");
+        let coords = |r: &vgen::core::Record| (r.problem_id, r.level, r.temperature, r.n);
+        assert_eq!(coords(s), coords(c));
+        assert_eq!(s.latency_s, c.latency_s);
+    }
+    let (uncached, _) = sweep(false, "check.delay:700%1");
+    assert_eq!(stalled, uncached, "dedup must not change a stalled sweep");
+}
+
 #[test]
 fn chaos_sweep_on_pooled_checkers_keeps_its_verdicts() {
     let _serial = serial();
