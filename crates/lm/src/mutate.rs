@@ -357,6 +357,24 @@ pub fn hostile_corpus() -> Vec<(HostileOp, String)> {
         ));
     }
 
+    // Simulator and synthesis recursion: 3,000 user functions, each calling
+    // the next. Parsing, elaboration and lint never follow a call; the
+    // simulator and synthesis refuse the chain at the call-height cap
+    // instead of overflowing the stack.
+    let mut calls = String::new();
+    for i in 0..3000 {
+        let rhs = if i + 1 < 3000 {
+            format!("f{}(x)", i + 1)
+        } else {
+            "x".to_string()
+        };
+        calls.push_str(&format!(
+            "function f{i}; input x; begin f{i} = {rhs}; end endfunction\n"
+        ));
+    }
+    calls.push_str("assign y = f0(a & b);\nendmodule\n");
+    out.push((HostileOp::DeepNesting, calls));
+
     // Elaborator: one absurdly wide register.
     out.push((
         HostileOp::HugeVector,

@@ -110,15 +110,22 @@ struct Registered<'a> {
 }
 
 impl<'a> Registered<'a> {
-    fn new(registry: &'a Registry, id: u64) -> Self {
+    /// Registers request `id`; refuses it with the terminal event to send
+    /// when a request with that id is already in flight on the connection,
+    /// whose entry stays as it is.
+    fn new(registry: &'a Registry, id: u64) -> Result<Self, Event> {
         let token = CancelToken::unlimited();
         let mut map = registry.lock().unwrap_or_else(|e| e.into_inner());
+        if map.contains_key(&id) {
+            let message = format!("request id {id} is already in flight");
+            return Err(Event::Error { message });
+        }
         map.insert(id, token.clone());
-        Registered {
+        Ok(Registered {
             registry,
             id,
             token,
-        }
+        })
     }
 }
 
@@ -301,8 +308,11 @@ fn run_request<W: Write + Send + 'static>(
         }
         Request::Metrics => done(metrics_payload(live)),
         Request::Subscribe { interval_ms, count } => {
+            let cancel = match Registered::new(registry, id) {
+                Ok(cancel) => cancel,
+                Err(refusal) => return refusal,
+            };
             respond(writer, id, &Event::Accepted { cmd: "subscribe" });
-            let cancel = Registered::new(registry, id);
             let interval = Duration::from_millis(interval_ms);
             let mut frames: u64 = 0;
             let stopped = 'stream: loop {
@@ -342,8 +352,11 @@ fn run_request<W: Write + Send + 'static>(
             }
         }
         Request::Eval(req) => {
+            let cancel = match Registered::new(registry, id) {
+                Ok(cancel) => cancel,
+                Err(refusal) => return refusal,
+            };
             respond(writer, id, &Event::Accepted { cmd: "eval" });
-            let cancel = Registered::new(registry, id);
             live.begin(conn, id, "eval");
             let sink: Arc<dyn EventSink> = Arc::new(TallySink {
                 inner: WireSink {
@@ -394,8 +407,11 @@ fn run_request<W: Write + Send + 'static>(
             finish(Service.lint(&req))
         }
         Request::Sim(req) => {
+            let cancel = match Registered::new(registry, id) {
+                Ok(cancel) => cancel,
+                Err(refusal) => return refusal,
+            };
             respond(writer, id, &Event::Accepted { cmd: "sim" });
-            let cancel = Registered::new(registry, id);
             finish(Service.sim(&req, &cancel.token))
         }
     }
@@ -915,6 +931,64 @@ mod tests {
         client
             .shutdown(std::net::Shutdown::Write)
             .expect("close the request side");
+        daemon.join().expect("connection served");
+    }
+
+    /// A second request with the id of one in flight is refused, and the
+    /// first stays registered: cancellable by its id, and tripped when the
+    /// connection closes.
+    #[test]
+    fn a_duplicate_request_id_is_refused_and_the_first_stays_registered() {
+        let (mut client, daemon) = serve_pair();
+        let mut events = BufReader::new(client.try_clone().expect("clone the client end")).lines();
+        let mut next = || {
+            let line = events.next().expect("an event").expect("event text");
+            Json::parse(&line).expect("event is JSON")
+        };
+        let kind = |event: &Json| {
+            event
+                .get("event")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+        };
+        let subscribe = |id: u64| format!(r#"{{"id":{id},"cmd":"subscribe","interval_ms":60000}}"#);
+        for (id, close) in [(7, false), (8, true)] {
+            writeln!(client, "{}", subscribe(id)).expect("subscribe");
+            let accepted = next();
+            assert_eq!(
+                kind(&accepted).as_deref(),
+                Some("accepted"),
+                "{}",
+                accepted.render()
+            );
+            writeln!(client, "{}", subscribe(id)).expect("subscribe again");
+            let refused = next();
+            assert_eq!(refused.get("id").and_then(Json::as_u64), Some(id));
+            let message = refused.get("message").and_then(Json::as_str);
+            let expected = format!("request id {id} is already in flight");
+            assert_eq!(message, Some(expected.as_str()), "{}", refused.render());
+            if close {
+                client
+                    .shutdown(std::net::Shutdown::Write)
+                    .expect("close the request side");
+            } else {
+                writeln!(client, r#"{{"id":9,"cmd":"cancel","target":{id}}}"#).expect("cancel");
+            }
+            // The cancel answer and the subscription's end, in either order.
+            let mut ends: Vec<(u64, String)> = (0..if close { 1 } else { 2 })
+                .map(|_| {
+                    let event = next();
+                    let id = event.get("id").and_then(Json::as_u64).expect("an id");
+                    (id, kind(&event).expect("an event kind"))
+                })
+                .collect();
+            ends.sort();
+            let mut expected = vec![(id, "cancelled".to_string())];
+            if !close {
+                expected.push((9, "done".to_string()));
+            }
+            assert_eq!(ends, expected);
+        }
         daemon.join().expect("connection served");
     }
 

@@ -388,6 +388,9 @@ pub struct FunctionDef {
     pub outer_reads: Vec<SignalId>,
     /// Memories the body reads.
     pub outer_mem_reads: Vec<MemoryId>,
+    /// The body's height, charged against
+    /// [`vgen_verilog::parser::MAX_CALL_HEIGHT`] while a call runs.
+    pub height: usize,
 }
 
 /// A fully elaborated, executable design.

@@ -511,6 +511,7 @@ impl<'a> Elaborator<'a> {
                     code: Vec::new(),
                     outer_reads: Vec::new(),
                     outer_mem_reads: Vec::new(),
+                    height: f.height(),
                 });
                 func_items.push((idx, f, frame));
             }

@@ -1,6 +1,7 @@
 //! Runtime state, expression evaluation and lvalue writes.
 
 use vgen_verilog::ast::Edge;
+use vgen_verilog::parser::MAX_CALL_HEIGHT;
 use vgen_verilog::value::{Logic, LogicVec};
 
 use crate::design::*;
@@ -64,6 +65,8 @@ pub struct State {
     /// Re-entrancy guard per function (Verilog functions are static; a
     /// recursive call is a runtime error).
     func_active: Vec<bool>,
+    /// Summed height of the function calls running now.
+    call_height: usize,
 }
 
 impl State {
@@ -83,6 +86,7 @@ impl State {
             time: 0,
             random: Lcg::new(0x5eed_cafe),
             func_active: vec![false; design.functions.len()],
+            call_height: 0,
         }
     }
 
@@ -300,9 +304,9 @@ const FUNCTION_STEP_BUDGET: usize = 200_000;
 ///
 /// # Errors
 ///
-/// Returns [`RuntimeError`] on recursion, wrong arity, a body instruction
-/// that is not allowed in functions (guaranteed absent by elaboration), or
-/// budget exhaustion.
+/// Returns [`RuntimeError`] on recursion, calls nested past
+/// [`MAX_CALL_HEIGHT`], wrong arity, a body instruction that is not allowed
+/// in functions (guaranteed absent by elaboration), or budget exhaustion.
 fn exec_function(
     design: &Design,
     state: &mut State,
@@ -328,7 +332,14 @@ fn exec_function(
             args.len()
         )));
     }
+    let call_height = state.call_height + def.height;
+    if call_height > MAX_CALL_HEIGHT {
+        return Err(RuntimeError::new(format!(
+            "function calls nested deeper than {MAX_CALL_HEIGHT} levels"
+        )));
+    }
     state.func_active[func as usize] = true;
+    let caller_height = std::mem::replace(&mut state.call_height, call_height);
     let result = (|| {
         let mut scratch = Changes::default();
         for (param, value) in def.params.iter().zip(args) {
@@ -405,6 +416,7 @@ fn exec_function(
         Ok(state.signal(def.ret).clone())
     })();
     state.func_active[func as usize] = false;
+    state.call_height = caller_height;
     result
 }
 

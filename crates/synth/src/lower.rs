@@ -8,9 +8,10 @@
 //! inline. Anything outside the synthesizable subset produces an error
 //! diagnostic.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use vgen_verilog::ast::*;
+use vgen_verilog::parser::MAX_CALL_HEIGHT;
 use vgen_verilog::span::Span;
 use vgen_verilog::value::LogicVec;
 
@@ -62,19 +63,6 @@ pub struct SynthResult {
     pub warnings: Vec<Diagnostic>,
 }
 
-/// Longest chain of nets, each read by the driver of the next, that
-/// lowering accepts. An input, an undriven net or a register output starts
-/// a chain; a combinational net extends the longest chain it reads by one.
-/// The verdict depends only on the module, never on the order nets are
-/// resolved in.
-///
-/// Nets resolve recursively, with 16 KiB (an `assign`) to 32 KiB (an
-/// `always @*` block) of stack per net in an unoptimised build and 1–2 KiB
-/// in an optimised one, so this keeps the worst chain to half of the 8 MiB
-/// stack a guarded check runs on; a longer chain is refused as a resource
-/// limit instead of overflowing the stack.
-pub const MAX_RESOLVE_DEPTH: usize = 128;
-
 /// Synthesizes one module (no hierarchy) into a word-level netlist.
 ///
 /// # Errors
@@ -82,8 +70,8 @@ pub const MAX_RESOLVE_DEPTH: usize = 128;
 /// Returns [`SynthError`] for non-synthesizable constructs: delays and
 /// event controls inside bodies, `while`/`forever`/non-constant loops,
 /// memories, instances, latch inference, multiple drivers, mixed
-/// edge/level sensitivity, and unknown identifiers; and for a chain of
-/// more than [`MAX_RESOLVE_DEPTH`] nets.
+/// edge/level sensitivity, combinational loops, unknown identifiers, and
+/// user-function calls nested past [`MAX_CALL_HEIGHT`].
 ///
 /// ```
 /// use vgen_synth::synthesize;
@@ -106,13 +94,6 @@ fn err(message: impl Into<String>, span: Span) -> SynthError {
         message: message.into(),
         span,
     }
-}
-
-fn chain_too_long(name: &str, span: Span) -> SynthError {
-    err(
-        format!("combinational chain longer than {MAX_RESOLVE_DEPTH} nets at `{name}`"),
-        span,
-    )
 }
 
 #[derive(Debug, Clone)]
@@ -193,13 +174,9 @@ struct Lowerer<'a> {
     seq_qs: Vec<Option<HashMap<String, NetId>>>,
     seq_lowered: Vec<bool>,
     resolved: HashMap<String, NetId>,
-    /// Length of the longest chain ending at each resolved net (see
-    /// [`MAX_RESOLVE_DEPTH`]); a resolved net missing here is a register
-    /// output, a chain of one.
-    chain_lens: HashMap<String, usize>,
-    /// Nets being resolved, outermost first, each with the longest chain
-    /// among the nets its driver has read so far.
-    resolving: Vec<(String, usize)>,
+    /// Unresolved nets the current lowering read, with the span of each
+    /// read (see [`Lowerer::resolve_all`]).
+    missing: Vec<(String, Span)>,
     warnings: Vec<Diagnostic>,
     tmp: u32,
 }
@@ -221,8 +198,7 @@ impl<'a> Lowerer<'a> {
             seq_qs: Vec::new(),
             seq_lowered: Vec::new(),
             resolved: HashMap::new(),
-            chain_lens: HashMap::new(),
-            resolving: Vec::new(),
+            missing: Vec::new(),
             warnings: Vec::new(),
             tmp: 0,
         };
@@ -612,14 +588,46 @@ impl<'a> Lowerer<'a> {
 
     fn resolve_all(&mut self) -> Result<(), SynthError> {
         // Name order, so that which of several errors is reported does
-        // not vary from run to run.
+        // not vary from run to run. A work list instead of recursion: a net
+        // whose lowering read unresolved nets is rolled back and retried
+        // after them, so chains of any length resolve on a flat stack. The
+        // flag marks a retry; reading a net that waits for one is a loop.
         let mut names: Vec<String> = self.sigs.keys().cloned().collect();
         names.sort_unstable();
-        for name in names {
-            self.net_of(&name, Span::default())?;
+        let mut todo: Vec<(String, Span, bool)> = names
+            .into_iter()
+            .rev()
+            .map(|n| (n, Span::default(), false))
+            .collect();
+        let mut waiting: HashSet<String> = HashSet::new();
+        while let Some((name, span, retry)) = todo.pop() {
+            if self.resolved.contains_key(&name) {
+                continue;
+            }
+            if !retry && waiting.contains(&name) {
+                return Err(err(format!("combinational loop through `{name}`"), span));
+            }
+            let mark = (
+                self.netlist.nets.len(),
+                self.netlist.cells.len(),
+                self.warnings.len(),
+                self.tmp,
+            );
+            let lowered = self.lower_net(&name, span);
+            if self.missing.is_empty() {
+                self.resolved.extend(lowered?);
+                continue;
+            }
+            self.netlist.nets.truncate(mark.0);
+            self.netlist.cells.truncate(mark.1);
+            self.warnings.truncate(mark.2);
+            self.tmp = mark.3;
+            waiting.insert(name.clone());
+            todo.push((name, span, true));
+            todo.extend(self.missing.drain(..).rev().map(|(n, s)| (n, s, false)));
         }
         // Second phase: sequential d-side logic (registers already resolve
-        // to their q nets, so reads through them cannot recurse).
+        // to their q nets, so every read finds a resolved net).
         for idx in 0..self.seq_blocks.len() {
             self.alloc_seq_block(idx)?;
             self.lower_seq_body(idx)?;
@@ -627,90 +635,53 @@ impl<'a> Lowerer<'a> {
         Ok(())
     }
 
-    /// The net carrying the final value of `name`, resolving its driver on
-    /// demand (memoized).
+    /// The net carrying the final value of `name`. An unresolved net is
+    /// recorded as missing and read as a placeholder of its width, for
+    /// [`Lowerer::resolve_all`] to roll back.
     fn net_of(&mut self, name: &str, span: Span) -> Result<NetId, SynthError> {
         if let Some(&n) = self.resolved.get(name) {
-            let len = self.chain_lens.get(name).copied().unwrap_or(1);
-            self.extend_chain(len);
             return Ok(n);
         }
-        if self.resolving.iter().any(|(r, _)| r == name) {
-            return Err(err(format!("combinational loop through `{name}`"), span));
-        }
-        // Each net on the stack is read by the one below it, so one more
-        // makes the outermost net's chain longer than the limit: refuse
-        // before the recursion goes deeper.
-        if self.resolving.len() >= MAX_RESOLVE_DEPTH {
-            return Err(chain_too_long(name, span));
-        }
         let info = self.sig(name, span)?;
-        let driver = self.drivers.get(name).cloned_kind();
-        self.resolving.push((name.to_string(), 0));
-        let result = (|lw: &mut Self| -> Result<NetId, SynthError> {
-            match driver {
-                DriverKind::Input => {
-                    let n = lw
-                        .netlist
-                        .add_net(name.to_string(), info.width, info.signed);
-                    lw.netlist.inputs.push((name.to_string(), n));
-                    Ok(n)
-                }
-                DriverKind::None => {
-                    lw.warn(format!("`{name}` is never driven"), span);
-                    let y = lw.fresh("undriven", info.width, info.signed);
-                    lw.netlist.cells.push(Cell::Const {
-                        value: LogicVec::unknown(info.width),
-                        y,
-                    });
-                    Ok(y)
-                }
-                DriverKind::Assign => {
-                    let Some(Driver::Assign(parts)) = lw.drivers.get(name) else {
-                        unreachable!("driver kind checked")
-                    };
-                    let parts: Vec<PartialAssign<'a>> = parts.clone();
-                    lw.lower_assign_parts(name, &info, &parts)
-                }
-                DriverKind::Comb(idx) => {
-                    lw.lower_comb_block(idx)?;
-                    Ok(*lw.resolved.get(name).expect("comb block resolved target"))
-                }
-                DriverKind::Seq(idx) => {
-                    // Registers break combinational cycles: allocate the q
-                    // net now; the d-side logic is lowered in a later phase
-                    // (see resolve_all).
-                    lw.alloc_seq_block(idx)?;
-                    Ok(*lw.resolved.get(name).expect("seq block allocated target"))
-                }
-            }
-        })(self);
-        let (_, longest_read) = self.resolving.pop().expect("pushed above");
-        let n = result?;
-        let len = longest_read + 1;
-        if len > MAX_RESOLVE_DEPTH {
-            return Err(chain_too_long(name, span));
-        }
-        // A combinational block drives all its targets at once; each ends
-        // the same chain.
-        let targets = match driver {
-            DriverKind::Comb(idx) => self.comb_blocks[idx].targets.clone(),
-            _ => vec![name.to_string()],
-        };
-        for t in targets {
-            self.chain_lens.insert(t, len);
-        }
-        self.extend_chain(len);
-        self.resolved.entry(name.to_string()).or_insert(n);
-        Ok(*self.resolved.get(name).expect("just inserted"))
+        self.missing.push((name.to_string(), span));
+        Ok(self.fresh("missing", info.width, info.signed))
     }
 
-    /// Records that the net being resolved reads a net ending a chain of
-    /// `len` nets.
-    fn extend_chain(&mut self, len: usize) {
-        if let Some((_, longest_read)) = self.resolving.last_mut() {
-            *longest_read = (*longest_read).max(len);
-        }
+    /// Lowers the driver of `name` and returns the nets it resolves: its
+    /// own, or every target of its combinational block. Inputs, undriven
+    /// nets and registers read nothing, so they never roll back.
+    fn lower_net(&mut self, name: &str, span: Span) -> Result<Vec<(String, NetId)>, SynthError> {
+        let info = self.sig(name, span)?;
+        let n = match self.drivers.get(name) {
+            Some(Driver::Input) => {
+                let n = self
+                    .netlist
+                    .add_net(name.to_string(), info.width, info.signed);
+                self.netlist.inputs.push((name.to_string(), n));
+                n
+            }
+            None => {
+                self.warn(format!("`{name}` is never driven"), span);
+                let y = self.fresh("undriven", info.width, info.signed);
+                self.netlist.cells.push(Cell::Const {
+                    value: LogicVec::unknown(info.width),
+                    y,
+                });
+                y
+            }
+            Some(Driver::Assign(parts)) => {
+                let parts: Vec<PartialAssign<'a>> = parts.clone();
+                self.lower_assign_parts(name, &info, &parts)?
+            }
+            Some(&Driver::Comb(idx)) => return self.lower_comb_block(idx),
+            Some(&Driver::Seq(idx)) => {
+                // Registers break combinational cycles: allocate the q
+                // nets now; the d-side logic is lowered in a later phase.
+                self.alloc_seq_block(idx)?;
+                return Ok(Vec::new());
+            }
+        };
+        Ok(vec![(name.to_string(), n)])
     }
 
     fn lower_assign_parts(
@@ -789,7 +760,7 @@ impl<'a> Lowerer<'a> {
 
     // ------------------------------------------------- combinational blocks
 
-    fn lower_comb_block(&mut self, idx: usize) -> Result<(), SynthError> {
+    fn lower_comb_block(&mut self, idx: usize) -> Result<Vec<(String, NetId)>, SynthError> {
         let (body, targets, span) = {
             let b = &self.comb_blocks[idx];
             (b.body, b.targets.clone(), b.span)
@@ -799,12 +770,13 @@ impl<'a> Lowerer<'a> {
             ctx.env.insert(t.clone(), None);
         }
         self.exec_stmt(body, &mut ctx)?;
-        for t in &targets {
-            let info = self.sig(t, span)?;
-            match ctx.env.get(t).cloned().flatten() {
+        let mut nets = Vec::new();
+        for t in targets {
+            let info = self.sig(&t, span)?;
+            match ctx.env.get(&t).cloned().flatten() {
                 Some(n) => {
-                    let n = self.resize_to(n, info.width, info.signed, t);
-                    self.resolved.insert(t.clone(), n);
+                    let n = self.resize_to(n, info.width, info.signed, &t);
+                    nets.push((t, n));
                 }
                 None => {
                     return Err(err(
@@ -814,7 +786,7 @@ impl<'a> Lowerer<'a> {
                 }
             }
         }
-        Ok(())
+        Ok(nets)
     }
 
     // ----------------------------------------------------- sequential blocks
@@ -1744,6 +1716,13 @@ impl<'a> Lowerer<'a> {
                 span,
             ));
         }
+        let call_height = ctx.call_height + f.height();
+        if call_height > MAX_CALL_HEIGHT {
+            return Err(err(
+                format!("function calls nested deeper than {MAX_CALL_HEIGHT} levels"),
+                span,
+            ));
+        }
         // Bind arguments.
         let mut fctx = Ctx {
             inlining: {
@@ -1751,6 +1730,7 @@ impl<'a> Lowerer<'a> {
                 v.push(name.to_string());
                 v
             },
+            call_height,
             ..Ctx::default()
         };
         let (ret_msb, ret_lsb) = match &f.range {
@@ -1867,30 +1847,8 @@ struct Ctx {
     seq_regs: HashMap<String, NetId>,
     /// Function inlining stack (recursion guard).
     inlining: Vec<String>,
-}
-
-trait DriverLookup<'a> {
-    fn cloned_kind(&self) -> DriverKind;
-}
-
-enum DriverKind {
-    None,
-    Input,
-    Assign,
-    Comb(usize),
-    Seq(usize),
-}
-
-impl<'a> DriverLookup<'a> for Option<&Driver<'a>> {
-    fn cloned_kind(&self) -> DriverKind {
-        match self {
-            None => DriverKind::None,
-            Some(Driver::Input) => DriverKind::Input,
-            Some(Driver::Assign(_)) => DriverKind::Assign,
-            Some(Driver::Comb(i)) => DriverKind::Comb(*i),
-            Some(Driver::Seq(i)) => DriverKind::Seq(*i),
-        }
-    }
+    /// Summed height of the functions being inlined.
+    call_height: usize,
 }
 
 fn collect_targets(stmt: &Stmt, out: &mut Vec<String>) {

@@ -1,8 +1,8 @@
-//! Resource limits of lowering: a hostile module is refused with a
-//! diagnostic, never by overflowing the stack, and the verdict depends on
-//! the module alone.
+//! Lowering resolves nets from a work list, not by recursion: a long chain
+//! of nets synthesizes on a small stack, a long combinational ring is
+//! refused as a loop rather than by overflowing the stack, and the verdict
+//! depends on the module alone.
 
-use vgen_synth::lower::MAX_RESOLVE_DEPTH;
 use vgen_synth::synthesize_source;
 
 /// A module whose longest chain is `nets` nets: the input `b`, then
@@ -32,10 +32,22 @@ fn chain(nets: usize, reversed: bool, comb: bool) -> String {
     src
 }
 
-/// Runs `f` on an 8 MiB stack, the size a guarded check runs on.
-fn on_check_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+/// A module whose `wires` wires form one combinational ring, each read by
+/// the next, with the output `y` reading the ring.
+fn ring(wires: usize) -> String {
+    let mut src = String::from("module m(input a, output y);\n");
+    for k in 0..wires {
+        let next = (k + 1) % wires;
+        src.push_str(&format!("wire c{k};\nassign c{k} = c{next} ^ a;\n"));
+    }
+    src.push_str("assign y = c0;\nendmodule\n");
+    src
+}
+
+/// Runs `f` on a thread with a `mib` MiB stack.
+fn on_stack<T: Send + 'static>(mib: usize, f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()
-        .stack_size(8 << 20)
+        .stack_size(mib << 20)
         .spawn(f)
         .expect("spawn")
         .join()
@@ -49,41 +61,46 @@ fn synthesizes(src: &str) -> Result<(), String> {
 }
 
 #[test]
-fn chains_up_to_the_limit_synthesize_and_longer_ones_are_refused() {
-    on_check_stack(|| {
+fn every_chain_shape_synthesizes_at_a_thousand_nets_on_a_small_stack() {
+    // 1,024 nets: eight times the chain the recursive resolver refused.
+    on_stack(4, || {
         for reversed in [false, true] {
             for comb in [false, true] {
-                let at = chain(MAX_RESOLVE_DEPTH, reversed, comb);
-                assert_eq!(synthesizes(&at), Ok(()), "reversed {reversed} comb {comb}");
-                let past = chain(MAX_RESOLVE_DEPTH + 1, reversed, comb);
-                let err = synthesizes(&past).expect_err("refused");
-                assert!(err.contains("combinational chain longer than"), "{err}");
+                let src = chain(1024, reversed, comb);
+                assert_eq!(synthesizes(&src), Ok(()), "reversed {reversed} comb {comb}");
             }
         }
     });
 }
 
 #[test]
-fn the_verdict_does_not_vary_from_run_to_run() {
-    // Lowering keeps its state in hash maps seeded afresh on every run;
-    // none of that may change the verdict.
-    on_check_stack(|| {
-        let (at, past) = (
-            chain(MAX_RESOLVE_DEPTH, false, false),
-            chain(200, false, false),
-        );
-        for _ in 0..50 {
-            assert_eq!(synthesizes(&at), Ok(()));
-            assert!(synthesizes(&past).is_err());
-        }
-    });
+fn a_twenty_thousand_net_chain_synthesizes() {
+    let netlist = on_stack(8, || {
+        synthesize_source(&chain(20_000, false, false))
+            .map(|r| r.netlist)
+            .map_err(|e| e.to_string())
+    })
+    .expect("synthesizes");
+    assert_eq!(netlist.inputs.len(), 2);
+    assert_eq!(netlist.outputs.len(), 1);
 }
 
 #[test]
-fn a_chain_past_the_limit_is_refused_not_overflowed() {
-    // Eight times the limit overflows an 8 MiB stack in an unoptimised
-    // build without it.
-    let err = on_check_stack(|| synthesizes(&chain(8 * MAX_RESOLVE_DEPTH, false, false)))
-        .expect_err("refused");
-    assert!(err.contains("combinational chain longer than"), "{err}");
+fn a_twenty_thousand_net_ring_is_refused_as_a_loop() {
+    let err = on_stack(8, || synthesizes(&ring(20_000))).expect_err("refused");
+    assert!(err.contains("combinational loop through `c"), "{err}");
+}
+
+#[test]
+fn the_verdict_does_not_vary_from_run_to_run() {
+    // Lowering keeps its state in hash maps seeded afresh on every run;
+    // none of that may change the verdict or which loop is reported.
+    on_stack(8, || {
+        let (long, loop_) = (chain(1024, true, true), ring(200));
+        let refusal = synthesizes(&loop_).expect_err("refused");
+        for _ in 0..50 {
+            assert_eq!(synthesizes(&long), Ok(()));
+            assert_eq!(synthesizes(&loop_), Err(refusal.clone()));
+        }
+    });
 }

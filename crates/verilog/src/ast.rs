@@ -138,6 +138,71 @@ pub struct FunctionDecl {
     pub span: Span,
 }
 
+impl FunctionDecl {
+    /// Height of the body: the nodes on its longest path from the body
+    /// statement through nested statements down to an expression's deepest
+    /// leaf. A call runs that path on top of the caller's stack, so nested
+    /// calls are budgeted by the sum of their functions' heights
+    /// ([`crate::parser::MAX_CALL_HEIGHT`]).
+    pub fn height(&self) -> usize {
+        stmt_height(&self.body)
+    }
+}
+
+fn stmt_height(stmt: &Stmt) -> usize {
+    let opt = |s: &Option<Box<Stmt>>| s.as_deref().map_or(0, stmt_height);
+    let below = match &stmt.kind {
+        StmtKind::Block { stmts, .. } => stmts.iter().map(stmt_height).max().unwrap_or(0),
+        StmtKind::Assign {
+            lhs, delay, rhs, ..
+        } => tallest([lhs, rhs].into_iter().chain(delay)),
+        StmtKind::If { cond, then, els } => expr_height(cond).max(stmt_height(then)).max(opt(els)),
+        StmtKind::Case { expr, arms, .. } => arms.iter().fold(expr_height(expr), |h, arm| {
+            h.max(tallest(&arm.labels)).max(stmt_height(&arm.body))
+        }),
+        StmtKind::For {
+            init,
+            cond,
+            step,
+            body,
+        } => tallest([&init.0, &init.1, cond, &step.0, &step.1]).max(stmt_height(body)),
+        StmtKind::While { cond: e, body } | StmtKind::Repeat { count: e, body } => {
+            expr_height(e).max(stmt_height(body))
+        }
+        StmtKind::Forever { body } => stmt_height(body),
+        StmtKind::Delay { amount: e, stmt } | StmtKind::Wait { cond: e, stmt } => {
+            expr_height(e).max(opt(stmt))
+        }
+        StmtKind::Event { stmt, .. } => opt(stmt),
+        StmtKind::SysCall { args, .. } | StmtKind::TaskCall { args, .. } => tallest(args),
+        StmtKind::Disable(_) | StmtKind::Null => 0,
+    };
+    below + 1
+}
+
+fn expr_height(e: &Expr) -> usize {
+    let below = match &e.kind {
+        ExprKind::Number(_) | ExprKind::Real(_) | ExprKind::Str(_) | ExprKind::Ident(_) => 0,
+        ExprKind::Unary { arg, .. } => expr_height(arg),
+        ExprKind::Binary { lhs, rhs, .. } => tallest([lhs, rhs].map(|b| &**b)),
+        ExprKind::Ternary { cond, then, els } => tallest([cond, then, els].map(|b| &**b)),
+        ExprKind::Index { base, index } => tallest([base, index].map(|b| &**b)),
+        ExprKind::PartSelect { base, msb, lsb } => tallest([base, msb, lsb].map(|b| &**b)),
+        ExprKind::IndexedSelect {
+            base, start, width, ..
+        } => tallest([base, start, width].map(|b| &**b)),
+        ExprKind::Replicate { count, items } => expr_height(count).max(tallest(items)),
+        ExprKind::Concat(items)
+        | ExprKind::SysCall { args: items, .. }
+        | ExprKind::Call { args: items, .. } => tallest(items),
+    };
+    below + 1
+}
+
+fn tallest<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> usize {
+    exprs.into_iter().map(expr_height).max().unwrap_or(0)
+}
+
 /// A net/variable/port declaration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decl {

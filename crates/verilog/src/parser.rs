@@ -109,6 +109,21 @@ pub const MAX_NEST_DEPTH: usize = 100;
 /// 64 deep.
 pub const MAX_EXPR_DEPTH: usize = 256;
 
+/// Height ceiling for nested user-function calls. A call runs its
+/// function's body ([`FunctionDecl::height`] nodes tall) on top of the
+/// expression that calls it, so each active call counts its function's
+/// height, and a call that takes the sum past this cap is refused: a
+/// `RuntimeError` in simulation, a `SynthError` in synthesis. Parsing,
+/// elaboration and lint never follow calls, so they accept any chain.
+///
+/// Sized like [`MAX_EXPR_DEPTH`], by measurement in an unoptimised build
+/// on a 4 MiB thread. With every body [`MAX_EXPR_DEPTH`] tall, simulation
+/// and synthesis first overflow at 4 nested calls (about 1,030 levels);
+/// with one-line bodies, 4 levels each, simulation first overflows at
+/// about 370 calls and synthesis at about 185 (740 levels). At this cap
+/// each stays under half of a check's 8 MiB stack.
+pub const MAX_CALL_HEIGHT: usize = 2 * MAX_EXPR_DEPTH;
+
 /// Units of parser work (grammar productions entered, module items started)
 /// between [`CancelToken`] polls. Large enough that the clock read
 /// amortises to noise, small enough that a near-[`MAX_TOKENS`] input still

@@ -84,6 +84,70 @@ fn deep_operator_chain_is_refused_not_an_abort() {
     }
 }
 
+/// A 1,000-net `assign` chain passes every check; synthesis used to refuse
+/// it at a resolve-depth limit and now resolves it from a work list.
+#[test]
+fn long_net_chain_synthesizes() {
+    let mut src = String::from("module and_gate(input a, input b, output y);\n");
+    for i in 0..1000 {
+        let rhs = if i + 1 < 1000 {
+            format!("c{}", i + 1)
+        } else {
+            "a & b".to_string()
+        };
+        src.push_str(&format!("wire c{i};\nassign c{i} = {rhs};\n"));
+    }
+    src.push_str("assign y = c0;\nendmodule\n");
+    let path = write_temp("net_chain.v", &src);
+    let out = vgen()
+        .args(["eval", path.to_str().expect("utf8"), "--problem", "2"])
+        .output()
+        .expect("run");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("synthesizes:  yes"), "{text}");
+    assert!(out.status.success(), "{text}");
+}
+
+/// A chain of 20,000 nested user-function calls overflowed the stack of
+/// simulation and synthesis; both now refuse it at the call-height cap, so
+/// each command exits normally with the cap named.
+#[test]
+fn nested_function_chain_is_refused_not_an_abort() {
+    let mut src = String::from("module and_gate(input a, input b, output y);\n");
+    for i in 0..20_000 {
+        let rhs = if i + 1 < 20_000 {
+            format!("f{}(x)", i + 1)
+        } else {
+            "x".to_string()
+        };
+        src.push_str(&format!(
+            "function f{i}; input x; begin f{i} = {rhs}; end endfunction\n"
+        ));
+    }
+    src.push_str("assign y = f0(a & b);\nendmodule\n");
+    let path = write_temp("call_chain.v", &src);
+    let file = path.to_str().expect("utf8");
+    let refusal = format!(
+        "function calls nested deeper than {} levels",
+        vgen::verilog::parser::MAX_CALL_HEIGHT
+    );
+    let commands: [&[&str]; 3] = [
+        &["sim", file],
+        &["synth", file],
+        &["eval", file, "--problem", "2"],
+    ];
+    for args in commands {
+        let out = vgen().args(args).output().expect("run");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.status.code().is_some(), "{args:?} aborted: {text}");
+        assert!(text.contains(&refusal), "{args:?}: {text}");
+    }
+}
+
 #[test]
 fn lint_clean_file_exits_zero() {
     let path = write_temp("lint_ok.v", COUNTER);
