@@ -121,13 +121,23 @@ impl SourceKeys {
 /// whose records will be reused from a journal — so the engine's RNG
 /// stream is identical across a fresh run and a resumed one, and across
 /// worker counts.
+///
+/// The engine is first [prepared](CompletionEngine::prepare) for the
+/// grid's problems on up to `jobs` threads; the walk itself stays on the
+/// calling thread.
 pub(crate) fn generate_items(
     engine: &mut dyn CompletionEngine,
     config: &EvalConfig,
+    jobs: usize,
 ) -> Vec<WorkItem> {
+    let problems: Vec<&'static Problem> = config
+        .problem_ids
+        .iter()
+        .map(|&pid| problem(pid).unwrap_or_else(|| panic!("unknown problem id {pid}")))
+        .collect();
+    engine.prepare(&problems, jobs);
     let mut items = Vec::new();
-    for &pid in &config.problem_ids {
-        let prob = problem(pid).unwrap_or_else(|| panic!("unknown problem id {pid}"));
+    for prob in problems {
         for &level in &config.levels {
             for &t in &config.temperatures {
                 for &n in &config.ns {

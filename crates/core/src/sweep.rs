@@ -14,11 +14,13 @@
 //! A sweep runs in two phases (see DESIGN.md, "Parallel execution
 //! model"):
 //!
-//! 1. **Generate** (always serial, on the calling thread): the engine is
-//!    queried for every grid cell in canonical order, and the completions
-//!    become a vector of independent work items. Serial generation keeps
-//!    the engine's RNG stream identical across worker counts and across
-//!    fresh vs resumed runs.
+//! 1. **Generate** (serial, on the calling thread): the engine is first
+//!    [prepared](CompletionEngine::prepare) for the grid's problems on up
+//!    to [`SweepOptions::jobs`] threads (the family engine builds its
+//!    missing mutant banks there), then queried for every grid cell in
+//!    canonical order, and the completions become a vector of independent
+//!    work items. Serial queries keep the engine's RNG stream identical
+//!    across worker counts and across fresh vs resumed runs.
 //! 2. **Check** (pooled at any `--jobs`): each work item is one
 //!    compile+simulate check, dispatched to a [`WorkerPool`] of
 //!    [`SweepOptions::jobs`] workers sharing one FIFO queue, which run
@@ -468,7 +470,7 @@ pub fn run_engine_sweep(
         None => (None, Vec::new()),
     };
 
-    let items = generate_items(engine, config);
+    let items = generate_items(engine, config, opts.effective_jobs());
     let total = items.len();
     // Advertise the grid to the metrics plane; resumed records count as
     // done without re-observation.

@@ -119,6 +119,10 @@ impl CompletionEngine for SourceRecorder<'_> {
         self.sources.extend(sources);
         completions
     }
+
+    fn prepare(&mut self, problems: &[&'static Problem], jobs: usize) {
+        self.engine.prepare(problems, jobs);
+    }
 }
 
 /// The three tiers of one assembled source: its check outcome, and whether

@@ -40,6 +40,13 @@ pub trait CompletionEngine {
         temperature: f64,
         n: usize,
     ) -> Vec<Completion>;
+
+    /// Readies the engine, on up to `jobs` threads, for queries about
+    /// `problems` before the first [`generate`](Self::generate). It must
+    /// not change any completion: a sweep calls it once, with its
+    /// problems and worker count, to take per-problem setup off its
+    /// serial generate phase. The default does nothing.
+    fn prepare(&mut self, _problems: &[&'static Problem], _jobs: usize) {}
 }
 
 /// The real trainable engine: BPE + n-gram LM + sampling loop.

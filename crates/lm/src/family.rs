@@ -24,6 +24,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::rngs::StdRng;
@@ -249,6 +250,24 @@ type BankSlot = Arc<OnceLock<Arc<MutantBank>>>;
 /// The process-wide bank memo, oldest entry first.
 static BANK_MEMO: Mutex<VecDeque<(BankKey, BankSlot)>> = Mutex::new(VecDeque::new());
 
+/// The memo slot for `key`, a new empty one on a miss.
+fn memo_slot(key: BankKey) -> BankSlot {
+    // Each update (a push or an eviction) leaves the memo valid, so a
+    // poisoned lock is safe to recover.
+    let mut memo = BANK_MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    match memo.iter().find(|(k, _)| *k == key) {
+        Some((_, slot)) => Arc::clone(slot),
+        None => {
+            if memo.len() >= BANK_MEMO_CAPACITY {
+                memo.pop_front();
+            }
+            let slot = BankSlot::default();
+            memo.push_back((key, Arc::clone(&slot)));
+            slot
+        }
+    }
+}
+
 /// The bank [`build_bank`] returns for these inputs, built at most once per
 /// process while it stays in the memo, and whether this call built it.
 ///
@@ -256,23 +275,7 @@ static BANK_MEMO: Mutex<VecDeque<(BankKey, BankSlot)>> = Mutex::new(VecDeque::ne
 /// ids are unique. A bank is a pure function of its key, so a shared bank
 /// is byte-identical to a fresh one.
 fn shared_bank(problem: &Problem, seed: u64, per_pool: usize) -> (Arc<MutantBank>, bool) {
-    let key = (problem.id, seed, per_pool);
-    let slot = {
-        // Each update (a push or an eviction) leaves the memo valid, so a
-        // poisoned lock is safe to recover.
-        let mut memo = BANK_MEMO.lock().unwrap_or_else(|e| e.into_inner());
-        match memo.iter().find(|(k, _)| *k == key) {
-            Some((_, slot)) => Arc::clone(slot),
-            None => {
-                if memo.len() >= BANK_MEMO_CAPACITY {
-                    memo.pop_front();
-                }
-                let slot = BankSlot::default();
-                memo.push_back((key, Arc::clone(&slot)));
-                slot
-            }
-        }
-    };
+    let slot = memo_slot((problem.id, seed, per_pool));
     let mut built = false;
     let bank = slot.get_or_init(|| {
         built = true;
@@ -280,6 +283,10 @@ fn shared_bank(problem: &Problem, seed: u64, per_pool: usize) -> (Arc<MutantBank
     });
     (Arc::clone(bank), built)
 }
+
+/// Stack size of a bank-building helper thread: a check's, since a build
+/// parses, elaborates and simulates mutants as a check does.
+const BANK_STACK_BYTES: usize = 8 * 1024 * 1024;
 
 /// The harness-level compile check: parse plus elaboration of the DUT.
 pub fn compiles(source: &str) -> bool {
@@ -373,15 +380,93 @@ impl FamilyEngine {
         if let Some(bank) = self.banks.get(&problem.id) {
             return Arc::clone(bank);
         }
-        let (bank, built) = shared_bank(problem, self.seed ^ problem.id as u64, self.bank_size);
+        let (bank, built) = shared_bank(problem, self.bank_seed(problem), self.bank_size);
+        self.keep(problem.id, Arc::clone(&bank), built);
+        bank
+    }
+
+    /// The seed of a problem's bank.
+    fn bank_seed(&self, problem: &Problem) -> u64 {
+        self.seed ^ u64::from(problem.id)
+    }
+
+    /// Holds a bank fetched from the memo, counting whether it was built.
+    fn keep(&mut self, id: u8, bank: Arc<MutantBank>, built: bool) {
         let counter = if built {
             "lm.bank_build"
         } else {
             "lm.bank_hit"
         };
         vgen_obs::counter_add(counter, 1);
-        self.banks.insert(problem.id, Arc::clone(&bank));
-        bank
+        self.banks.insert(id, bank);
+    }
+
+    /// Fetches every bank of `problems` this engine does not hold yet, as
+    /// [`bank_for`](Self::bank_for) would one by one. Banks already in the
+    /// memo are taken on the calling thread. The missing ones are built on
+    /// it and on up to `jobs - 1` helper threads, which take problems from
+    /// one shared index. Returns how many banks this call built and how
+    /// many helpers it spawned.
+    fn prebuild(&mut self, problems: &[&'static Problem], jobs: usize) -> (usize, usize) {
+        let mut missing: Vec<&'static Problem> = Vec::new();
+        for &p in problems {
+            if self.banks.contains_key(&p.id) || missing.iter().any(|m| m.id == p.id) {
+                continue;
+            }
+            let hit = memo_slot((p.id, self.bank_seed(p), self.bank_size))
+                .get()
+                .cloned();
+            match hit {
+                Some(bank) => self.keep(p.id, bank, false),
+                None => missing.push(p),
+            }
+        }
+        let next = AtomicUsize::new(0);
+        let take = || {
+            let mut got = Vec::new();
+            while let Some(&p) = missing.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let (bank, built) = shared_bank(p, self.bank_seed(p), self.bank_size);
+                got.push((p.id, bank, built));
+            }
+            got
+        };
+        let wanted = jobs.min(missing.len()).saturating_sub(1);
+        let (got, helpers) = std::thread::scope(|s| {
+            // A helper the OS refuses to start leaves its share to the
+            // others.
+            let handles: Vec<_> = (0..wanted)
+                .filter_map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("vgen-bank-{i}"))
+                        .stack_size(BANK_STACK_BYTES)
+                        .spawn_scoped(s, || {
+                            let got = take();
+                            // Drain this thread's counters and spans into
+                            // the session here, not in its thread-local
+                            // destructor, so the caller's metrics hold them.
+                            vgen_obs::flush();
+                            got
+                        })
+                        .ok()
+                })
+                .collect();
+            let helpers = handles.len();
+            let mut got = take();
+            for handle in handles {
+                got.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+                );
+            }
+            (got, helpers)
+        });
+        let mut built = 0;
+        for (id, bank, fresh) in got {
+            built += usize::from(fresh);
+            self.keep(id, bank, fresh);
+        }
+        (built, helpers)
     }
 
     fn request_rng(&self, problem: &Problem, level: PromptLevel, t: f64, n: usize) -> StdRng {
@@ -399,6 +484,19 @@ impl FamilyEngine {
 impl CompletionEngine for FamilyEngine {
     fn name(&self) -> String {
         format!("{}", self.model)
+    }
+
+    /// Fetches the banks of `problems` up front when `jobs > 1`, building
+    /// the missing ones on up to `jobs` threads (the calling thread
+    /// included); at `jobs <= 1` banks stay lazy. A bank is a pure function
+    /// of (problem, seed, pool size) and each query seeds its own RNG, so
+    /// every completion is the same either way. The wait is timed under
+    /// the calling thread's `generate` span.
+    fn prepare(&mut self, problems: &[&'static Problem], jobs: usize) {
+        if jobs > 1 {
+            let _span = vgen_obs::span("generate");
+            self.prebuild(problems, jobs);
+        }
     }
 
     fn generate(
@@ -678,6 +776,49 @@ mod tests {
         // The oldest entries went first: the newest is still a hit.
         let newest = 0x3E30_1000 + BANK_MEMO_CAPACITY as u64 + 7;
         assert!(!shared_bank(p, newest, 1).1);
+    }
+
+    #[test]
+    fn prepare_builds_each_bank_once_on_helpers_and_changes_no_completion() {
+        let _lock = memo_test_lock();
+        // No other test seeds banks from this.
+        const SEED: u64 = 0x3E35_0000;
+        let paper: Vec<&'static Problem> = problems()[..17].iter().collect();
+        let mut prepared = FamilyEngine::new(cg16_ft(), CorpusSource::GithubOnly, SEED);
+        // Each of the 17 banks built by this call, on it and 3 helpers.
+        assert_eq!(prepared.prebuild(&paper, 4), (17, 3));
+        for p in &paper {
+            let fresh = build_bank(p, SEED ^ u64::from(p.id), 10);
+            assert_eq!(
+                bank_digest(&prepared.banks[&p.id]),
+                bank_digest(&fresh),
+                "bank of problem {}",
+                p.id
+            );
+        }
+        // With every bank in the memo, a second engine spawns no helper.
+        let meg_ft = ModelId::new(ModelFamily::Megatron355M, Tuning::FineTuned);
+        let mut again = FamilyEngine::new(meg_ft, CorpusSource::GithubOnly, SEED);
+        assert_eq!(again.prebuild(&paper, 4), (0, 0));
+        assert!(paper
+            .iter()
+            .all(|p| Arc::ptr_eq(&again.banks[&p.id], &prepared.banks[&p.id])));
+        // The whole grid, against an engine that fetches its banks lazily.
+        let mut lazy = FamilyEngine::new(cg16_ft(), CorpusSource::GithubOnly, SEED);
+        for p in &paper {
+            for level in PromptLevel::ALL {
+                for t in [0.1, 0.3, 0.5, 0.7, 1.0] {
+                    for n in [1, 10, 25] {
+                        assert_eq!(
+                            prepared.generate(p, level, t, n),
+                            lazy.generate(p, level, t, n),
+                            "problem {} {level:?} t={t} n={n}",
+                            p.id
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

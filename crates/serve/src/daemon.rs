@@ -366,7 +366,7 @@ fn run_request<W: Write + Send + 'static>(
                 live: live.clone(),
                 conn,
             });
-            let result = Service.eval(&req, &cancel.token, &sink);
+            let result = Service.serve_eval(&req, &cancel.token, &sink);
             live.end(conn, id);
             match result {
                 Ok(outcome) if outcome.cancelled => Event::CancelledAt {

@@ -19,10 +19,10 @@ use vgen_core::{
     SweepOptions, SweepStats,
 };
 use vgen_corpus::CorpusSource;
-use vgen_lm::{FamilyEngine, ModelFamily, ModelId, Tuning};
+use vgen_lm::{Completion, CompletionEngine, FamilyEngine, ModelFamily, ModelId, Tuning};
 use vgen_obs::json::Json;
 use vgen_obs::CancelToken;
-use vgen_problems::PromptLevel;
+use vgen_problems::{Problem, PromptLevel};
 use vgen_sim::SimConfig;
 
 use crate::proto::{CheckRequest, EvalRequest, Event, LintRequest, SimRequest};
@@ -201,11 +201,38 @@ fn record_outcome(rec: &Record) -> &'static str {
     }
 }
 
+/// A family engine whose mutant banks are fetched lazily, each on the
+/// sweep's thread when generation first needs it, at any `jobs`: the
+/// same completions, with [`CompletionEngine::prepare`] left a no-op.
+///
+/// The daemon runs its evals through it. Its process-wide bank memo
+/// builds each bank once per daemon, so a prebuild on helper threads could
+/// only speed the first request at a seed, and by however much a free
+/// core happens to be there when the helpers start; built lazily, that
+/// request costs the same every time.
+struct LazyBanks<'a>(&'a mut FamilyEngine);
+
+impl CompletionEngine for LazyBanks<'_> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn generate(
+        &mut self,
+        problem: &Problem,
+        level: PromptLevel,
+        temperature: f64,
+        n: usize,
+    ) -> Vec<Completion> {
+        self.0.generate(problem, level, temperature, n)
+    }
+}
+
 /// The sweep behind [`Service::eval`]: every fresh record becomes a
 /// progress event (each `progress_every`-th one, and the last).
 fn run_sweep(
     req: &EvalRequest,
-    engine: &mut FamilyEngine,
+    engine: &mut dyn CompletionEngine,
     config: &EvalConfig,
     opts: &SweepOptions,
     cancel: &CancelToken,
@@ -281,6 +308,35 @@ impl Service {
         cancel: &CancelToken,
         sink: &Arc<dyn EventSink>,
     ) -> Result<EvalOutcome, String> {
+        self.eval_with(req, cancel, sink, true)
+    }
+
+    /// [`eval`](Self::eval) as the daemon serves it: the same records,
+    /// report and sidecars, with every mutant bank built lazily on the
+    /// request's own thread instead of prebuilt on its `jobs` threads
+    /// (see `LazyBanks`).
+    ///
+    /// # Errors
+    ///
+    /// As [`eval`](Self::eval).
+    pub fn serve_eval(
+        &self,
+        req: &EvalRequest,
+        cancel: &CancelToken,
+        sink: &Arc<dyn EventSink>,
+    ) -> Result<EvalOutcome, String> {
+        self.eval_with(req, cancel, sink, false)
+    }
+
+    /// [`eval`](Self::eval), with the mutant banks prebuilt on the
+    /// sweep's `jobs` threads or, without `prebuild_banks`, fetched lazily.
+    fn eval_with(
+        &self,
+        req: &EvalRequest,
+        cancel: &CancelToken,
+        sink: &Arc<dyn EventSink>,
+        prebuild_banks: bool,
+    ) -> Result<EvalOutcome, String> {
         let (mut engine, config, opts) = resolve_eval(req)?;
         let journal = Path::new(&req.journal);
         if !req.resume
@@ -306,7 +362,18 @@ impl Service {
             vgen_obs::enable();
         }
         let live_before = (req.metrics && !owns_session).then(vgen_obs::snapshot);
-        let outcome = run_sweep(req, &mut engine, &config, &opts, cancel, sink);
+        let outcome = if prebuild_banks {
+            run_sweep(req, &mut engine, &config, &opts, cancel, sink)
+        } else {
+            run_sweep(
+                req,
+                &mut LazyBanks(&mut engine),
+                &config,
+                &opts,
+                cancel,
+                sink,
+            )
+        };
         let obs = owns_session.then(vgen_obs::collect);
         let mut outcome = outcome?;
         if let Some(report) = &obs {

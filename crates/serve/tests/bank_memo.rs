@@ -1,5 +1,7 @@
 //! The mutant-bank memo, seen from the daemon: a second `eval` at the same
-//! seed reuses every bank the first one built, as its metrics delta shows.
+//! seed reuses every bank the first one built, as its metrics delta shows,
+//! at any `jobs`. The daemon builds banks lazily on the request's thread
+//! (a one-shot eval prebuilds them on its `jobs` threads instead).
 
 use std::path::Path;
 
@@ -36,33 +38,39 @@ fn second_eval_at_one_seed_reuses_every_bank() {
         })
     };
 
-    // All 17 paper problems, one cell each; the two rows are different
-    // models, and the model is not a bank input.
-    let eval = |id: u32, model: &str, journal: &str| {
+    // All 17 paper problems, one cell each; the two rows of a seed are
+    // different models, and the model is not a bank input.
+    let eval = |id: u32, model: &str, seed: u64, jobs: usize| {
         format!(
             concat!(
                 r#"{{"id": {}, "cmd": "eval", "journal": "{}", "model": "{}", "#,
-                r#""levels": "L", "temperatures": [0.1], "ns": [1], "seed": 4242, "#,
-                r#""jobs": 1, "metrics": true}}"#
+                r#""levels": "L", "temperatures": [0.1], "ns": [1], "seed": {}, "#,
+                r#""jobs": {}, "metrics": true}}"#
             ),
             id,
-            dir.join(journal).display(),
-            model
+            dir.join(format!("eval-{id}.log")).display(),
+            model,
+            seed,
+            jobs
         )
     };
-    let first = eval_counters(&socket, &eval(1, "CodeGen-16B", "first.log"));
-    assert_eq!(counter(&first, "lm.bank_build"), 17);
-    assert_eq!(counter(&first, "lm.bank_hit"), 0);
     // One render per distinct (op, site, parity) key the 17 banks draw
-    // before their functional pools fill.
-    assert_eq!(counter(&first, "lm.mutant_render"), 109);
-    let second = eval_counters(&socket, &eval(2, "CodeGen-2B", "second.log"));
-    assert_eq!(counter(&second, "lm.bank_build"), 0);
-    assert_eq!(counter(&second, "lm.bank_hit"), 17);
-    assert_eq!(counter(&second, "lm.mutant_render"), 0);
+    // before their functional pools fill: 109 at seed 4242 and 112 at seed
+    // 4545, as a `"jobs": 1` eval at each seed counts them.
+    for (seed, jobs, renders, first_id) in [(4242, 1, 109, 1), (4545, 4, 112, 3)] {
+        let first = eval_counters(&socket, &eval(first_id, "CodeGen-16B", seed, jobs));
+        // At `"jobs": 4` too, each bank is built once, none skipped.
+        assert_eq!(counter(&first, "lm.bank_build"), 17, "jobs {jobs}");
+        assert_eq!(counter(&first, "lm.bank_hit"), 0, "jobs {jobs}");
+        assert_eq!(counter(&first, "lm.mutant_render"), renders, "jobs {jobs}");
+        let second = eval_counters(&socket, &eval(first_id + 1, "CodeGen-2B", seed, jobs));
+        assert_eq!(counter(&second, "lm.bank_build"), 0, "jobs {jobs}");
+        assert_eq!(counter(&second, "lm.bank_hit"), 17, "jobs {jobs}");
+        assert_eq!(counter(&second, "lm.mutant_render"), 0, "jobs {jobs}");
+    }
 
     let mut events = Vec::new();
-    request_over_unix(&socket, r#"{"id": 3, "cmd": "shutdown"}"#, &mut events).expect("shutdown");
+    request_over_unix(&socket, r#"{"id": 5, "cmd": "shutdown"}"#, &mut events).expect("shutdown");
     daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&dir);
 }

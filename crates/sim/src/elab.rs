@@ -11,7 +11,7 @@ use vgen_verilog::ast::{
     self, AssignOp, CaseKind, Connection, Expr, ExprKind, Item, NetKind, PortDir, Stmt, StmtKind,
 };
 use vgen_verilog::span::Span;
-use vgen_verilog::value::LogicVec;
+use vgen_verilog::value::{LogicVec, MAX_SIGNAL_BITS};
 use vgen_verilog::SourceFile;
 
 use crate::design::*;
@@ -65,9 +65,6 @@ const MAX_DEPTH: usize = 32;
 /// this point we assume an instantiation bomb and fail elaboration instead
 /// of exhausting memory.
 pub const MAX_INSTANCES: usize = 4096;
-
-/// Maximum width, in bits, of a single signal / memory word / select.
-pub const MAX_SIGNAL_BITS: usize = 1 << 20;
 
 /// Maximum total bits across all signals (nets and variables) in a design.
 pub const MAX_TOTAL_SIGNAL_BITS: u64 = 1 << 24;

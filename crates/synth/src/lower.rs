@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use vgen_verilog::ast::*;
 use vgen_verilog::parser::MAX_CALL_HEIGHT;
 use vgen_verilog::span::Span;
-use vgen_verilog::value::LogicVec;
+use vgen_verilog::value::{LogicVec, MAX_SIGNAL_BITS};
 
 use crate::netlist::{AsyncReset, Cell, NetId, Netlist};
 
@@ -70,8 +70,9 @@ pub struct SynthResult {
 /// Returns [`SynthError`] for non-synthesizable constructs: delays and
 /// event controls inside bodies, `while`/`forever`/non-constant loops,
 /// memories, instances, latch inference, multiple drivers, mixed
-/// edge/level sensitivity, combinational loops, unknown identifiers, and
-/// user-function calls nested past [`MAX_CALL_HEIGHT`].
+/// edge/level sensitivity, combinational loops, unknown identifiers,
+/// user-function calls nested past [`MAX_CALL_HEIGHT`], and nets or ports
+/// declared wider than [`MAX_SIGNAL_BITS`].
 ///
 /// ```
 /// use vgen_synth::synthesize;
@@ -263,7 +264,20 @@ impl<'a> Lowerer<'a> {
             match item {
                 Item::Decl(d) => {
                     let (msb, lsb) = match &d.range {
-                        Some(r) => (self.const_i64(&r.msb)?, self.const_i64(&r.lsb)?),
+                        Some(r) => {
+                            let (msb, lsb) = (self.const_i64(&r.msb)?, self.const_i64(&r.lsb)?);
+                            // In i128: `msb - lsb` on hostile i64s can overflow.
+                            let bits = (i128::from(msb) - i128::from(lsb)).unsigned_abs() + 1;
+                            if bits > MAX_SIGNAL_BITS as u128 {
+                                return Err(err(
+                                    format!(
+                                        "range [{msb}:{lsb}] exceeds the {MAX_SIGNAL_BITS}-bit limit"
+                                    ),
+                                    r.msb.span,
+                                ));
+                            }
+                            (msb, lsb)
+                        }
                         None => (0, 0),
                     };
                     for n in &d.names {

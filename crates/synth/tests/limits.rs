@@ -1,9 +1,11 @@
 //! Lowering resolves nets from a work list, not by recursion: a long chain
 //! of nets synthesizes on a small stack, a long combinational ring is
 //! refused as a loop rather than by overflowing the stack, and the verdict
-//! depends on the module alone.
+//! depends on the module alone. A net or port declared wider than
+//! `MAX_SIGNAL_BITS` is refused before anything of its width is allocated.
 
 use vgen_synth::synthesize_source;
+use vgen_verilog::value::MAX_SIGNAL_BITS;
 
 /// A module whose longest chain is `nets` nets: the input `b`, then
 /// `nets - 2` wires each read by the next, then the output `y`. With
@@ -103,4 +105,28 @@ fn the_verdict_does_not_vary_from_run_to_run() {
             assert_eq!(synthesizes(&loop_), Err(refusal.clone()));
         }
     });
+}
+
+/// A module with a wire, or with `port` an output, declared `[msb:0]`.
+fn wide(msb: &str, port: bool) -> String {
+    if port {
+        format!("module m(input a, output [{msb}:0] y);\nassign y = a;\nendmodule\n")
+    } else {
+        format!("module m(input a, output y);\nwire [{msb}:0] w;\nassign y = a;\nendmodule\n")
+    }
+}
+
+#[test]
+fn nets_and_ports_past_the_signal_width_cap_are_refused() {
+    let limit = format!("exceeds the {MAX_SIGNAL_BITS}-bit limit");
+    for port in [false, true] {
+        let at_cap = (MAX_SIGNAL_BITS - 1).to_string();
+        assert_eq!(synthesizes(&wide(&at_cap, port)), Ok(()), "port {port}");
+        // One bit past the cap, and a range whose width would not fit in
+        // memory (it used to abort the process allocating it).
+        for msb in [MAX_SIGNAL_BITS.to_string(), "64'h7FFFFFFFFFFFFFFF".into()] {
+            let err = synthesizes(&wide(&msb, port)).expect_err("refused");
+            assert!(err.contains(&limit), "port {port} msb {msb}: {err}");
+        }
+    }
 }

@@ -25,6 +25,12 @@
 
 use std::fmt;
 
+/// Maximum width, in bits, of one signal, memory word, select or
+/// replication: the elaborator (`vgen-sim`) and synthesis (`vgen-synth`)
+/// refuse anything wider, so a hostile declaration costs an error rather
+/// than an allocation of its width.
+pub const MAX_SIGNAL_BITS: usize = 1 << 20;
+
 /// A single four-state logic value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Logic {

@@ -84,6 +84,31 @@ fn deep_operator_chain_is_refused_not_an_abort() {
     }
 }
 
+/// A wire declared `[64'h7FFFFFFFFFFFFFFF:0]` is refused at the signal
+/// width cap by `check` and by `synth`, which used to abort allocating it.
+#[test]
+fn huge_vector_is_refused_by_check_and_synth_not_an_abort() {
+    let path = write_temp(
+        "huge_vector.v",
+        "module and_gate(input a, input b, output y);\nwire [64'h7FFFFFFFFFFFFFFF:0] w;\nassign y = a & b;\nendmodule\n",
+    );
+    let file = path.to_str().expect("utf8");
+    for command in ["check", "synth"] {
+        let out = vgen().args([command, file]).output().expect("run");
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(1), "{command}: {text}");
+        let refusal = format!(
+            "exceeds the {}-bit limit",
+            vgen::verilog::value::MAX_SIGNAL_BITS
+        );
+        assert!(text.contains(&refusal), "{command}: {text}");
+    }
+}
+
 /// A 1,000-net `assign` chain passes every check; synthesis used to refuse
 /// it at a resolve-depth limit and now resolves it from a work list.
 #[test]

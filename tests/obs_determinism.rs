@@ -149,6 +149,23 @@ fn metrics_sidecars_are_valid_json() {
     }
     assert!(metrics.contains("\"p99_ns\""));
     assert!(metrics.contains("\"utilization\""));
+    // The 17 mutant banks are built on the calling thread and a helper,
+    // each exactly once, and the mutants the helper renders are counted
+    // as a serial sweep counts them.
+    assert!(
+        metrics.contains("\"lm.bank_build\": 17,"),
+        "each bank must be built exactly once: {metrics}"
+    );
+    let renders = |metrics: &str| {
+        vgen::obs::json::Json::parse(metrics)
+            .expect("metrics JSON")
+            .get("counters")
+            .and_then(|c| c.get("lm.mutant_render")?.as_usize())
+    };
+    let (_, _, serial) = sweep("metrics-serial", "1", &["--metrics"]);
+    let serial = std::fs::read_to_string(serial.join("sweep.log.metrics.json")).expect("metrics");
+    assert!(renders(&serial).is_some_and(|n| n > 0), "{serial}");
+    assert_eq!(renders(&metrics), renders(&serial));
     // With no deadline, both workers run every check inline: none
     // crosses threads, so `guard.handoff` is 0 and never listed.
     assert!(
