@@ -10,8 +10,12 @@
 //! re-checked on resume.
 //!
 //! A sweep holds one `Journal` and appends each record on the merging
-//! thread as the emission cursor passes it, so the file is always a
-//! contiguous prefix of the canonical record stream at any worker count.
+//! thread as the emission cursor passes it. Appends are buffered and
+//! written as one burst (`Journal::flush`) when the sweep is about to
+//! wait for a check, when a burst reaches 256 records, when the sweep
+//! ends, and after every record its [`FsyncPolicy`] syncs after, so the
+//! file is always a contiguous prefix of the canonical record stream at
+//! any worker count.
 //! Opening writes the header (and, on resume, the kept records) to a
 //! sibling `<journal>.tmp` and renames it over the journal, so a crash
 //! while the file is rewritten leaves the old journal whole.
@@ -240,19 +244,23 @@ fn parse_lint_field(s: &str) -> Option<LintCounts> {
 }
 
 /// When a sweep calls fsync (`File::sync_data`) on its journal.
-/// Independent of the per-record *flush*, which always happens: a
-/// flushed-but-unsynced journal survives a process kill (the contiguous-
-/// prefix invariant holds), while fsync is about surviving power loss or a
-/// host crash, where the page cache dies with the kernel.
+/// Independent of the burst *write*, which always happens: a written-but-
+/// unsynced journal survives a process kill (the contiguous-prefix
+/// invariant holds), while fsync is about surviving power loss or a host
+/// crash, where the page cache dies with the kernel. A record the policy
+/// syncs after ends its burst, so it is written and synced before the
+/// next record is appended.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Never fsync — the historical behaviour and the default. A `kill -9`
-    /// loses nothing; an OS crash may lose the unsynced tail (which
-    /// recovery then truncates away).
+    /// loses at most the current burst's records, which no daemon
+    /// progress event has announced yet and which `--resume` re-checks; an
+    /// OS crash may lose the unsynced tail (which recovery then truncates
+    /// away).
     #[default]
     Never,
-    /// fsync after every record: maximal durability, one device round-trip
-    /// per check.
+    /// fsync after every record: maximal durability, one write and one
+    /// device round-trip per check.
     EveryRecord,
     /// fsync every `n` records, and once more when the run finishes.
     Interval(u32),
@@ -398,15 +406,19 @@ pub fn read_journal_recovering(
     Ok((engine.to_string(), fp, records, report))
 }
 
-/// An open journal a sweep appends its records to, one line per record,
-/// flushed as it is written. It keeps the first write error and writes
-/// nothing after it, so the file stays a contiguous prefix of the record
-/// stream; [`Journal::finish`] reports that error.
+/// An open journal a sweep appends its records to, one line per record.
+/// Appended lines are buffered until [`Journal::flush`] writes them as one
+/// burst (or the fsync policy syncs after a record, which writes its
+/// burst first). It keeps the first write error and writes nothing after
+/// it, so the file stays a contiguous prefix of the record stream;
+/// [`Journal::finish`] reports that error.
 pub(crate) struct Journal {
     file: File,
     fsync: FsyncPolicy,
     chaos: ChaosSpec,
     since_sync: u32,
+    /// Lines appended since the last burst was written.
+    burst: Vec<u8>,
     error: Option<io::Error>,
 }
 
@@ -473,33 +485,43 @@ impl Journal {
             fsync,
             chaos: chaos.clone(),
             since_sync: 0,
+            burst: Vec::new(),
             error: None,
         };
         Ok((journal, prior, recovery))
     }
 
-    /// Appends one record line, unless an earlier write failed.
+    /// Appends one record line to the current burst, unless an earlier
+    /// write failed.
     pub(crate) fn append(&mut self, rec: &Record) {
         if self.error.is_none() {
-            self.error = self.write_line(rec.to_journal_line()).err();
+            self.error = self.append_line(rec.to_journal_line()).err();
         }
     }
 
-    fn write_line(&mut self, mut line: String) -> io::Result<()> {
+    /// Writes the current burst with one write, unless an earlier write
+    /// failed.
+    pub(crate) fn flush(&mut self) {
+        if self.error.is_none() {
+            self.error = self.write_burst().err();
+        }
+    }
+
+    fn append_line(&mut self, line: String) -> io::Result<()> {
         if let Some(prefix) = self.chaos.fires(ChaosSite::JournalTorn, line.as_bytes()) {
-            // Injected torn write followed by a crash: persist only a
-            // prefix of the line (synced, so it is really on disk) and fail
-            // the journal the way a dying process would.
+            // Injected torn write followed by a crash: persist the burst
+            // so far and only a prefix of this line (synced, so it is
+            // really on disk) and fail the journal the way a dying
+            // process would.
             let cut = (prefix as usize).min(line.len());
-            self.file.write_all(&line.as_bytes()[..cut])?;
-            self.file.flush()?;
+            self.burst.extend_from_slice(&line.as_bytes()[..cut]);
+            self.write_burst()?;
             let _ = self.file.sync_data();
             vgen_obs::counter_add("journal.torn", 1);
             return Err(io::Error::other("chaos: injected torn journal write"));
         }
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
+        self.burst.extend_from_slice(line.as_bytes());
+        self.burst.push(b'\n');
         vgen_obs::counter_add("journal.write", 1);
         match self.fsync {
             FsyncPolicy::Never => Ok(()),
@@ -515,15 +537,27 @@ impl Journal {
         }
     }
 
+    fn write_burst(&mut self) -> io::Result<()> {
+        if !self.burst.is_empty() {
+            self.file.write_all(&self.burst)?;
+            self.burst.clear();
+        }
+        Ok(())
+    }
+
+    /// Writes the current burst and syncs it.
     fn sync(&mut self) -> io::Result<()> {
+        self.write_burst()?;
         self.file.sync_data()?;
         vgen_obs::counter_add("journal.fsync", 1);
         Ok(())
     }
 
-    /// Ends the journal: the first write error if there was one, else the
-    /// final sync an interval policy owes for its uncovered tail.
+    /// Ends the journal: writes the last burst, then returns the first
+    /// write error if there was one, else runs the final sync an interval
+    /// policy owes for its uncovered tail.
     pub(crate) fn finish(mut self) -> io::Result<()> {
+        self.flush();
         if let Some(e) = self.error.take() {
             return Err(e);
         }
@@ -700,6 +734,92 @@ mod tests {
             msg.contains("v9") && msg.contains("--resume"),
             "error must name the version and a way out: {msg}"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn temp_journal(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "vgen-journal-unit-{}-{tag}.log",
+            std::process::id()
+        ))
+    }
+
+    /// `n` distinct records.
+    fn records(n: usize) -> Vec<Record> {
+        (0..n)
+            .map(|i| Record {
+                latency_s: i as f64 / 8.0,
+                ..sample_record()
+            })
+            .collect()
+    }
+
+    fn header_line() -> String {
+        journal_header(7, "e", None) + "\n"
+    }
+
+    #[test]
+    fn appends_reach_the_file_when_their_burst_is_written() {
+        let path = temp_journal("burst");
+        let (mut journal, _, _) = Journal::open(
+            &path,
+            false,
+            "e",
+            7,
+            FsyncPolicy::Never,
+            &ChaosSpec::default(),
+        )
+        .expect("open journal");
+        let recs = records(3);
+        let mut expected = header_line();
+        for rec in &recs {
+            journal.append(rec);
+            assert_eq!(std::fs::read_to_string(&path).ok(), Some(expected.clone()));
+        }
+        for rec in &recs {
+            expected.push_str(&rec.to_journal_line());
+            expected.push('\n');
+        }
+        journal.flush();
+        assert_eq!(std::fs::read_to_string(&path).ok(), Some(expected.clone()));
+        journal.append(&recs[0]);
+        journal.finish().expect("clean finish");
+        expected.push_str(&recs[0].to_journal_line());
+        expected.push('\n');
+        assert_eq!(std::fs::read_to_string(&path).ok(), Some(expected));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_append_writes_its_burst_before_the_torn_prefix() {
+        let path = temp_journal("torn");
+        let chaos = ChaosSpec::parse("journal.torn:9%4", 2).expect("valid spec");
+        let (mut journal, _, _) =
+            Journal::open(&path, false, "e", 7, FsyncPolicy::Never, &chaos).expect("open journal");
+        let recs = records(40);
+        let line = |rec: &Record| rec.to_journal_line();
+        let tear = recs
+            .iter()
+            .position(|rec| {
+                chaos
+                    .fires(ChaosSite::JournalTorn, line(rec).as_bytes())
+                    .is_some()
+            })
+            .expect("the tear fires on one of the records");
+        assert!(tear >= 2, "the torn line has a burst before it");
+        // One burst: nothing is written until the tear.
+        for rec in &recs {
+            journal.append(rec);
+        }
+        let err = journal.finish().expect_err("the tear fails the journal");
+        assert!(err.to_string().contains("torn"), "{err}");
+        let mut expected = header_line();
+        for rec in &recs[..tear] {
+            expected.push_str(&line(rec));
+            expected.push('\n');
+        }
+        expected.push_str(&line(&recs[tear])[..9]);
+        assert_eq!(std::fs::read_to_string(&path).ok(), Some(expected));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -52,6 +52,6 @@ pub use report::{
     headline_stats, render_eval_summary, render_fault_summary, sweep_stats_json, Headline, ModelRun,
 };
 pub use sweep::{
-    run_engine, run_engine_sweep, EvalConfig, EvalRun, Record, RecordObserver, SweepHooks,
-    SweepOptions, SweepStats,
+    run_engine, run_engine_sweep, BurstObserver, EvalConfig, EvalRun, Record, RecordObserver,
+    SweepHooks, SweepOptions, SweepStats,
 };

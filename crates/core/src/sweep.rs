@@ -27,11 +27,19 @@
 //!    each check inline. The merging thread, the one thread that takes
 //!    results off the pool, walks the positions with one emission cursor:
 //!    a result that arrives ahead of the cursor waits by position until
-//!    the cursor reaches it. Each record goes to the journal (one flush
-//!    per record), the hooks and the run in canonical order, so journal
-//!    lines, reports and Pass@k aggregates are byte-identical regardless
-//!    of worker count or completion order, and a killed run leaves a
-//!    contiguous-prefix journal that `--resume` continues.
+//!    the cursor reaches it. Each record goes to the journal, the hooks
+//!    and the run in canonical order, so journal lines, reports and
+//!    Pass@k aggregates are byte-identical regardless of worker count or
+//!    completion order, and a killed run leaves a contiguous-prefix
+//!    journal that `--resume` continues.
+//!
+//!    The cursor emits records in *bursts*: most are dedup followers that
+//!    need no wait, so it runs on until it must wait for a check (or has
+//!    emitted `MAX_BURST` records, or the sweep ends). The journal
+//!    buffers a burst's lines and writes them with one write; then
+//!    [`SweepHooks::burst_end`] fires, so a caller streaming the records
+//!    elsewhere can write them in one go too, after the journal holds
+//!    them. The observer still sees each record as it is emitted.
 //!
 //! ## Dedup cache
 //!
@@ -232,9 +240,18 @@ impl SweepOptions {
 /// `(record, done, total)`; see [`SweepHooks::observer`].
 pub type RecordObserver = std::sync::Arc<dyn Fn(&Record, usize, usize) + Send + Sync>;
 
+/// Shared callback invoked at the end of each burst of records; see
+/// [`SweepHooks::burst_end`].
+pub type BurstObserver = std::sync::Arc<dyn Fn() + Send + Sync>;
+
+/// Most records the merge loop emits in one burst: bounds what a burst
+/// buffers and what a `kill -9` can take from an unsynced journal.
+const MAX_BURST: usize = 256;
+
 /// Per-run hooks a caller (the eval service) can attach to a sweep without
 /// perturbing its byte-determinism: a record observer for streaming
-/// progress, and a cancellation token checked between checks.
+/// progress, a burst-end notification, and a cancellation token checked
+/// between checks.
 #[derive(Clone, Default)]
 pub struct SweepHooks {
     /// Called once per freshly produced record, in canonical order, with
@@ -242,6 +259,11 @@ pub struct SweepHooks {
     /// records, resumed ones included. Not called for records replayed
     /// from a resumed journal.
     pub observer: Option<RecordObserver>,
+    /// Called once after each burst of freshly produced records (see the
+    /// module docs), once the journal has written that burst: the point
+    /// at which a caller that buffers what the observer saw should write
+    /// it out.
+    pub burst_end: Option<BurstObserver>,
     /// Cooperative cancellation: polled on every merge-loop wakeup (at
     /// least every 50 ms). When it fires, the sweep stops issuing
     /// work, finishes the journal cleanly (a valid resumable prefix) and
@@ -268,13 +290,28 @@ impl SweepHooks {
         } else {
             vgen_obs::counter_add("sweep.items_fail", 1);
         }
-        // The observing thread (the sweep's caller, running the merge
-        // loop) records no spans, so its periodic self-flush never arms;
-        // drain per record so live snapshots track progress. No-op when
-        // recording is off, one uncontended lock otherwise.
-        vgen_obs::flush();
         if let Some(obs) = &self.observer {
             obs(rec, done, total);
+        }
+    }
+
+    /// Ends the burst of `burst` records, if there are any: writes the
+    /// journal's buffered lines, then notifies [`SweepHooks::burst_end`].
+    fn end_burst(&self, journal: &mut Option<Journal>, burst: &mut usize) {
+        if *burst == 0 {
+            return;
+        }
+        *burst = 0;
+        if let Some(journal) = journal {
+            journal.flush();
+        }
+        // The observing thread (the sweep's caller, running the merge
+        // loop) records no spans, so its periodic self-flush never arms;
+        // drain per burst so live snapshots track progress. No-op when
+        // recording is off, one uncontended lock otherwise.
+        vgen_obs::flush();
+        if let Some(burst_end) = &self.burst_end {
+            burst_end();
         }
     }
 }
@@ -283,6 +320,7 @@ impl std::fmt::Debug for SweepHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepHooks")
             .field("observer", &self.observer.as_ref().map(|_| "Fn"))
+            .field("burst_end", &self.burst_end.as_ref().map(|_| "Fn"))
             .field("cancel", &self.cancel)
             .finish()
     }
@@ -548,6 +586,8 @@ pub fn run_engine_sweep(
     // When the merge loop last made progress; the stall window runs from
     // here.
     let mut waited = Instant::now();
+    // Records emitted since the last burst ended.
+    let mut burst = 0;
     // The emission cursor is `records.len()`: it walks the positions in
     // canonical order and sends each record to the journal, the hooks and
     // the run. A follower's leader sits at a lower position, so its record
@@ -564,6 +604,7 @@ pub fn run_engine_sweep(
                     break;
                 }
                 None => {
+                    hooks.end_burst(&mut journal, &mut burst);
                     match pool.recv_timeout(slice) {
                         // The per-check guard already converts checker
                         // panics into fault records, so `Err` only comes from
@@ -604,7 +645,12 @@ pub fn run_engine_sweep(
         hooks.observe(&rec, pos + 1, total);
         records.push(rec);
         waited = Instant::now();
+        burst += 1;
+        if burst == MAX_BURST {
+            hooks.end_burst(&mut journal, &mut burst);
+        }
     }
+    hooks.end_burst(&mut journal, &mut burst);
     if interrupted || stalled {
         // Abandon the pool with its remaining queue discarded: a cancelled
         // request must not keep burning CPU on checks nobody will read, a
@@ -1145,7 +1191,7 @@ mod tests {
                     .expect("observer lock")
                     .push((rec.clone(), done, total));
             })),
-            cancel: None,
+            ..SweepHooks::default()
         };
         for jobs in [1, 3] {
             seen.lock().expect("observer lock").clear();
@@ -1162,6 +1208,109 @@ mod tests {
                 assert_eq!(*done, i + 1);
                 assert_eq!(*total, run.records.len());
             }
+        }
+    }
+
+    /// Runs a journaled sweep and returns, for each burst end, the records
+    /// observed so far and the records the journal held then.
+    fn burst_ends(
+        engine: &mut dyn CompletionEngine,
+        cfg: &EvalConfig,
+        jobs: usize,
+    ) -> Vec<(usize, usize)> {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Mutex};
+        let path = temp_journal(&format!("bursts-{}", engine.name()));
+        let _ = std::fs::remove_file(&path);
+        let seen = Arc::new(AtomicUsize::new(0));
+        let ends = Arc::new(Mutex::new(Vec::new()));
+        let hooks = SweepHooks {
+            observer: Some({
+                let seen = Arc::clone(&seen);
+                Arc::new(move |_: &Record, done, _| seen.store(done, Ordering::SeqCst))
+            }),
+            burst_end: Some({
+                let (seen, ends, path) = (Arc::clone(&seen), Arc::clone(&ends), path.clone());
+                Arc::new(move || {
+                    let bytes = std::fs::read(&path).expect("journal");
+                    let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+                    let mut ends = ends.lock().expect("ends lock");
+                    ends.push((seen.load(Ordering::SeqCst), lines - 1));
+                })
+            }),
+            ..SweepHooks::default()
+        };
+        let opts = SweepOptions {
+            jobs,
+            ..SweepOptions::default()
+        };
+        run_engine_sweep(engine, cfg, Some((&path, false)), &opts, &hooks).expect("journaled run");
+        let _ = std::fs::remove_file(&path);
+        let ends = ends.lock().expect("ends lock");
+        ends.clone()
+    }
+
+    #[test]
+    fn each_burst_is_journaled_before_its_end_is_announced() {
+        let cfg = small_cfg();
+        let total = run_engine(&mut cg16_ft_engine(), &cfg).records.len();
+        for jobs in [1, 3] {
+            let ends = burst_ends(&mut cg16_ft_engine(), &cfg, jobs);
+            let mut last = 0;
+            for &(observed, journaled) in &ends {
+                assert_eq!(journaled, observed, "jobs {jobs}: {ends:?}");
+                assert!(observed > last, "jobs {jobs}: {ends:?}");
+                last = observed;
+            }
+            assert_eq!(last, total, "jobs {jobs}: the last burst ends");
+        }
+    }
+
+    /// Answers every query with copies of one whole module, so the first
+    /// record is the grid's one dedup leader and every other replays it.
+    struct OneModule;
+
+    impl CompletionEngine for OneModule {
+        fn name(&self) -> String {
+            "one-module".into()
+        }
+
+        fn generate(
+            &mut self,
+            _problem: &vgen_problems::Problem,
+            _level: PromptLevel,
+            _temperature: f64,
+            n: usize,
+        ) -> Vec<vgen_lm::Completion> {
+            let text =
+                "module and_gate(input a, input b, output y);\nassign y = a & b;\nendmodule\n";
+            let completion = vgen_lm::Completion {
+                text: text.to_string(),
+                latency_s: 0.5,
+            };
+            vec![completion; n]
+        }
+    }
+
+    #[test]
+    fn a_burst_that_never_waits_ends_every_max_burst_records() {
+        let cfg = EvalConfig {
+            temperatures: vec![0.1],
+            ns: vec![600],
+            levels: vec![PromptLevel::Low],
+            problem_ids: vec![2],
+            sim: SimConfig::default(),
+        };
+        for jobs in [1, 3] {
+            // The cursor waits only for the leader's check, before any
+            // record is emitted.
+            let ends = burst_ends(&mut OneModule, &cfg, jobs);
+            let expected = [
+                (MAX_BURST, MAX_BURST),
+                (2 * MAX_BURST, 2 * MAX_BURST),
+                (600, 600),
+            ];
+            assert_eq!(ends, expected, "jobs {jobs}");
         }
     }
 
@@ -1210,6 +1359,7 @@ mod tests {
                 }
             })),
             cancel: Some(token),
+            ..SweepHooks::default()
         };
         let err = run_engine_sweep(
             &mut cg16_ft_engine(),

@@ -288,14 +288,6 @@ fn shared_bank(problem: &Problem, seed: u64, per_pool: usize) -> (Arc<MutantBank
 /// parses, elaborates and simulates mutants as a check does.
 const BANK_STACK_BYTES: usize = 8 * 1024 * 1024;
 
-/// The harness-level compile check: parse plus elaboration of the DUT.
-pub fn compiles(source: &str) -> bool {
-    let Ok(file) = vgen_verilog::parse(source) else {
-        return false;
-    };
-    vgen_sim::elab::elaborate_first(&file).is_ok()
-}
-
 /// Whether `source`, parsed as `parsed`, passes the problem's testbench.
 fn passes_testbench(source: &str, parsed: &Parsed, problem: &Problem) -> bool {
     let config = vgen_sim::SimConfig::default();
@@ -546,6 +538,14 @@ fn pick(pool: &[String], rng: &mut StdRng) -> String {
 mod tests {
     use super::*;
     use vgen_problems::problems;
+
+    /// The harness-level compile check: parse plus elaboration of the DUT.
+    fn compiles(source: &str) -> bool {
+        let Ok(file) = vgen_verilog::parse(source) else {
+            return false;
+        };
+        vgen_sim::elab::elaborate_first(&file).is_ok()
+    }
 
     fn cg16_ft() -> ModelId {
         ModelId::new(ModelFamily::CodeGen16B, Tuning::FineTuned)

@@ -43,26 +43,79 @@ pub struct DaemonOptions {
 }
 
 /// A writer shared by every request thread of one connection. Each event
-/// is one line, written and flushed under the lock so lines never
-/// interleave.
+/// is one line. [`send`](Self::send) writes its line after any queued
+/// ones with one `write_all` under the lock, so lines never interleave;
+/// [`queue`](Self::queue) holds a progress line back until the end of its
+/// burst ([`flush`](Self::flush)) or the connection's next `send`, so a
+/// burst of progress lines costs one write.
 struct LineWriter<W: Write + Send> {
-    inner: Mutex<W>,
+    inner: Mutex<Lines<W>>,
+}
+
+/// A connection's output and the lines queued for it.
+struct Lines<W> {
+    out: W,
+    queued: Vec<u8>,
 }
 
 impl<W: Write + Send> LineWriter<W> {
+    fn new(out: W) -> Self {
+        LineWriter {
+            inner: Mutex::new(Lines {
+                out,
+                queued: Vec::new(),
+            }),
+        }
+    }
+
+    fn lines(&self) -> std::sync::MutexGuard<'_, Lines<W>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Writes `line`, after every queued line, with one write.
     fn send(&self, line: &str) {
+        let mut lines = self.lines();
+        lines.push(line);
+        lines.write_queued();
+    }
+
+    /// Queues `line` for the next [`flush`](Self::flush) or
+    /// [`send`](Self::send).
+    fn queue(&self, line: &str) {
+        self.lines().push(line);
+    }
+
+    /// Writes every queued line with one write.
+    fn flush(&self) {
+        self.lines().write_queued();
+    }
+}
+
+impl<W: Write> Lines<W> {
+    fn push(&mut self, line: &str) {
+        self.queued.extend_from_slice(line.as_bytes());
+        self.queued.push(b'\n');
+    }
+
+    fn write_queued(&mut self) {
+        if self.queued.is_empty() {
+            return;
+        }
         // A client that hung up mid-request is not an error worth
         // propagating: the request keeps running (its journal is the
         // durable output), the events just go nowhere.
-        let mut w = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
+        let _ = self
+            .out
+            .write_all(&self.queued)
+            .and_then(|()| self.out.flush());
+        self.queued.clear();
     }
 }
 
 /// Adapts a [`LineWriter`] into the per-request [`EventSink`] the service
 /// streams through. Owns the writer handle, because the sweep's record
-/// observer holds the sink for the whole request.
+/// observer holds the sink for the whole request. Progress events are
+/// queued until their burst ends; every other event is sent at once.
 struct WireSink<W: Write + Send> {
     writer: Arc<LineWriter<W>>,
     id: u64,
@@ -70,7 +123,16 @@ struct WireSink<W: Write + Send> {
 
 impl<W: Write + Send> EventSink for WireSink<W> {
     fn event(&self, event: &Event) {
-        self.writer.send(&render_event(self.id, event));
+        let line = render_event(self.id, event);
+        if matches!(event, Event::Progress { .. }) {
+            self.writer.queue(&line);
+        } else {
+            self.writer.send(&line);
+        }
+    }
+
+    fn flush(&self) {
+        self.writer.flush();
     }
 }
 
@@ -266,6 +328,10 @@ impl<W: Write + Send> EventSink for TallySink<W> {
     fn event(&self, event: &Event) {
         self.live.observe(self.conn, self.inner.id, event);
         self.inner.event(event);
+    }
+
+    fn flush(&self) {
+        self.inner.flush();
     }
 }
 
@@ -583,9 +649,7 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
                 Ok(s) => s,
                 Err(_) => return,
             };
-            let writer = Arc::new(LineWriter {
-                inner: Mutex::new(write_half),
-            });
+            let writer = Arc::new(LineWriter::new(write_half));
             serve_connection(stream, writer, shutdown, live, conn);
         }));
         conns.retain(|h| !h.is_finished());
@@ -605,9 +669,7 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
 /// transport (`vgen serve --stdio`), also what a supervisor that manages
 /// its own process tree would use.
 pub fn serve_stdio() {
-    let writer = Arc::new(LineWriter {
-        inner: Mutex::new(io::stdout()),
-    });
+    let writer = Arc::new(LineWriter::new(io::stdout()));
     vgen_obs::enable();
     let shutdown = Arc::new(Shutdown::default());
     serve_connection(io::stdin(), writer, shutdown, LiveState::default(), 0);
@@ -620,9 +682,7 @@ mod tests {
 
     #[test]
     fn overlong_request_line_is_refused_and_closes_the_connection() {
-        let writer = Arc::new(LineWriter {
-            inner: Mutex::new(Vec::new()),
-        });
+        let writer = Arc::new(LineWriter::new(Vec::new()));
         // A newline-less stream one byte over the cap, followed by a valid
         // request that must never be read.
         let flood = io::repeat(b'x').take(MAX_REQUEST_LINE as u64 + 1);
@@ -634,7 +694,7 @@ mod tests {
             LiveState::default(),
             0,
         );
-        let out = writer.inner.lock().expect("writer lock").clone();
+        let out = writer.lines().out.clone();
         let out = String::from_utf8(out).expect("utf-8 events");
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 1, "exactly one event: {out}");
@@ -649,9 +709,7 @@ mod tests {
 
     #[test]
     fn request_line_at_the_cap_is_read() {
-        let writer = Arc::new(LineWriter {
-            inner: Mutex::new(Vec::new()),
-        });
+        let writer = Arc::new(LineWriter::new(Vec::new()));
         // A ping padded with trailing spaces to exactly the cap.
         let mut line = br#"{"id":3,"cmd":"ping"}"#.to_vec();
         line.resize(MAX_REQUEST_LINE, b' ');
@@ -663,7 +721,7 @@ mod tests {
             LiveState::default(),
             0,
         );
-        let out = writer.inner.lock().expect("writer lock").clone();
+        let out = writer.lines().out.clone();
         let out = String::from_utf8(out).expect("utf-8 events");
         assert!(!out.contains("line_too_long"), "{out}");
         assert!(out.contains("\"id\":3"), "{out}");
@@ -677,9 +735,7 @@ mod tests {
             input.extend_from_slice(line);
             input.push(b'\n');
         }
-        let writer = Arc::new(LineWriter {
-            inner: Mutex::new(Vec::new()),
-        });
+        let writer = Arc::new(LineWriter::new(Vec::new()));
         serve_connection(
             &input[..],
             Arc::clone(&writer),
@@ -687,7 +743,7 @@ mod tests {
             LiveState::default(),
             0,
         );
-        let out = writer.inner.lock().expect("writer lock").clone();
+        let out = writer.lines().out.clone();
         String::from_utf8(out)
             .expect("utf-8 events")
             .lines()
@@ -821,6 +877,92 @@ mod tests {
         assert_eq!(answers[3], r#"{"id":4,"event":"done","payload":"pong"}"#);
     }
 
+    /// Keeps the bytes of every `write` call it gets.
+    #[derive(Default)]
+    struct CountingWrite(Vec<Vec<u8>>);
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A wire sink for request 5 over a counting writer.
+    fn counting_sink() -> WireSink<CountingWrite> {
+        WireSink {
+            writer: Arc::new(LineWriter::new(CountingWrite::default())),
+            id: 5,
+        }
+    }
+
+    fn writes(sink: &WireSink<CountingWrite>) -> Vec<String> {
+        let lines = sink.writer.lines();
+        lines
+            .out
+            .0
+            .iter()
+            .map(|w| String::from_utf8(w.clone()).expect("utf-8 events"))
+            .collect()
+    }
+
+    fn progress(done: usize) -> Event {
+        Event::Progress {
+            done,
+            total: 9,
+            outcome: "pass",
+        }
+    }
+
+    /// The bytes a sequence of events puts on the wire, one line each.
+    fn wire_text(events: &[Event]) -> String {
+        events
+            .iter()
+            .map(|event| render_event(5, event) + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn a_non_progress_event_is_one_write() {
+        let sink = counting_sink();
+        let accepted = Event::Accepted { cmd: "eval" };
+        sink.event(&accepted);
+        assert_eq!(writes(&sink), [wire_text(&[accepted])]);
+    }
+
+    #[test]
+    fn a_burst_of_progress_lines_is_one_write_at_its_end() {
+        let sink = counting_sink();
+        let burst: Vec<Event> = (1..=4).map(progress).collect();
+        for event in &burst {
+            sink.event(event);
+        }
+        assert!(writes(&sink).is_empty(), "progress waits for its burst end");
+        sink.flush();
+        assert_eq!(writes(&sink), [wire_text(&burst)]);
+        sink.flush();
+        assert_eq!(writes(&sink).len(), 1, "an empty burst writes nothing");
+    }
+
+    #[test]
+    fn a_send_writes_the_queued_lines_first_in_order() {
+        let sink = counting_sink();
+        let done = Event::Done {
+            payload: Json::str("ok"),
+        };
+        for event in [progress(1), progress(2), done.clone()] {
+            sink.event(&event);
+        }
+        assert_eq!(
+            writes(&sink),
+            [wire_text(&[progress(1), progress(2), done])]
+        );
+    }
+
     /// Serializes the tests that count or hold the process-wide thread
     /// cache, so neither sees the other's threads.
     static THREAD_CACHE: Mutex<()> = Mutex::new(());
@@ -837,9 +979,7 @@ mod tests {
         let (client, server) = UnixStream::pair().expect("socket pair");
         let write_half = server.try_clone().expect("clone the daemon end");
         let daemon = std::thread::spawn(move || {
-            let writer = Arc::new(LineWriter {
-                inner: Mutex::new(write_half),
-            });
+            let writer = Arc::new(LineWriter::new(write_half));
             serve_connection(
                 server,
                 writer,
@@ -1023,12 +1163,10 @@ mod tests {
         let (release, release_rx) = mpsc::channel::<()>();
         let pipelined: String = (1..=3).map(|id| check_line(id) + "\n").collect();
         let a = std::thread::spawn(move || {
-            let writer = Arc::new(LineWriter {
-                inner: Mutex::new(StalledClient {
-                    stalled: stalled_tx,
-                    release: release_rx,
-                }),
-            });
+            let writer = Arc::new(LineWriter::new(StalledClient {
+                stalled: stalled_tx,
+                release: release_rx,
+            }));
             serve_connection(
                 pipelined.as_bytes(),
                 writer,

@@ -3,7 +3,8 @@
 //!
 //! The eval path is the heart: it runs the core sweep executor
 //! ([`vgen_core::run_engine_sweep`]) unchanged, streaming each
-//! record as a progress event. Byte-identical reports and journals versus
+//! record as a progress event and passing on the end of each burst of
+//! records ([`EventSink::flush`]). Byte-identical reports and journals versus
 //! the one-shot CLI path, at any jobs count, is the invariant the parity
 //! tests and the `serve-smoke` CI job hold.
 
@@ -35,6 +36,13 @@ pub trait EventSink: Send + Sync {
     /// layer, not the service; the service only streams the intermediate
     /// ones.
     fn event(&self, event: &Event);
+
+    /// The end of a burst of progress events: the sweep has written the
+    /// burst's records to its journal, and a sink that buffers progress
+    /// should write it out now. A sink that buffers must still deliver
+    /// the buffered events before any later one, terminal ones included.
+    /// The default does nothing.
+    fn flush(&self) {}
 }
 
 /// Drops every event.
@@ -229,7 +237,10 @@ impl CompletionEngine for LazyBanks<'_> {
 }
 
 /// The sweep behind [`Service::eval`]: every fresh record becomes a
-/// progress event (each `progress_every`-th one, and the last).
+/// progress event (each `progress_every`-th one, and the last), sent to
+/// `sink` as the sweep emits the record, and the end of each burst of
+/// records becomes a [`EventSink::flush`], after the journal has written
+/// the burst.
 fn run_sweep(
     req: &EvalRequest,
     engine: &mut dyn CompletionEngine,
@@ -256,6 +267,10 @@ fn run_sweep(
                     });
                 }
             })
+        }),
+        burst_end: Some({
+            let sink = Arc::clone(sink);
+            Arc::new(move || sink.flush())
         }),
         cancel: Some(cancel.clone()),
     };

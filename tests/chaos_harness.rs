@@ -202,7 +202,7 @@ fn injected_torn_write_crashes_then_resumes_to_a_clean_report() {
         observer: Some(Arc::new(move |rec: &Record, _, _| {
             sink.lock().expect("observer lock").push(rec.clone());
         })),
-        cancel: None,
+        ..SweepHooks::default()
     };
     let err = run_engine_sweep(
         &mut DistinctEngine { cursor: 0 },

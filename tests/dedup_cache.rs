@@ -223,6 +223,7 @@ fn cancel_with_followers_pending_leaves_a_prefix_that_resumes() {
         let hooks = SweepHooks {
             observer: Some(Arc::new(move |_: &Record, _, _| trip.cancel())),
             cancel: Some(token),
+            ..SweepHooks::default()
         };
         let opts = SweepOptions {
             jobs,
