@@ -37,14 +37,16 @@
 //!
 //! A check needs a known 8 MiB stack (`CHECK_STACK_BYTES`), so that
 //! classification never depends on how much stack its caller has left.
-//! Threads spawned through `spawn_check_thread` have one and are marked
-//! as such: sweep pool workers and the daemon's request threads. With no
+//! Threads spawned through [`spawn_check_thread`] have one and are marked
+//! as such: sweep pool workers, the daemon's connection threads (a `check`
+//! that arrives while nothing else of its connection is in flight runs on
+//! its connection's thread) and the cached threads below. With no
 //! deadline, a check asked for on a marked thread runs right there, under
 //! [`catch_harness_fault`]. Every other check — one with a deadline (it
 //! needs a watchdog) or one from an unmarked caller (a test thread, the
 //! benchmark's trace replay) — is handed off to a process-wide cache of
 //! idle marked threads ([`run_on_check_thread`]), which the daemon also
-//! runs its requests on.
+//! runs the requests it hands off on.
 //!
 //! While a guarded check is running, the default "thread panicked at ..."
 //! report is suppressed (per thread) so sweeps don't spray backtraces; the
@@ -118,14 +120,14 @@ pub fn catch_harness_fault<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// input fits in a fraction of this even in unoptimised builds.
 const CHECK_STACK_BYTES: usize = 8 * 1024 * 1024;
 
-/// Spawns a thread named `name` with a [`CHECK_STACK_BYTES`] stack, marked
-/// so that deadline-free checks run inline on it. The only place the mark
-/// is set.
+/// Spawns a thread named `name` with the 8 MiB stack a check needs,
+/// marked so that deadline-free checks run inline on it. The only place
+/// the mark is set.
 ///
 /// # Errors
 ///
 /// The OS refused to spawn the thread.
-pub(crate) fn spawn_check_thread<T: Send + 'static>(
+pub fn spawn_check_thread<T: Send + 'static>(
     name: String,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> io::Result<JoinHandle<T>> {

@@ -264,9 +264,9 @@ pub struct SweepHooks {
     /// at which a caller that buffers what the observer saw should write
     /// it out.
     pub burst_end: Option<BurstObserver>,
-    /// Cooperative cancellation: polled on every merge-loop wakeup (at
-    /// least every 50 ms). When it fires, the sweep stops issuing
-    /// work, finishes the journal cleanly (a valid resumable prefix) and
+    /// Cooperative cancellation: polled before each record is emitted
+    /// and on every merge-loop wakeup (at least every 50 ms). When it
+    /// fires, the sweep stops issuing work, finishes the journal cleanly (a valid resumable prefix) and
     /// returns [`io::ErrorKind::Interrupted`].
     pub cancel: Option<vgen_obs::CancelToken>,
 }
@@ -476,7 +476,7 @@ const RESULT_TIMEOUT: Duration = Duration::from_secs(300);
 /// uninterrupted one.
 ///
 /// [`SweepHooks::observer`] streams each fresh record;
-/// [`SweepHooks::cancel`] stops the sweep between checks, leaving the
+/// [`SweepHooks::cancel`] stops the sweep between records, leaving the
 /// journal a valid resumable prefix.
 ///
 /// # Errors
@@ -593,16 +593,18 @@ pub fn run_engine_sweep(
     // the run. A follower's leader sits at a lower position, so its record
     // is already in `records`; a check waits until its result arrives.
     while records.len() < total {
+        // Read before every record, not only when the cursor must wait, so
+        // a cancel lands even when every result still owed has arrived.
+        if hooks.cancelled() {
+            interrupted = true;
+            break;
+        }
         let pos = records.len();
         let (meta, step) = plan[pos - done_prior];
         let rec = match step {
             Step::Replay(leader) => meta.replay(&records[leader]),
             Step::Check => match arrived.remove(&pos) {
                 Some(rec) => rec,
-                None if hooks.cancelled() => {
-                    interrupted = true;
-                    break;
-                }
                 None => {
                     hooks.end_burst(&mut journal, &mut burst);
                     match pool.recv_timeout(slice) {
@@ -1289,6 +1291,47 @@ mod tests {
                 latency_s: 0.5,
             };
             vec![completion; n]
+        }
+    }
+
+    #[test]
+    fn a_cancel_tripped_at_record_k_leaves_exactly_k_records() {
+        let cfg = EvalConfig {
+            temperatures: vec![0.1],
+            ns: vec![40],
+            levels: vec![PromptLevel::Low],
+            problem_ids: vec![2],
+            sim: SimConfig::default(),
+        };
+        // After the first record the cursor never waits: every later
+        // record replays the one leader's, as a record whose check result
+        // has already arrived would be emitted.
+        for jobs in [1, 3] {
+            for k in [1, 7, 39] {
+                let path = temp_journal(&format!("cancel-at-{jobs}-{k}"));
+                let token = vgen_obs::CancelToken::unlimited();
+                let trip = token.clone();
+                let hooks = SweepHooks {
+                    observer: Some(std::sync::Arc::new(move |_: &Record, done, _| {
+                        if done == k {
+                            trip.cancel();
+                        }
+                    })),
+                    cancel: Some(token),
+                    ..SweepHooks::default()
+                };
+                let opts = SweepOptions {
+                    jobs,
+                    ..SweepOptions::default()
+                };
+                let err =
+                    run_engine_sweep(&mut OneModule, &cfg, Some((&path, false)), &opts, &hooks)
+                        .expect_err("cancelled sweep");
+                assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+                let (_, _, recs, _) = read_journal_recovering(&path).expect("cancelled journal");
+                let _ = std::fs::remove_file(&path);
+                assert_eq!(recs.len(), k, "jobs {jobs}");
+            }
         }
     }
 

@@ -1,15 +1,19 @@
 //! The transport layer: a unix-socket daemon and a stdio single-client
 //! loop, both speaking the line-delimited JSON protocol of [`crate::proto`].
 //!
-//! Supervision is per-request: every eval/check/lint/sim/subscribe runs
-//! off the connection's reader, on a cached check thread
-//! ([`run_on_check_thread`]) — reused across requests, with the stack a
-//! check needs, so a check runs inline on it — with its own
-//! [`CancelToken`] held in a per-connection registry. A `cancel` request
-//! (or a dropped connection) can trip one request without touching the
-//! others, and a wedged request degrades inside the sweep executor
-//! (timeout records, detached workers) without wedging the daemon's accept
-//! loop.
+//! Each connection is served on its own thread, spawned with the stack a
+//! check needs ([`spawn_check_thread`]). Supervision is per-request: every
+//! eval/lint/sim/subscribe runs off the connection's reader, on a cached
+//! check thread ([`run_on_check_thread`], reused across requests), with
+//! its own [`CancelToken`] held in a per-connection registry. A `cancel`
+//! request (or a dropped connection) can trip one request without
+//! touching the others, and a wedged request degrades inside the sweep
+//! executor (timeout records, detached workers) without wedging the
+//! daemon's accept loop. A `check` is never registered, so no `cancel`
+//! can reach it: one that arrives while nothing else of its connection is
+//! in flight runs on the reader itself, which saves a thread hand-off per
+//! check; one that arrives behind other work is handed off like the rest,
+//! so the reader stays free to read that work's `cancel`.
 //!
 //! The daemon also owns a process-wide `vgen-obs` recording session for
 //! its lifetime, feeding the live metrics plane: `metrics` answers with
@@ -25,10 +29,10 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use vgen_core::guard::run_on_check_thread;
+use vgen_core::guard::{run_on_check_thread, spawn_check_thread};
 use vgen_obs::json::Json;
 use vgen_obs::CancelToken;
 
@@ -68,7 +72,7 @@ impl<W: Write + Send> LineWriter<W> {
         }
     }
 
-    fn lines(&self) -> std::sync::MutexGuard<'_, Lines<W>> {
+    fn lines(&self) -> MutexGuard<'_, Lines<W>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -88,6 +92,17 @@ impl<W: Write + Send> LineWriter<W> {
     /// Writes every queued line with one write.
     fn flush(&self) {
         self.lines().write_queued();
+    }
+
+    /// [`send`](Self::send)s a handed-off request's terminal event,
+    /// uncounting the request under the same lock just before the write:
+    /// a client that has read `line` finds the count already down, and a
+    /// close that takes this lock once the count is 0 waits for the write.
+    fn send_last(&self, line: &str, request: HandedOff) {
+        let mut lines = self.lines();
+        drop(request);
+        lines.push(line);
+        lines.write_queued();
     }
 }
 
@@ -195,6 +210,53 @@ impl Drop for Registered<'_> {
     fn drop(&mut self) {
         let mut map = self.registry.lock().unwrap_or_else(|e| e.into_inner());
         map.remove(&self.id);
+    }
+}
+
+/// The requests one connection has handed off its reader and not yet
+/// answered. Close waits for the count to reach 0 (and for the last
+/// answer's write), and a `check` runs on the reader only while it is 0.
+#[derive(Default)]
+struct InFlight {
+    count: Mutex<usize>,
+    answered: Condvar,
+}
+
+impl InFlight {
+    fn count(&self) -> MutexGuard<'_, usize> {
+        self.count.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Counts one hand-off until the returned guard is dropped: as the
+    /// request's terminal event is written ([`LineWriter::send_last`]), or
+    /// with a task that never ran.
+    fn begin(self: &Arc<Self>) -> HandedOff {
+        *self.count() += 1;
+        HandedOff(Arc::clone(self))
+    }
+
+    fn is_empty(&self) -> bool {
+        *self.count() == 0
+    }
+
+    fn wait_empty(&self) {
+        let mut count = self.count();
+        while *count > 0 {
+            count = self.answered.wait(count).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// One request counted in its connection's [`InFlight`].
+struct HandedOff(Arc<InFlight>);
+
+impl Drop for HandedOff {
+    fn drop(&mut self) {
+        let mut count = self.0.count();
+        *count -= 1;
+        if *count == 0 {
+            self.0.answered.notify_all();
+        }
     }
 }
 
@@ -493,7 +555,10 @@ const MAX_REQUEST_LINE: usize = 4 << 20;
 /// requests to cached check threads (keeping the reader free so `cancel`
 /// works on the same connection), until EOF, shutdown, or a line longer
 /// than [`MAX_REQUEST_LINE`] (answered with one `line_too_long` error).
-/// Returns once every request it started has answered.
+/// A `check` that arrives while no handed-off request is in flight runs on
+/// the calling thread, inline when that thread came from
+/// [`spawn_check_thread`]. Returns once every request it started has
+/// answered.
 fn serve_connection<R, W>(
     reader: R,
     writer: Arc<LineWriter<W>>,
@@ -505,10 +570,7 @@ fn serve_connection<R, W>(
     W: Write + Send + 'static,
 {
     let registry: Registry = Arc::new(Mutex::new(HashMap::new()));
-    // The in-flight latch: every running request holds a clone of
-    // `in_flight` until its terminal event is written, and close waits
-    // for the last clone to go.
-    let (in_flight, all_answered) = mpsc::channel::<()>();
+    let in_flight = Arc::new(InFlight::default());
     let mut reader = BufReader::new(reader);
     let mut buf = Vec::new();
     loop {
@@ -545,21 +607,24 @@ fn serve_connection<R, W>(
         match parse_request(line) {
             Ok(envelope) => {
                 let id = envelope.id;
-                let heavy = matches!(
-                    envelope.body,
+                let handed_off = match envelope.body {
+                    Request::Check(_) => !in_flight.is_empty(),
                     Request::Eval(_)
-                        | Request::Check(_)
-                        | Request::Sim(_)
-                        | Request::Lint(_)
-                        | Request::Subscribe { .. }
-                );
-                if heavy {
+                    | Request::Sim(_)
+                    | Request::Lint(_)
+                    | Request::Subscribe { .. } => true,
+                    Request::Ping
+                    | Request::Metrics
+                    | Request::Cancel { .. }
+                    | Request::Shutdown => false,
+                };
+                if handed_off {
                     let work = {
                         let writer = Arc::clone(&writer);
                         let registry = Arc::clone(&registry);
                         let shutdown = Arc::clone(&shutdown);
                         let live = live.clone();
-                        let latch = in_flight.clone();
+                        let counted = in_flight.begin();
                         move || {
                             let event =
                                 run_request(envelope, &writer, &registry, &shutdown, &live, conn);
@@ -569,8 +634,7 @@ fn serve_connection<R, W>(
                             // Written before the thread is idle again: a
                             // client that stops reading stalls this thread
                             // only, never a task handed to it next.
-                            respond(&writer, id, &event);
-                            drop(latch);
+                            writer.send_last(&render_event(id, &event), counted);
                         }
                     };
                     if let Err(e) = run_on_check_thread(work) {
@@ -579,6 +643,8 @@ fn serve_connection<R, W>(
                     }
                 } else {
                     let event = run_request(envelope, &writer, &registry, &shutdown, &live, conn);
+                    // The reader outlives the request too.
+                    vgen_obs::flush();
                     respond(&writer, id, &event);
                     if shutdown.is_set() {
                         break;
@@ -597,10 +663,10 @@ fn serve_connection<R, W>(
     for token in registry.lock().unwrap_or_else(|e| e.into_inner()).values() {
         token.cancel();
     }
-    drop(in_flight);
-    // Nothing is ever sent on the latch: `recv` fails once every clone is
-    // gone.
-    let _ = all_answered.recv();
+    in_flight.wait_empty();
+    // The last answer is written under the writer's lock once its request
+    // is uncounted: wait for that write.
+    drop(writer.lines());
 }
 
 /// Runs the daemon on a unix socket at `socket`. Returns when a client
@@ -621,6 +687,10 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
     // Daemon-lifetime recording session: the live metrics plane drains it
     // via snapshots; nothing collects it until shutdown.
     vgen_obs::enable();
+    // Every connection records onto this thread's lane: a lane outlives
+    // its thread, so a lane per connection would grow the daemon's
+    // snapshots and memory with every connection it ever served.
+    let lane = vgen_obs::current_lane();
     let live = LiveState::default();
     let next_conn = AtomicU64::new(1);
     let shutdown = Arc::new(Shutdown {
@@ -644,14 +714,21 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
         let shutdown = Arc::clone(&shutdown);
         let live = live.clone();
         let conn = next_conn.fetch_add(1, Ordering::Relaxed);
-        conns.push(std::thread::spawn(move || {
+        let spawned = spawn_check_thread(format!("vgen-conn-{conn}"), move || {
+            vgen_obs::adopt_lane(lane);
             let write_half: UnixStream = match stream.try_clone() {
                 Ok(s) => s,
                 Err(_) => return,
             };
             let writer = Arc::new(LineWriter::new(write_half));
             serve_connection(stream, writer, shutdown, live, conn);
-        }));
+        });
+        match spawned {
+            Ok(thread) => conns.push(thread),
+            // The refused closure took the stream with it, so the
+            // connection is closed; the daemon serves on.
+            Err(e) => eprintln!("[serve] cannot start a connection thread: {e}"),
+        }
         conns.retain(|h| !h.is_finished());
     }
     for c in conns {
@@ -667,18 +744,59 @@ pub fn serve_unix(socket: &Path, opts: &DaemonOptions) -> io::Result<()> {
 
 /// Runs a single-client session over stdin/stdout — the zero-setup
 /// transport (`vgen serve --stdio`), also what a supervisor that manages
-/// its own process tree would use.
-pub fn serve_stdio() {
-    let writer = Arc::new(LineWriter::new(io::stdout()));
+/// its own process tree would use. The session runs on a connection
+/// thread of its own, as every unix-socket connection does.
+///
+/// # Errors
+///
+/// The OS refused to spawn the session's thread.
+pub fn serve_stdio() -> io::Result<()> {
     vgen_obs::enable();
-    let shutdown = Arc::new(Shutdown::default());
-    serve_connection(io::stdin(), writer, shutdown, LiveState::default(), 0);
+    let session = spawn_check_thread("vgen-conn-0".into(), || {
+        let writer = Arc::new(LineWriter::new(io::stdout()));
+        let shutdown = Arc::new(Shutdown::default());
+        serve_connection(io::stdin(), writer, shutdown, LiveState::default(), 0);
+    });
+    if let Err(panic) = session?.join() {
+        std::panic::resume_unwind(panic);
+    }
     let _ = vgen_obs::collect();
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
+    /// Serves one connection on a connection thread, as `serve_unix` does.
+    fn spawn_connection<R, W>(reader: R, writer: Arc<LineWriter<W>>) -> std::thread::JoinHandle<()>
+    where
+        R: Read + Send + 'static,
+        W: Write + Send + 'static,
+    {
+        spawn_check_thread("vgen-conn-test".into(), move || {
+            serve_connection(
+                reader,
+                writer,
+                Arc::new(Shutdown::default()),
+                LiveState::default(),
+                0,
+            );
+        })
+        .expect("spawn a connection thread")
+    }
+
+    /// Serves one in-memory connection and waits for it to close.
+    fn serve_in_memory<R, W>(reader: R, writer: &Arc<LineWriter<W>>)
+    where
+        R: Read + Send + 'static,
+        W: Write + Send + 'static,
+    {
+        spawn_connection(reader, Arc::clone(writer))
+            .join()
+            .expect("connection served");
+    }
 
     #[test]
     fn overlong_request_line_is_refused_and_closes_the_connection() {
@@ -687,13 +805,7 @@ mod tests {
         // request that must never be read.
         let flood = io::repeat(b'x').take(MAX_REQUEST_LINE as u64 + 1);
         let reader = flood.chain(&b"\n{\"id\":1,\"cmd\":\"ping\"}\n"[..]);
-        serve_connection(
-            reader,
-            Arc::clone(&writer),
-            Arc::new(Shutdown::default()),
-            LiveState::default(),
-            0,
-        );
+        serve_in_memory(reader, &writer);
         let out = writer.lines().out.clone();
         let out = String::from_utf8(out).expect("utf-8 events");
         let lines: Vec<&str> = out.lines().collect();
@@ -714,13 +826,7 @@ mod tests {
         let mut line = br#"{"id":3,"cmd":"ping"}"#.to_vec();
         line.resize(MAX_REQUEST_LINE, b' ');
         line.push(b'\n');
-        serve_connection(
-            &line[..],
-            Arc::clone(&writer),
-            Arc::new(Shutdown::default()),
-            LiveState::default(),
-            0,
-        );
+        serve_in_memory(io::Cursor::new(line), &writer);
         let out = writer.lines().out.clone();
         let out = String::from_utf8(out).expect("utf-8 events");
         assert!(!out.contains("line_too_long"), "{out}");
@@ -736,13 +842,7 @@ mod tests {
             input.push(b'\n');
         }
         let writer = Arc::new(LineWriter::new(Vec::new()));
-        serve_connection(
-            &input[..],
-            Arc::clone(&writer),
-            Arc::new(Shutdown::default()),
-            LiveState::default(),
-            0,
-        );
+        serve_in_memory(io::Cursor::new(input), &writer);
         let out = writer.lines().out.clone();
         String::from_utf8(out)
             .expect("utf-8 events")
@@ -963,8 +1063,8 @@ mod tests {
         );
     }
 
-    /// Serializes the tests that count or hold the process-wide thread
-    /// cache, so neither sees the other's threads.
+    /// Serializes the tests that count, spawn or hold threads of the
+    /// process-wide thread cache, so no count sees another test's threads.
     static THREAD_CACHE: Mutex<()> = Mutex::new(());
 
     fn check_line(id: u64) -> String {
@@ -973,62 +1073,149 @@ mod tests {
         )
     }
 
-    /// Serves the daemon end of a socket pair on its own thread; returns
-    /// the client end and that thread.
+    /// A check of problem 2 that passes after a long zero-delay spin.
+    fn slow_check_line(id: u64) -> String {
+        let (_, source) = vgen_lm::mutate::slow_corpus()
+            .into_iter()
+            .find(|(op, _)| *op == vgen_lm::mutate::SlowOp::SpinNearStepCap)
+            .expect("a spin in the slow corpus");
+        Json::Obj(vec![
+            ("id".to_string(), Json::Num(id as f64)),
+            ("cmd".to_string(), Json::str("check")),
+            ("problem".to_string(), Json::Num(2.0)),
+            ("source".to_string(), Json::Str(source)),
+        ])
+        .render()
+    }
+
+    /// Serves the daemon end of a socket pair on a connection thread, as
+    /// `serve_unix` does; returns the client end and that thread.
     fn serve_pair() -> (UnixStream, std::thread::JoinHandle<()>) {
         let (client, server) = UnixStream::pair().expect("socket pair");
         let write_half = server.try_clone().expect("clone the daemon end");
-        let daemon = std::thread::spawn(move || {
-            let writer = Arc::new(LineWriter::new(write_half));
-            serve_connection(
-                server,
-                writer,
-                Arc::new(Shutdown::default()),
-                LiveState::default(),
-                0,
-            );
-        });
+        let daemon = spawn_connection(server, Arc::new(LineWriter::new(write_half)));
         (client, daemon)
     }
 
-    #[test]
-    fn closed_loop_checks_reuse_one_request_thread() {
-        let _serial = THREAD_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+    /// Reads the next event off `events` as `(id, kind, event)`.
+    fn next_event(events: &mut io::Lines<BufReader<UnixStream>>) -> (u64, String, Json) {
+        let line = events.next().expect("an event").expect("event text");
+        let event = Json::parse(&line).expect("event is JSON");
+        let id = event.get("id").and_then(Json::as_u64).expect("an id");
+        let kind = event.get("event").and_then(Json::as_str).expect("a kind");
+        (id, kind.to_string(), event)
+    }
+
+    /// Drives one connection with `client` in a recording session of its
+    /// own, then closes it; returns what the session recorded.
+    fn recorded_connection(
+        client: impl FnOnce(&mut UnixStream, &mut io::Lines<BufReader<UnixStream>>),
+    ) -> vgen_obs::ObsReport {
         vgen_obs::enable();
+        let (mut stream, daemon) = serve_pair();
+        let mut events = BufReader::new(stream.try_clone().expect("clone the client end")).lines();
+        client(&mut stream, &mut events);
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close the request side");
+        daemon.join().expect("connection served");
+        vgen_obs::collect()
+    }
+
+    /// Asserts that `obs` recorded every check of a run of `checks` on the
+    /// connection's own thread: no thread spawned or handed a check.
+    fn assert_checked_on_the_connection_thread(obs: &vgen_obs::ObsReport, checks: u64) {
+        let counter = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(counter("guard.thread_spawn"), 0, "{:?}", obs.counters);
+        assert_eq!(counter("guard.handoff"), 0, "{:?}", obs.counters);
+        assert!(
+            obs.hists.get("parse").map_or(0, |h| h.count) >= checks,
+            "every check was recorded"
+        );
+    }
+
+    #[test]
+    fn closed_loop_checks_run_on_the_connection_thread() {
+        let _serial = THREAD_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+        let obs = recorded_connection(|client, events| {
+            for id in 1..=500 {
+                writeln!(client, "{}", check_line(id)).expect("send a check");
+                assert_eq!(next_event(events).1, "accepted");
+                let (_, kind, done) = next_event(events);
+                assert_eq!(kind, "done");
+                let outcome = done.get("payload").and_then(|p| p.get("outcome"));
+                assert_eq!(outcome.and_then(Json::as_str), Some("pass"));
+            }
+        });
+        assert_checked_on_the_connection_thread(&obs, 500);
+    }
+
+    #[test]
+    fn pipelined_checks_are_answered_in_order_on_the_connection_thread() {
+        let _serial = THREAD_CACHE.lock().unwrap_or_else(|e| e.into_inner());
+        let obs = recorded_connection(|client, events| {
+            let batch: String = (1..=50).map(|id| check_line(id) + "\n").collect();
+            client
+                .write_all(batch.as_bytes())
+                .expect("send 50 checks in one write");
+            for id in 1..=50 {
+                assert_eq!(next_event(events).0, id);
+                let (answered, kind, done) = next_event(events);
+                assert_eq!((answered, kind.as_str()), (id, "done"));
+                let outcome = done.get("payload").and_then(|p| p.get("outcome"));
+                assert_eq!(outcome.and_then(Json::as_str), Some("pass"));
+            }
+        });
+        assert_checked_on_the_connection_thread(&obs, 50);
+    }
+
+    /// A check that arrives while a subscription is in flight is handed
+    /// off, so the reader answers a `cancel` sent behind it first; once
+    /// nothing is in flight, a check runs on the reader again, so a `ping`
+    /// sent behind it waits for it.
+    #[test]
+    fn a_check_behind_in_flight_work_is_handed_off_and_the_next_one_is_not() {
+        let _serial = THREAD_CACHE.lock().unwrap_or_else(|e| e.into_inner());
         let (mut client, daemon) = serve_pair();
         let mut events = BufReader::new(client.try_clone().expect("clone the client end")).lines();
-        for id in 1..=500 {
-            writeln!(client, "{}", check_line(id)).expect("send a check");
-            let mut next = || {
-                let line = events.next().expect("an event").expect("event text");
-                Json::parse(&line).expect("event is JSON")
-            };
-            assert_eq!(next().get("event").and_then(Json::as_str), Some("accepted"));
-            let done = next();
-            assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
-            let outcome = done.get("payload").and_then(|p| p.get("outcome"));
-            assert_eq!(outcome.and_then(Json::as_str), Some("pass"));
+        writeln!(
+            client,
+            r#"{{"id":1,"cmd":"subscribe","interval_ms":60000}}"#
+        )
+        .expect("subscribe");
+        assert_eq!(next_event(&mut events).0, 1);
+        writeln!(client, "{}", slow_check_line(2)).expect("send a slow check");
+        assert_eq!(next_event(&mut events).0, 2, "the check is accepted");
+        writeln!(client, r#"{{"id":3,"cmd":"cancel","target":1}}"#).expect("cancel");
+        let mut order = Vec::new();
+        while order.len() < 3 {
+            let (id, kind, _) = next_event(&mut events);
+            order.push((id, kind));
         }
+        let at = |id: u64| order.iter().position(|(i, _)| *i == id).expect("answered");
+        assert!(at(3) < at(2), "the cancel is answered first: {order:?}");
+        assert!(order.contains(&(1, "cancelled".to_string())), "{order:?}");
+        assert!(order.contains(&(3, "done".to_string())), "{order:?}");
+
+        // Both requests were uncounted before their last events were
+        // written, so a check sent now runs on the reader.
+        let batch = format!("{}\n{{\"id\":5,\"cmd\":\"ping\"}}\n", slow_check_line(4));
+        client
+            .write_all(batch.as_bytes())
+            .expect("send a check and a ping");
+        let answers: Vec<(u64, String)> = (0..3)
+            .map(|_| {
+                let (id, kind, _) = next_event(&mut events);
+                (id, kind)
+            })
+            .collect();
+        let expected =
+            [(4, "accepted"), (4, "done"), (5, "done")].map(|(id, kind)| (id, kind.to_string()));
+        assert_eq!(answers, expected, "the ping waits for the check");
         client
             .shutdown(std::net::Shutdown::Write)
             .expect("close the request side");
         daemon.join().expect("connection served");
-        let obs = vgen_obs::collect();
-        let counter = |name: &str| obs.counters.get(name).copied().unwrap_or(0);
-        // A request's thread is idle again moments after its answer is
-        // written. Now and then the client's next request arrives first and
-        // a second thread is spawned; once two are cached, a third is
-        // needed only if both are caught between answer and give-back.
-        assert!(counter("guard.thread_spawn") <= 3, "{:?}", obs.counters);
-        assert_eq!(
-            counter("guard.handoff"),
-            0,
-            "checks ran on the request thread"
-        );
-        assert!(
-            obs.hists.get("parse").map_or(0, |h| h.count) >= 500,
-            "every check was recorded"
-        );
     }
 
     /// A 10,000-term operator chain used to overflow the check thread's
@@ -1079,6 +1266,7 @@ mod tests {
     /// connection closes.
     #[test]
     fn a_duplicate_request_id_is_refused_and_the_first_stays_registered() {
+        let _serial = THREAD_CACHE.lock().unwrap_or_else(|e| e.into_inner());
         let (mut client, daemon) = serve_pair();
         let mut events = BufReader::new(client.try_clone().expect("clone the client end")).lines();
         let mut next = || {

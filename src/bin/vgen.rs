@@ -621,8 +621,7 @@ fn cmd_serve(rest: &[&String]) -> Result<(), String> {
         verbose: has_flag(rest, "--verbose"),
     };
     if has_flag(rest, "--stdio") {
-        vgen::serve::serve_stdio();
-        return Ok(());
+        return vgen::serve::serve_stdio().map_err(|e| e.to_string());
     }
     let socket = flag_value(rest, "--socket")
         .ok_or("usage: vgen serve --socket PATH [--verbose] | vgen serve --stdio")?;
